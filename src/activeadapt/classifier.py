@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
+
+from .numerics import logsumexp
 
 CHECKPOINT_VERSION = 1
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
+
+from .numerics import logsumexp
 
 N_COMPONENTS = 4
 VARIANCE_FLOOR = 1e-6
@@ -82,24 +83,35 @@ class GmmTrainSet:
 
 
 # -- densities ---------------------------------------------------------------
+#
+# Everything per score is component-major: row k of a (4, n) array holds
+# component k, so each reduction over scores runs along contiguous memory.
 
 
-def _log_normal(x: np.ndarray, mu: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    # broadcast (n, 1) against (4,) -> (n, 4)
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    return -0.5 * (np.log(2 * np.pi * sigma2) + (x - mu) ** 2 / sigma2)
+def _squared_residuals(scores: np.ndarray, mu: np.ndarray, out=None) -> np.ndarray:
+    """(s_j - mu_k)^2 at [k, j]."""
+    out = np.subtract(scores, mu[:, None], out=out)
+    return np.square(out, out=out)
+
+
+def _to_log_weights(sq: np.ndarray, params: GmmParams) -> np.ndarray:
+    """In place: squared residuals about params.mu become
+    log(pi_k * N(s_j; mu_k, sigma2_k))."""
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(params.pi)
+    sq *= (-0.5 / params.sigma2)[:, None]
+    sq += (log_pi - 0.5 * np.log(2 * np.pi * params.sigma2))[:, None]
+    return sq
 
 
 def _log_weighted(scores, params: GmmParams) -> np.ndarray:
-    """log(pi_k * N(score; mu_k, sigma2_k)) per score and component."""
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(params.pi)
-    return log_pi + _log_normal(scores, params.mu, params.sigma2)
+    scores = np.asarray(scores, dtype=float).ravel()
+    return _to_log_weights(_squared_residuals(scores, params.mu), params)
 
 
 def gmm_density(score, params: GmmParams):
     """Mixture density sum_k pi_k N(score; mu_k, sigma2_k)."""
-    out = np.exp(logsumexp(_log_weighted(score, params), axis=1))
+    out = np.exp(logsumexp(_log_weighted(score, params), axis=0))
     return float(out[0]) if np.isscalar(score) else out
 
 
@@ -107,7 +119,8 @@ def component_posteriors(scores, params: GmmParams) -> np.ndarray:
     """Posterior membership Pr(z=k | score) for each score, rows summing
     to 1. Scaling all four weighted densities by a common constant cancels."""
     lw = _log_weighted(scores, params)
-    return np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
+    logsumexp(lw, axis=0, softmax_out=lw)
+    return lw.T
 
 
 def component_posterior(score: float, params: GmmParams) -> np.ndarray:
@@ -144,17 +157,83 @@ def init_from_labeled(labeled_scores, labeled_components) -> GmmParams:
     return GmmParams(pi=pi, mu=mu, sigma2=sigma2)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.array([a[k] @ b[k] for k in range(N_COMPONENTS)])
+
+
+class _EmKernel:
+    """One train set's EM state: one log-density pass over the scores per
+    iteration gives both the objective of the current parameters and the
+    responsibilities the next M step needs.
+
+    Unlabeled responsibilities and squared residuals live in two reused
+    (4, n_u) buffers that swap roles every pass. The labeled side's
+    responsibilities (one-hot at the observation labels unless given), its
+    mass and its score sums are fixed for the fit and computed once here.
+    """
+
+    def __init__(self, ts: GmmTrainSet, labeled_resp=None):
+        self.a, self.b = ts.alpha, 1.0 - ts.alpha
+        self.ls, self.us = ts.labeled_scores, ts.unlabeled_scores
+        n_l, n_u = self.ls.size, self.us.size
+        self.total_weight = self.a * n_l + self.b * n_u
+        self.picks = (ts.labeled_components - 1, np.arange(n_l))
+        if labeled_resp is None:
+            labeled_resp = np.zeros((N_COMPONENTS, n_l))
+            labeled_resp[self.picks] = 1.0
+        self.resp_l = labeled_resp
+        self.mass_l, self.sum_l = labeled_resp.sum(axis=1), labeled_resp @ self.ls
+        self.sq_l = np.empty((N_COMPONENTS, n_l))
+        self.resp = np.empty((N_COMPONENTS, n_u))
+        self.sq = np.empty((N_COMPONENTS, n_u))
+
+    def residuals(self, mu: np.ndarray) -> None:
+        _squared_residuals(self.ls, mu, out=self.sq_l)
+        _squared_residuals(self.us, mu, out=self.sq)
+
+    def e_pass(self, params: GmmParams) -> float:
+        """With the squared residuals about params.mu in place: the
+        responsibilities under params into self.resp, and the weighted
+        log-likelihood of params (the objective EM ascends) returned."""
+        total = 0.0
+        lw_l = _to_log_weights(self.sq_l, params)
+        if self.a > 0:
+            total += self.a * lw_l[self.picks].sum()
+        lw = _to_log_weights(self.sq, params)
+        log_mix = logsumexp(lw, axis=0, softmax_out=lw)
+        if self.b > 0:
+            total += self.b * log_mix.sum()
+        self.resp, self.sq = lw, self.resp
+        return float(total)
+
+    def m_step(self, prev: GmmParams) -> GmmParams:
+        """Parameters from self.resp and the labeled responsibilities,
+        leaving the squared residuals about the new means in place."""
+        a, b = self.a, self.b
+        mass = a * self.mass_l + b * self.resp.sum(axis=1)
+        pi = mass / self.total_weight
+        alive = mass >= RESPONSIBILITY_FLOOR
+        safe_mass = np.where(alive, mass, 1.0)
+        mu_num = a * self.sum_l + b * (self.resp @ self.us)
+        mu = np.where(alive, mu_num / safe_mass, prev.mu)
+        self.residuals(mu)
+        var_num = a * _row_dots(self.resp_l, self.sq_l) + b * _row_dots(self.resp, self.sq)
+        sigma2 = np.where(alive, np.maximum(var_num / safe_mass, VARIANCE_FLOOR), prev.sigma2)
+        return GmmParams(pi=pi, mu=mu, sigma2=sigma2)
+
+
+def _kernel_at(trainset: GmmTrainSet, params: GmmParams) -> tuple[_EmKernel, float]:
+    kernel = _EmKernel(trainset)
+    kernel.residuals(params.mu)
+    return kernel, kernel.e_pass(params)
+
+
 def e_step(trainset: GmmTrainSet, params: GmmParams):
     """Responsibilities: labeled scores are one-hot at their observation
     label regardless of the parameters; unlabeled scores get normalized
-    posteriors."""
-    gamma_l = np.zeros((trainset.labeled_scores.size, N_COMPONENTS))
-    gamma_l[np.arange(gamma_l.shape[0]), trainset.labeled_components - 1] = 1.0
-    if trainset.unlabeled_scores.size:
-        gamma_u = component_posteriors(trainset.unlabeled_scores, params)
-    else:
-        gamma_u = np.zeros((0, N_COMPONENTS))
-    return gamma_l, gamma_u
+    posteriors. Both come back score-major, (n, 4)."""
+    kernel, _ = _kernel_at(trainset, params)
+    return kernel.resp_l.T, kernel.resp.T
 
 
 def m_step(trainset: GmmTrainSet, responsibilities, prev: GmmParams) -> GmmParams:
@@ -170,48 +249,29 @@ def m_step(trainset: GmmTrainSet, responsibilities, prev: GmmParams) -> GmmParam
     its previous mean and variance and still receives pi from the formula.
     Variances are floored at 1e-6.
     """
-    gamma_l, gamma_u = responsibilities
-    a, b = trainset.alpha, 1.0 - trainset.alpha
-    ls, us = trainset.labeled_scores, trainset.unlabeled_scores
-
-    mass = a * gamma_l.sum(axis=0) + b * gamma_u.sum(axis=0)
-    pi = mass / (a * ls.size + b * us.size)
-
-    alive = mass >= RESPONSIBILITY_FLOOR
-    safe_mass = np.where(alive, mass, 1.0)
-
-    mu_num = a * gamma_l.T @ ls + b * gamma_u.T @ us
-    mu = np.where(alive, mu_num / safe_mass, prev.mu)
-
-    res_l = (ls.reshape(-1, 1) - mu) ** 2
-    res_u = (us.reshape(-1, 1) - mu) ** 2
-    var_num = a * np.sum(gamma_l * res_l, axis=0) + b * np.sum(gamma_u * res_u, axis=0)
-    sigma2 = np.where(alive, np.maximum(var_num / safe_mass, VARIANCE_FLOOR), prev.sigma2)
-
-    return GmmParams(pi=pi, mu=mu, sigma2=sigma2)
+    gamma_l, gamma_u = (np.asarray(g, dtype=float) for g in responsibilities)
+    kernel = _EmKernel(trainset, labeled_resp=gamma_l.T)
+    kernel.resp = gamma_u.reshape(-1, N_COMPONENTS).T
+    return kernel.m_step(prev)
 
 
 def weighted_log_likelihood(trainset: GmmTrainSet, params: GmmParams) -> float:
     """The objective EM ascends: alpha-weighted complete-data log-likelihood
     of the hard-assigned scores plus (1-alpha)-weighted mixture
     log-likelihood of the unlabeled scores."""
-    total = 0.0
-    if trainset.alpha > 0:
-        lw = _log_weighted(trainset.labeled_scores, params)
-        picked = lw[np.arange(trainset.labeled_scores.size), trainset.labeled_components - 1]
-        total += trainset.alpha * picked.sum()
-    if trainset.alpha < 1 and trainset.unlabeled_scores.size:
-        unl = logsumexp(_log_weighted(trainset.unlabeled_scores, params), axis=1).sum()
-        total += (1.0 - trainset.alpha) * unl
-    return float(total)
+    return _kernel_at(trainset, params)[1]
 
 
 @dataclass
 class EmFit:
+    """A finished fit. converged is true when the parameter change fell
+    below tol, false when the fit stopped at max_iter."""
+
     params: GmmParams
     n_iter: int
     objective: float
     objective_trace: list[float]
+    converged: bool
 
 
 def run_em(
@@ -219,18 +279,21 @@ def run_em(
 ) -> EmFit:
     """Alternate E and M steps until the largest parameter change over all
     12 scalars drops below tol, or max_iter is hit. Deterministic: the
-    labeled anchors fix the starting point, so there is no random restart."""
+    labeled anchors fix the starting point, so there is no random restart.
+    objective_trace[t] is the objective after t iterations."""
     params = init_from_labeled(trainset.labeled_scores, trainset.labeled_components)
-    trace = [weighted_log_likelihood(trainset, params)]
-    n_iter = 0
+    kernel, objective = _kernel_at(trainset, params)
+    trace = [objective]
+    n_iter, converged = 0, False
     for n_iter in range(1, max_iter + 1):
-        new = m_step(trainset, e_step(trainset, params), params)
-        trace.append(weighted_log_likelihood(trainset, new))
+        new = kernel.m_step(params)
+        trace.append(kernel.e_pass(new))
         delta = new.max_abs_diff(params)
         params = new
         if delta < tol:
+            converged = True
             break
-    return EmFit(params=params, n_iter=n_iter, objective=trace[-1], objective_trace=trace)
+    return EmFit(params, n_iter, trace[-1], trace, converged)
 
 
 def fit_gmm(trainset: GmmTrainSet, max_iter: int = 200, tol: float = 1e-6) -> GmmParams:

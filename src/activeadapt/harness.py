@@ -119,6 +119,7 @@ class RoundReport:
                 "mu": self.gmm.params.mu.tolist(),
                 "sigma2": self.gmm.params.sigma2.tolist(),
                 "n_iter": self.gmm.n_iter,
+                "converged": self.gmm.converged,
                 "objective": self.gmm.objective,
             }
         if self.losses is not None:
@@ -195,6 +196,17 @@ class _Selection:
     posteriors: list[float] | None
     gmm: EmFit | None
     centroids: object | None  # CentroidSet when the scoring pipeline ran
+    pool_ids: np.ndarray  # the unlabeled pool the selection ranked, in pool order
+    pool_X: np.ndarray
+    pool_sim: np.ndarray | None = None  # similarity labels of the scored pool
+
+
+def _rows_of(pool_ids: np.ndarray, ids) -> np.ndarray:
+    """Rows of pool_ids that hold ids, in the order of ids."""
+    ids = np.asarray(ids, dtype=int)
+    hit = np.flatnonzero(np.isin(pool_ids, ids))
+    hit = hit[np.argsort(pool_ids[hit])]
+    return hit[np.searchsorted(pool_ids[hit], ids)]
 
 
 def _score_and_fit(model, pool, cfg: LoopConfig, include_source: bool):
@@ -203,10 +215,10 @@ def _score_and_fit(model, pool, cfg: LoopConfig, include_source: bool):
     l_scores = info_scores_labeled(model, X_lab, y_lab)
     l_obs = observation_labels(model, X_lab, y_lab, cfg.tau)
     u_ids, u_X = pool.unlabeled_arrays()
-    u_scores, _ = info_scores_unlabeled(model, centroids, u_X, cfg.resolved_k())
+    u_scores, u_sim = info_scores_unlabeled(model, centroids, u_X, cfg.resolved_k())
     trainset = GmmTrainSet(l_scores, l_obs, u_scores, alpha=cfg.alpha_override)
     fit = run_em(trainset)
-    return centroids, fit, u_ids, u_scores
+    return centroids, fit, u_ids, u_X, u_scores, u_sim
 
 
 def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
@@ -215,14 +227,14 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
         if len(np.unique(y_t)) < pool.C:
             u_ids, u_X = pool.unlabeled_arrays()
             res = sfda_bootstrap(model, u_ids, u_X, cfg.sfda, b, cfg.resolved_k())
-            return _Selection(res.active_ids, None, None, res.centroids)
-        centroids, fit, u_ids, u_scores = _score_and_fit(model, pool, cfg, include_source=False)
-    else:
-        centroids, fit, u_ids, u_scores = _score_and_fit(model, pool, cfg, include_source=True)
+            return _Selection(res.active_ids, None, None, res.centroids, u_ids, u_X)
+    centroids, fit, u_ids, u_X, u_scores, u_sim = _score_and_fit(
+        model, pool, cfg, include_source=cfg.sfda is None
+    )
     ids = select_active_batch(u_ids, u_scores, fit.params, b)
-    ui_post = component_posteriors(u_scores, fit.params)[:, Category.UI - 1]
-    lookup = {int(i): float(p) for i, p in zip(u_ids, ui_post)}
-    return _Selection(ids, [lookup[i] for i in ids], fit, centroids)
+    batch_scores = u_scores[_rows_of(u_ids, ids)]
+    ui_post = component_posteriors(batch_scores, fit.params)[:, Category.UI - 1]
+    return _Selection(ids, ui_post.tolist(), fit, centroids, u_ids, u_X, u_sim)
 
 
 def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> _Selection:
@@ -230,14 +242,15 @@ def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> 
     if cfg.strategy is Strategy.RANDOM:
         rng = np.random.default_rng([cfg.seed, 3, round_index])
         take = rng.choice(u_ids, size=min(b, u_ids.size), replace=False)
-        return _Selection([int(i) for i in take], None, None, None)
+        return _Selection([int(i) for i in take], None, None, None, u_ids, u_X)
     logp = model.log_proba(u_X)
     if cfg.strategy is Strategy.ENTROPY:
         key = np.sum(np.exp(logp) * logp, axis=1)  # ascending = max entropy first
     else:  # least confidence: smallest max-probability first
         key = logp.max(axis=1)
     order = np.lexsort((u_ids, key))
-    return _Selection([int(i) for i in u_ids[order[: min(b, u_ids.size)]]], None, None, None)
+    take = u_ids[order[: min(b, u_ids.size)]]
+    return _Selection([int(i) for i in take], None, None, None, u_ids, u_X)
 
 
 # -- the loop ----------------------------------------------------------------
@@ -282,9 +295,7 @@ def run_active_loop(
 
         err_rate = None
         if sel.ids:
-            _, u_X = pool.unlabeled_arrays()
-            pos = {s.id: i for i, s in enumerate(pool.target_unlabeled)}
-            picked = u_X[[pos[i] for i in sel.ids]]
+            picked = sel.pool_X[_rows_of(sel.pool_ids, sel.ids)]
             truth = pool.evaluation_labels(sel.ids)
             err_rate = float(np.mean(model.predict(picked) != truth))
 
@@ -295,12 +306,13 @@ def run_active_loop(
         partition = None
         cc = uc = None
         if sel.gmm is not None:
-            rem_ids, rem_X = pool.unlabeled_arrays()
+            # annotation keeps the pool order and the model has not moved
+            # since scoring, so the remaining pool is the scored one minus
+            # the batch, similarity labels included
+            kept = ~np.isin(sel.pool_ids, sel.ids)
+            rem_ids, rem_X, rem_sim = sel.pool_ids[kept], sel.pool_X[kept], sel.pool_sim[kept]
             partition = partition_unlabeled(
                 rem_ids, rem_X, model, sel.centroids, sel.gmm.params, cfg.resolved_k()
-            )
-            _, rem_sim = info_scores_unlabeled(
-                model, sel.centroids, rem_X, cfg.resolved_k()
             )
             cats = np.array([int(partition.category[i]) for i in rem_ids])
             cc_mask = cats == Category.CC

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .classifier import Classifier
+from .numerics import logsumexp
 
 PROB_FLOOR = 1e-12
 LOG_PROB_FLOOR = float(np.log(PROB_FLOOR))

@@ -43,6 +43,8 @@ def test_run_writes_reports(tmp_path, tiny_config, capsys):
     report = json.loads((out / "round_001.json").read_text())
     assert {"round", "accuracy", "partition_sizes", "selected_ids"} <= set(report)
     assert len(report["selected_ids"]) == 3
+    assert isinstance(report["gmm"]["converged"], bool)
+    assert report["gmm"]["converged"] or report["gmm"]["n_iter"] == 200
     gmm = json.loads((out / "gmm_round_001.json").read_text())
     assert len(gmm["pi"]) == 4
     agg = (out / "aggregate.csv").read_text().splitlines()

@@ -80,20 +80,45 @@ def oracle_m_step(ts: GmmTrainSet, gamma_l, gamma_u, prev: GmmParams) -> GmmPara
 
 
 def oracle_objective(ts: GmmTrainSet, p: GmmParams) -> float:
-    lab = sum(
-        math.log(p.pi[q - 1] * norm.pdf(s, p.mu[q - 1], math.sqrt(p.sigma2[q - 1])))
-        for s, q in zip(ts.labeled_scores, ts.labeled_components)
-    )
-    unl = sum(
-        math.log(
-            sum(
-                p.pi[k] * norm.pdf(s, p.mu[k], math.sqrt(p.sigma2[k]))
-                for k in range(N_COMPONENTS)
-            )
+    # a side with zero weight adds nothing, even where its log is undefined
+    lab = unl = 0.0
+    if ts.alpha > 0:
+        lab = sum(
+            math.log(p.pi[q - 1] * norm.pdf(s, p.mu[q - 1], math.sqrt(p.sigma2[q - 1])))
+            for s, q in zip(ts.labeled_scores, ts.labeled_components)
         )
-        for s in ts.unlabeled_scores
-    )
+    if ts.alpha < 1:
+        unl = sum(
+            math.log(
+                sum(
+                    p.pi[k] * norm.pdf(s, p.mu[k], math.sqrt(p.sigma2[k]))
+                    for k in range(N_COMPONENTS)
+                )
+            )
+            for s in ts.unlabeled_scores
+        )
     return ts.alpha * lab + (1 - ts.alpha) * unl
+
+
+def oracle_responsibilities(ts: GmmTrainSet, p: GmmParams):
+    """One-hot labeled rows and linear-domain unlabeled posteriors, as lists."""
+    gamma_l = [[float(k == q - 1) for k in range(N_COMPONENTS)] for q in ts.labeled_components]
+    gamma_u = []
+    for s in ts.unlabeled_scores:
+        dens = [p.pi[k] * norm.pdf(s, p.mu[k], math.sqrt(p.sigma2[k])) for k in range(N_COMPONENTS)]
+        gamma_u.append([d / sum(dens) for d in dens])
+    return gamma_l, gamma_u
+
+
+def oracle_em(ts: GmmTrainSet, n_iter: int):
+    """Plain EM from the labeled start: oracle E step, oracle_m_step, and the
+    objective after every iteration."""
+    p = init_from_labeled(ts.labeled_scores, ts.labeled_components)
+    trace = [oracle_objective(ts, p)]
+    for _ in range(n_iter):
+        p = oracle_m_step(ts, *oracle_responsibilities(ts, p), p)
+        trace.append(oracle_objective(ts, p))
+    return p, trace
 
 
 class TestTrainSet:
@@ -339,6 +364,68 @@ class TestFit:
         payload = json.loads(path.read_text())
         assert set(payload) == {"pi", "mu", "sigma2", "n_iter", "objective"}
         assert len(payload["pi"]) == 4
+
+
+def random_trainset(rng, n_l=10, n_u=30, alpha=None):
+    comps = rng.integers(1, 5, n_l)
+    labeled = rng.normal(1.5 * comps, 0.6)
+    unlabeled = rng.uniform(0.0, 7.0, n_u)
+    return GmmTrainSet(labeled, comps, unlabeled, alpha=alpha)
+
+
+def assert_fit_matches_oracle(ts: GmmTrainSet, n_iter: int = 12):
+    fit = run_em(ts, max_iter=n_iter, tol=0.0)
+    want, trace = oracle_em(ts, n_iter)
+    assert fit.n_iter == n_iter
+    for got_v, want_v in zip(fit.params.as_tuple(), want.as_tuple()):
+        np.testing.assert_allclose(got_v, want_v, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-10, atol=0)
+    return fit
+
+
+class TestRunEmAgainstOracle:
+    """run_em against plain EM built from the loop oracles: same parameters
+    and the same objective trace, iteration by iteration."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_train_sets(self, seed):
+        assert_fit_matches_oracle(random_trainset(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_extremes(self, alpha):
+        assert_fit_matches_oracle(random_trainset(np.random.default_rng(21), alpha=alpha))
+
+    def test_empty_unlabeled_set(self):
+        ts = random_trainset(np.random.default_rng(22), n_u=0)
+        assert ts.unlabeled_scores.size == 0
+        assert_fit_matches_oracle(ts)
+
+    def test_dead_component(self):
+        """Unsupervised updates (alpha = 0) with component 4 anchored far from
+        every unlabeled score: its responsibilities are all zero, so it keeps
+        its starting mean and variance and its weight drops to exactly 0."""
+        rng = np.random.default_rng(23)
+        labeled = np.array([0.5, 0.7, 2.0, 2.3, 4.1, 3.8, 500.0, 500.1])
+        comps = np.array([1, 1, 2, 2, 3, 3, 4, 4])
+        ts = GmmTrainSet(labeled, comps, rng.uniform(0.0, 5.0, 40), alpha=0.0)
+        start = init_from_labeled(labeled, comps)
+        fit = assert_fit_matches_oracle(ts)
+        assert fit.params.pi[3] == 0.0
+        assert fit.params.mu[3] == start.mu[3]
+        assert fit.params.sigma2[3] == start.sigma2[3]
+
+
+class TestConverged:
+    def test_capped_fit_is_not_converged(self):
+        fit = run_em(planted_trainset(np.random.default_rng(31)), max_iter=1)
+        assert fit.n_iter == 1
+        assert not fit.converged
+
+    def test_planted_mixture_converges(self):
+        fit = run_em(planted_trainset(np.random.default_rng(32)))
+        assert fit.converged
+        assert fit.n_iter < 200
 
 
 class TestPosterior:

@@ -14,6 +14,7 @@ from activeadapt.datapool import (
     ShiftConfig,
     generate_shifted_dataset,
 )
+import activeadapt.harness as harness
 from activeadapt.harness import (
     LoopConfig,
     Strategy,
@@ -27,6 +28,7 @@ from activeadapt.harness import (
     AGGREGATE_FIELDS,
 )
 from activeadapt.sampler import SfdaConfig
+from activeadapt.scoring import Category, info_scores_unlabeled
 
 
 def fast_train(**kw):
@@ -195,6 +197,45 @@ class TestBudgetAccounting:
         r2 = run_active_loop(fast_loop(), small_pool())
         assert [r.accuracy for r in r1] == [r.accuracy for r in r2]
         assert [r.selected_ids for r in r1] == [r.selected_ids for r in r2]
+
+
+class TestRemainingPoolLabels:
+    def test_sliced_similarity_labels_match_a_fresh_scoring_pass(self, monkeypatch):
+        """The consistency targets are the round's similarity labels sliced to
+        the rows left after annotation. A spy rescoring the remaining pool
+        with the same model and centroids finds the same rows and labels."""
+        pool = generate_shifted_dataset(
+            ShiftConfig(C=5, d_in=8, n_source=500, n_target=2000,
+                        shift_kind="rotation", shift_magnitude=0.5, seed=3)
+        )
+        cfg = LoopConfig(budget=40, rounds=2, d_feat=64, pretrain_epochs=5,
+                         train=TrainConfig(epochs_per_round=2, seed=3), seed=3)
+        real_partition, real_train = harness.partition_unlabeled, harness._train_epochs
+        expected, checked = [], []
+
+        def partition_spy(ids, X, model, centroids, params, k):
+            rem_ids, rem_X = pool.unlabeled_arrays()
+            np.testing.assert_array_equal(ids, rem_ids)
+            np.testing.assert_array_equal(X, rem_X)
+            _, fresh = info_scores_unlabeled(model, centroids, rem_X, k)
+            out = real_partition(ids, X, model, centroids, params, k)
+            cc = np.array([out.category[int(i)] == Category.CC for i in rem_ids])
+            expected.append((rem_X[cc], fresh[cc]))
+            return out
+
+        def train_spy(model, X, y, cc, uc, *rest):
+            if cc is not None:
+                want_X, want_sim = expected.pop()
+                assert len(want_sim) > 0
+                np.testing.assert_array_equal(cc[0], want_X)
+                np.testing.assert_array_equal(cc[1], want_sim)
+                checked.append(len(want_sim))
+            return real_train(model, X, y, cc, uc, *rest)
+
+        monkeypatch.setattr(harness, "partition_unlabeled", partition_spy)
+        monkeypatch.setattr(harness, "_train_epochs", train_spy)
+        run_active_loop(cfg, pool)
+        assert len(checked) == 2
 
 
 class TestBaselines:
