@@ -206,6 +206,12 @@ class _EmKernel:
         self.resp, self.sq = lw, self.resp
         return float(total)
 
+    def undo_e_pass(self) -> None:
+        """Back to the responsibilities before the last e_pass, which that
+        pass left untouched in the other buffer. The squared residuals are
+        stale afterwards; m_step recomputes them before use."""
+        self.resp, self.sq = self.sq, self.resp
+
     def m_step(self, prev: GmmParams) -> GmmParams:
         """Parameters from self.resp and the labeled responsibilities,
         leaving the squared residuals about the new means in place."""
@@ -264,8 +270,9 @@ def weighted_log_likelihood(trainset: GmmTrainSet, params: GmmParams) -> float:
 
 @dataclass
 class EmFit:
-    """A finished fit. converged is true when the parameter change fell
-    below tol, false when the fit stopped at max_iter."""
+    """A finished fit. converged is true when a plain EM step changed no
+    parameter by tol or more, false when the fit stopped at max_iter.
+    n_iter counts accepted updates: len(objective_trace) - 1."""
 
     params: GmmParams
     n_iter: int
@@ -274,26 +281,72 @@ class EmFit:
     converged: bool
 
 
+def _extrapolate(p0: GmmParams, p1: GmmParams, p2: GmmParams) -> GmmParams | None:
+    """The SQUAREM (S3) point from two plain EM steps p0 -> p1 -> p2, over
+    the 12 scalars: r = p1 - p0, v = p2 - p1 - r, step length
+    alpha = min(-|r|/|v|, -1), point p0 - 2 alpha r + alpha^2 v with the
+    weights renormalized. None when there is nothing to gain (alpha = -1
+    gives p2 itself, as does v = 0) or the point is not a valid mixture
+    (non-finite, a negative weight, a variance below the floor)."""
+    t0, t1, t2 = (np.concatenate(p.as_tuple()) for p in (p0, p1, p2))
+    r = t1 - t0
+    v = t2 - t1 - r
+    norm_v = np.linalg.norm(v)
+    if norm_v == 0:
+        return None
+    alpha = min(-np.linalg.norm(r) / norm_v, -1.0)
+    if alpha == -1.0:
+        return None
+    theta = t0 - 2 * alpha * r + alpha**2 * v
+    pi, mu, sigma2 = np.split(theta, 3)
+    if not np.isfinite(theta).all() or (pi < 0).any() or (sigma2 < VARIANCE_FLOOR).any():
+        return None
+    return GmmParams(pi=pi / pi.sum(), mu=mu, sigma2=sigma2)
+
+
 def run_em(
     trainset: GmmTrainSet, max_iter: int = 200, tol: float = 1e-6
 ) -> EmFit:
-    """Alternate E and M steps until the largest parameter change over all
-    12 scalars drops below tol, or max_iter is hit. Deterministic: the
-    labeled anchors fix the starting point, so there is no random restart.
-    objective_trace[t] is the objective after t iterations."""
+    """EM accelerated by SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008),
+    with a fallback that keeps the objective non-decreasing.
+
+    Each cycle takes two plain EM steps p0 -> p1 -> p2 and then tries the
+    extrapolated point of _extrapolate. That point is accepted when its
+    objective is at least the last one; otherwise, or when there is no
+    valid point, the fit carries on from p2. The fit stops when a plain
+    step changes no parameter by tol or more (converged), or after max_iter
+    updates. Deterministic: the labeled anchors fix the starting point, so
+    there is no random restart.
+
+    objective_trace[t] is the objective after t accepted updates, plain
+    steps and accepted extrapolations alike; a rejected extrapolation adds
+    nothing. So the trace never decreases by construction (up to rounding
+    in the plain steps), n_iter = len(objective_trace) - 1 <= max_iter, and
+    objective = objective_trace[-1].
+    """
     params = init_from_labeled(trainset.labeled_scores, trainset.labeled_components)
     kernel, objective = _kernel_at(trainset, params)
     trace = [objective]
-    n_iter, converged = 0, False
-    for n_iter in range(1, max_iter + 1):
+    converged = False
+    path = [params]  # plain EM steps since the last extrapolation attempt
+    while not converged and len(trace) <= max_iter:
         new = kernel.m_step(params)
         trace.append(kernel.e_pass(new))
-        delta = new.max_abs_diff(params)
+        converged = new.max_abs_diff(params) < tol
         params = new
-        if delta < tol:
-            converged = True
-            break
-    return EmFit(params, n_iter, trace[-1], trace, converged)
+        path.append(params)
+        if len(path) == 3 and not converged and len(trace) <= max_iter:
+            point = _extrapolate(*path)
+            if point is not None:
+                kernel.residuals(point.mu)
+                objective = kernel.e_pass(point)
+                if objective >= trace[-1]:
+                    trace.append(objective)
+                    params = point
+                else:
+                    kernel.undo_e_pass()
+            path = [params]
+    return EmFit(params, len(trace) - 1, trace[-1], trace, converged)
 
 
 def fit_gmm(trainset: GmmTrainSet, max_iter: int = 200, tol: float = 1e-6) -> GmmParams:

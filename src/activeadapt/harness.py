@@ -198,6 +198,7 @@ class _Selection:
     centroids: object | None  # CentroidSet when the scoring pipeline ran
     pool_ids: np.ndarray  # the unlabeled pool the selection ranked, in pool order
     pool_X: np.ndarray
+    pool_scores: np.ndarray | None = None  # scores of the scored pool
     pool_sim: np.ndarray | None = None  # similarity labels of the scored pool
 
 
@@ -234,7 +235,7 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     ids = select_active_batch(u_ids, u_scores, fit.params, b)
     batch_scores = u_scores[_rows_of(u_ids, ids)]
     ui_post = component_posteriors(batch_scores, fit.params)[:, Category.UI - 1]
-    return _Selection(ids, ui_post.tolist(), fit, centroids, u_ids, u_X, u_sim)
+    return _Selection(ids, ui_post.tolist(), fit, centroids, u_ids, u_X, u_scores, u_sim)
 
 
 def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> _Selection:
@@ -308,16 +309,16 @@ def run_active_loop(
         if sel.gmm is not None:
             # annotation keeps the pool order and the model has not moved
             # since scoring, so the remaining pool is the scored one minus
-            # the batch, similarity labels included
+            # the batch, scores and similarity labels included
             kept = ~np.isin(sel.pool_ids, sel.ids)
-            rem_ids, rem_X, rem_sim = sel.pool_ids[kept], sel.pool_X[kept], sel.pool_sim[kept]
+            rem_X, rem_sim = sel.pool_X[kept], sel.pool_sim[kept]
             partition = partition_unlabeled(
-                rem_ids, rem_X, model, sel.centroids, sel.gmm.params, cfg.resolved_k()
+                sel.pool_ids[kept], rem_X, model, sel.centroids, sel.gmm.params,
+                cfg.resolved_k(), scores=sel.pool_scores[kept],
             )
-            cats = np.array([int(partition.category[i]) for i in rem_ids])
-            cc_mask = cats == Category.CC
+            cc_mask = partition.cats == Category.CC
             cc = (rem_X[cc_mask], rem_sim[cc_mask])
-            uc = rem_X[cats == Category.UC]
+            uc = rem_X[partition.cats == Category.UC]
 
         X_l, y_l = pool.labeled_arrays(include_source=use_source)
         train_rng = np.random.default_rng([cfg.train.seed, 2, r])

@@ -11,7 +11,10 @@ the next round.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,19 +31,23 @@ from .scoring import (
 
 @dataclass
 class PartitionAssignment:
-    """Category per remaining unlabeled sample id."""
+    """Category of each remaining unlabeled sample: cats[i] is the Category
+    value (1..4) of sample ids[i]."""
 
-    category: dict[int, Category]
+    ids: np.ndarray
+    cats: np.ndarray
 
-    def ids(self, cat: Category) -> list[int]:
-        return [i for i, c in self.category.items() if c == cat]
+    @cached_property
+    def category(self) -> Mapping[int, Category]:
+        """Read-only id -> Category view."""
+        return MappingProxyType(
+            {int(i): Category(int(c)) for i, c in zip(self.ids, self.cats)}
+        )
 
     @property
     def sizes(self) -> dict[str, int]:
-        out = {c.name: 0 for c in Category}
-        for c in self.category.values():
-            out[c.name] += 1
-        return out
+        counts = np.bincount(self.cats, minlength=len(Category) + 1)
+        return {c.name: int(counts[c]) for c in Category}
 
 
 @dataclass
@@ -79,18 +86,20 @@ def partition_unlabeled(
     centroids: CentroidSet,
     params: GmmParams,
     k: int,
+    scores=None,
 ) -> PartitionAssignment:
     """Assign every remaining unlabeled sample to the argmax component of
-    its score posterior. Annotated ids must already be out of (ids, X)."""
+    its score posterior. Annotated ids must already be out of (ids, X).
+
+    scores, when given, are the informativeness scores of the rows of X
+    under this model and these centroids, and save scoring them again."""
     ids = np.asarray(ids, dtype=int)
     if ids.size == 0:
-        return PartitionAssignment(category={})
-    scores, _ = info_scores_unlabeled(model, centroids, X, k)
+        return PartitionAssignment(ids, np.zeros(0, dtype=int))
+    if scores is None:
+        scores, _ = info_scores_unlabeled(model, centroids, X, k)
     post = component_posteriors(scores, params)
-    cats = np.argmax(post, axis=1) + 1
-    return PartitionAssignment(
-        category={int(i): Category(int(c)) for i, c in zip(ids, cats)}
-    )
+    return PartitionAssignment(ids, np.argmax(post, axis=1) + 1)
 
 
 # -- source-free bootstrap ---------------------------------------------------

@@ -82,9 +82,18 @@ def topk_indices(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def _topk_mask(F: np.ndarray, k: int) -> np.ndarray:
-    idx = np.argsort(-np.abs(F), axis=1, kind="stable")[:, :k]
-    mask = np.zeros(F.shape, dtype=bool)
-    np.put_along_axis(mask, idx, True, axis=1)
+    """Exactly k entries per row, the largest by magnitude; among entries
+    equal to the k-th largest, the smaller index wins."""
+    mag = np.abs(F)
+    d = mag.shape[1]
+    kth = np.partition(mag, d - k, axis=1)[:, d - k, None]
+    mask = mag >= kth
+    over = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
+    if over.size:
+        rows, cut = mag[over], kth[over]
+        above, tied = rows > cut, rows == cut
+        room = k - np.count_nonzero(above, axis=1)
+        mask[over] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
     return mask
 
 
@@ -105,7 +114,8 @@ def similarity_labels(
         raise ValueError(f"k={k} exceeds feature dimension {F.shape[1]}")
     f_mask = _topk_mask(F, k)
     c_mask = _topk_mask(centroids.A, k)
-    inter = f_mask.astype(int) @ c_mask.T.astype(int)
+    # counts of at most k, exact in float64, where the product runs on BLAS
+    inter = f_mask.astype(float) @ c_mask.T.astype(float)
     # both sets have exactly k members, so |union| = 2k - |intersection|
     iou = inter / (2 * k - inter)
     return np.argmax(iou, axis=1)

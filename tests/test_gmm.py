@@ -110,15 +110,72 @@ def oracle_responsibilities(ts: GmmTrainSet, p: GmmParams):
     return gamma_l, gamma_u
 
 
-def oracle_em(ts: GmmTrainSet, n_iter: int):
-    """Plain EM from the labeled start: oracle E step, oracle_m_step, and the
-    objective after every iteration."""
+def oracle_em(ts: GmmTrainSet, max_iter: int, tol: float):
+    """Plain EM from the loop oracles: the parameters, and whether a step
+    moved no parameter by tol within max_iter steps."""
+    p = init_from_labeled(ts.labeled_scores, ts.labeled_components)
+    for _ in range(max_iter):
+        new = oracle_m_step(ts, *oracle_responsibilities(ts, p), p)
+        if new.max_abs_diff(p) < tol:
+            return new, True
+        p = new
+    return p, False
+
+
+def oracle_extrapolate(p0: GmmParams, p1: GmmParams, p2: GmmParams):
+    """The SQUAREM (S3) point over the 12 scalars with Python arithmetic:
+    (point, None), or (None, why) when there is no valid point."""
+    t0, t1, t2 = ([*p.pi, *p.mu, *p.sigma2] for p in (p0, p1, p2))
+    r = [b - a for a, b in zip(t0, t1)]
+    v = [c - b - d for b, c, d in zip(t1, t2, r)]
+    norm_r = math.sqrt(sum(x * x for x in r))
+    norm_v = math.sqrt(sum(x * x for x in v))
+    if norm_v == 0:
+        return None, "v = 0"
+    alpha = min(-norm_r / norm_v, -1.0)
+    if alpha == -1.0:
+        return None, "alpha = -1"
+    theta = [a - 2 * alpha * b + alpha**2 * c for a, b, c in zip(t0, r, v)]
+    pi, mu, s2 = theta[:4], theta[4:8], theta[8:]
+    if not all(math.isfinite(x) for x in theta):
+        return None, "non-finite"
+    if min(pi) < 0:
+        return None, "negative weight"
+    if min(s2) < VARIANCE_FLOOR:
+        return None, "variance below floor"
+    total = sum(pi)
+    return params_for([x / total for x in pi], mu, s2), None
+
+
+def oracle_squarem(ts: GmmTrainSet, max_iter: int):
+    """run_em's SQUAREM cycle with tol = 0, from the loop oracles: two plain
+    EM steps (oracle E step, oracle_m_step), then the extrapolated point,
+    kept only when its objective is not below the last one. Returns the
+    parameters, the objective after every accepted update, and why each
+    rejected point was rejected."""
     p = init_from_labeled(ts.labeled_scores, ts.labeled_components)
     trace = [oracle_objective(ts, p)]
-    for _ in range(n_iter):
+    path, rejected = [p], []
+    while len(trace) <= max_iter:
         p = oracle_m_step(ts, *oracle_responsibilities(ts, p), p)
         trace.append(oracle_objective(ts, p))
-    return p, trace
+        path.append(p)
+        if len(path) == 3 and len(trace) <= max_iter:
+            point, why = oracle_extrapolate(*path)
+            if point is not None:
+                try:
+                    objective = oracle_objective(ts, point)
+                except ValueError:  # a density underflowed to 0: log of 0
+                    objective = -math.inf
+                if objective >= trace[-1]:
+                    trace.append(objective)
+                    p = point
+                else:
+                    why = "objective fell"
+            if why is not None:
+                rejected.append(why)
+            path = [p]
+    return p, trace, rejected
 
 
 class TestTrainSet:
@@ -373,19 +430,22 @@ def random_trainset(rng, n_l=10, n_u=30, alpha=None):
     return GmmTrainSet(labeled, comps, unlabeled, alpha=alpha)
 
 
-def assert_fit_matches_oracle(ts: GmmTrainSet, n_iter: int = 12):
-    fit = run_em(ts, max_iter=n_iter, tol=0.0)
-    want, trace = oracle_em(ts, n_iter)
-    assert fit.n_iter == n_iter
+def assert_fit_matches_oracle(ts: GmmTrainSet, max_iter: int = 12):
+    """run_em and oracle_squarem agree on the parameters and the whole trace.
+    Returns the fit and the oracle's rejection reasons."""
+    fit = run_em(ts, max_iter=max_iter, tol=0.0)
+    want, trace, rejected = oracle_squarem(ts, max_iter)
     for got_v, want_v in zip(fit.params.as_tuple(), want.as_tuple()):
         np.testing.assert_allclose(got_v, want_v, rtol=1e-10, atol=0)
     np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-10, atol=0)
-    return fit
+    assert fit.n_iter == max_iter == len(trace) - 1
+    return fit, rejected
 
 
 class TestRunEmAgainstOracle:
-    """run_em against plain EM built from the loop oracles: same parameters
-    and the same objective trace, iteration by iteration."""
+    """run_em against the SQUAREM cycle built from the loop oracles: same
+    parameters and the same objective trace, update by update. The plain EM
+    map itself is pinned by the e_step/m_step oracle tests."""
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))
@@ -410,10 +470,50 @@ class TestRunEmAgainstOracle:
         comps = np.array([1, 1, 2, 2, 3, 3, 4, 4])
         ts = GmmTrainSet(labeled, comps, rng.uniform(0.0, 5.0, 40), alpha=0.0)
         start = init_from_labeled(labeled, comps)
-        fit = assert_fit_matches_oracle(ts)
+        fit, _ = assert_fit_matches_oracle(ts)
         assert fit.params.pi[3] == 0.0
         assert fit.params.mu[3] == start.mu[3]
         assert fit.params.sigma2[3] == start.sigma2[3]
+
+    def test_rejected_extrapolations_leave_the_trace_monotone(self):
+        """Points whose objective fell, or that are no valid mixture, are
+        rejected: they add nothing to the trace and the fit carries on from
+        the second plain step. On this train set one point has a negative
+        weight and variances above the floor, so only the weight check
+        rejects it."""
+        fit, rejected = assert_fit_matches_oracle(random_trainset(np.random.default_rng(109)))
+        assert {"objective fell", "alpha = -1", "variance below floor",
+                "negative weight"} <= set(rejected)
+        assert (np.diff(fit.objective_trace) >= -1e-9).all()
+
+
+def slow_overlapping_trainset():
+    """Four anchors and 20 unlabeled scores from one broad normal: the
+    components overlap, so plain EM converges slowly."""
+    rng = np.random.default_rng(3)
+    labeled = np.array([0.0, 0.6, 1.2, 1.8]) + 0.3 * rng.standard_normal(4)
+    return GmmTrainSet(labeled, [1, 2, 3, 4], rng.normal(0.9, 0.7, 20))
+
+
+class TestSquarem:
+    def test_converges_within_the_cap_where_plain_em_does_not(self):
+        ts = slow_overlapping_trainset()
+        _, plain_converged = oracle_em(ts, 200, 1e-6)
+        assert not plain_converged
+        fit = run_em(ts)
+        assert fit.converged
+        assert fit.n_iter < 200
+        assert (np.diff(fit.objective_trace) >= -1e-9).all()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5])
+    def test_updates_never_exceed_the_cap(self, max_iter):
+        """An accepted extrapolation counts as an update, so it is attempted
+        only while the cap leaves room for it."""
+        fit = run_em(slow_overlapping_trainset(), max_iter=max_iter)
+        assert fit.n_iter == max_iter
+        assert len(fit.objective_trace) == fit.n_iter + 1
+        assert fit.objective == fit.objective_trace[-1]
+        assert not fit.converged
 
 
 class TestConverged:

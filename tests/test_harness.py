@@ -201,9 +201,10 @@ class TestBudgetAccounting:
 
 class TestRemainingPoolLabels:
     def test_sliced_similarity_labels_match_a_fresh_scoring_pass(self, monkeypatch):
-        """The consistency targets are the round's similarity labels sliced to
-        the rows left after annotation. A spy rescoring the remaining pool
-        with the same model and centroids finds the same rows and labels."""
+        """The consistency targets and the partition's scores are the round's
+        similarity labels and scores sliced to the rows left after annotation.
+        A spy rescoring the remaining pool with the same model and centroids
+        finds the same rows, scores and labels."""
         pool = generate_shifted_dataset(
             ShiftConfig(C=5, d_in=8, n_source=500, n_target=2000,
                         shift_kind="rotation", shift_magnitude=0.5, seed=3)
@@ -213,12 +214,13 @@ class TestRemainingPoolLabels:
         real_partition, real_train = harness.partition_unlabeled, harness._train_epochs
         expected, checked = [], []
 
-        def partition_spy(ids, X, model, centroids, params, k):
+        def partition_spy(ids, X, model, centroids, params, k, scores):
             rem_ids, rem_X = pool.unlabeled_arrays()
             np.testing.assert_array_equal(ids, rem_ids)
             np.testing.assert_array_equal(X, rem_X)
-            _, fresh = info_scores_unlabeled(model, centroids, rem_X, k)
-            out = real_partition(ids, X, model, centroids, params, k)
+            fresh_scores, fresh = info_scores_unlabeled(model, centroids, rem_X, k)
+            np.testing.assert_array_equal(scores, fresh_scores)
+            out = real_partition(ids, X, model, centroids, params, k, scores=scores)
             cc = np.array([out.category[int(i)] == Category.CC for i in rem_ids])
             expected.append((rem_X[cc], fresh[cc]))
             return out

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from activeadapt.classifier import Classifier
 from activeadapt.scoring import (
     Category,
+    _topk_mask,
     centroids_from_features,
     compute_centroids,
     index_iou,
@@ -29,6 +30,7 @@ from activeadapt.scoring import (
     LOG_PROB_FLOOR,
 )
 
+from oracles import topk_set
 from test_classifier import random_model, two_class_model, x_for_prob
 
 
@@ -91,6 +93,27 @@ class TestTopK:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             topk_indices(np.array([1.0, 2.0]), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["round", "sign", "zeros", "unit"]))
+    def test_mask_matches_oracle_on_ties(self, seed, kind):
+        """Row masks against topk_set on tie-heavy rows: rounded entries,
+        signs, rows with many zeros, and +-1.0 as from saturated tanh."""
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        F = rng.standard_normal((n, d))
+        if kind == "round":
+            F = np.round(F, int(rng.integers(0, 2)))
+        elif kind == "sign":
+            F = np.sign(F)
+        elif kind == "zeros":
+            F[rng.random(F.shape) < 0.7] = 0.0
+        else:
+            F = np.where(rng.random(F.shape) < 0.5, np.sign(F), np.tanh(F))
+        for k in {1, int(rng.integers(1, d + 1)), d}:
+            mask = _topk_mask(F, k)
+            for row, m in zip(F, mask):
+                assert set(np.flatnonzero(m).tolist()) == topk_set(row.tolist(), k)
 
     def test_iou_identities(self):
         a = np.array([0, 1, 2])
