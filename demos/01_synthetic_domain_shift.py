@@ -33,8 +33,7 @@ for magnitude in (0.0, 0.25, 0.5, 0.75, 1.0):
     model = Classifier.initialize(cfg.d_in, 64, cfg.C, np.random.default_rng(0))
     pretrain_source(model, pool, TrainConfig(seed=0), epochs=50)
 
-    X_s = np.stack([s.x for s, _ in pool.source_labeled])
-    y_s = np.array([lab for _, lab in pool.source_labeled])
+    X_s, y_s = pool.labeled_arrays(include_source=True)
     source_acc = float(np.mean(model.predict(X_s) == y_s))
     target_acc = evaluate(model, pool)
     print(f"{magnitude:>10.2f} {source_acc:>11.3f} {target_acc:>11.3f}")

@@ -24,8 +24,6 @@ from .classifier import (
 )
 from .datapool import (
     DataPool,
-    Domain,
-    Sample,
     ShiftConfig,
     ShiftKind,
     generate_shifted_dataset,

@@ -18,6 +18,7 @@ from .harness import (
     AGGREGATE_FIELDS,
     LoopConfig,
     Strategy,
+    aggregate_rows,
     compare_strategies,
     consistency_diagnostic,
     pretrain_source,
@@ -79,22 +80,12 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     reports = run_active_loop(loop, pool)
-    rows = []
     for rep in reports:
         (out / f"round_{rep.round_index:03d}.json").write_text(
             json.dumps(rep.to_dict(), indent=2)
         )
         if rep.gmm is not None:
             dump_params(out / f"gmm_round_{rep.round_index:03d}.json", rep.gmm)
-        rows.append(
-            {
-                "strategy": loop.strategy.value,
-                "seed": loop.seed,
-                "round": rep.round_index,
-                "accuracy": rep.accuracy,
-                "selected_error_rate": rep.selected_error_rate,
-            }
-        )
         print(
             f"round {rep.round_index}: accuracy={rep.accuracy:.4f}"
             + (
@@ -103,7 +94,7 @@ def cmd_run(args) -> int:
                 else ""
             )
         )
-    write_aggregate_csv(out / "aggregate.csv", rows)
+    write_aggregate_csv(out / "aggregate.csv", aggregate_rows(loop.strategy, loop.seed, reports))
     print(f"wrote {len(reports)} round reports to {out}")
     return 0
 

@@ -8,8 +8,7 @@ to read them during a run.
 
 from __future__ import annotations
 
-import copy as _copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -17,25 +16,11 @@ import numpy as np
 from scipy.linalg import expm
 
 
-class Domain(Enum):
-    SOURCE = "S"
-    TARGET = "T"
-
-
 class ShiftKind(Enum):
     ROTATION = "rotation"
     TRANSLATION = "translation"
     COVARIANCE_SCALE = "covariance_scale"
     MIXED = "mixed"
-
-
-@dataclass(eq=False)
-class Sample:
-    """One raw input vector. Labels live in the pool, not on the sample."""
-
-    id: int
-    x: np.ndarray
-    domain: Domain
 
 
 @dataclass
@@ -75,21 +60,60 @@ class ShiftConfig:
             raise ValueError("shift_magnitude must be nonnegative")
 
 
-@dataclass
-class DataPool:
-    """The S / T / U pools plus the hidden label table.
+# row status: which pool a row is in
+_SOURCE, _LABELED, _UNLABELED = 0, 1, 2
 
-    Invariants: the three pools are pairwise disjoint by sample id, every
-    class appears in source_labeled, and the labeled-target pool only grows
-    through annotate_batch.
+
+class DataPool:
+    """The S / T / U pools over one table of samples.
+
+    Row i of the table is sample ids[i] with input X[i] and hidden label
+    labels[i]; rows keep the order they were given in, and source[i] says
+    whether the row is a source sample. A per-row status puts every row in
+    one pool: source rows in S, target rows in U until annotate_batch moves
+    them to T, which also records the order they were annotated in. Ids
+    are found through a sorted copy, so a lookup of b ids costs O(b log n).
+
+    Invariants: ids are unique, every label lies in [0, C), every class
+    appears among the source rows, and the T rows are exactly the annotated
+    ones. The constructor copies its inputs and checks them.
     """
 
-    C: int
-    d_in: int
-    source_labeled: list[tuple[Sample, int]] = field(default_factory=list)
-    target_labeled: list[tuple[Sample, int]] = field(default_factory=list)
-    target_unlabeled: list[Sample] = field(default_factory=list)
-    _truth: dict[int, int] = field(default_factory=dict, repr=False)
+    def __init__(self, C: int, ids, X, labels, source):
+        if C < 1:
+            raise ValueError(f"need at least one class, got C={C}")
+        self.C = int(C)
+        self._ids = np.array(ids, dtype=np.int64)
+        self._X = np.array(X, dtype=np.float64, order="C")
+        self._labels = np.array(labels, dtype=np.int64)
+        source = np.array(source, dtype=bool)
+        shapes = {self._ids.shape, self._X.shape[:1], self._labels.shape, source.shape}
+        if self._X.ndim != 2 or shapes != {(self._ids.size,)}:
+            raise ValueError(
+                f"ids {self._ids.shape}, X {self._X.shape}, labels "
+                f"{self._labels.shape} and source {source.shape} do not describe "
+                f"the same rows"
+            )
+        self.d_in = self._X.shape[1]
+        self._status = np.where(source, _SOURCE, _UNLABELED).astype(np.int8)
+        self._source_rows = np.flatnonzero(source)
+        self._annotated = np.zeros(0, dtype=np.intp)  # T rows, in annotation order
+        self._order = np.argsort(self._ids, kind="stable")
+        self._sorted_ids = self._ids[self._order]
+        self.check_invariants()
+
+    def _find(self, ids):
+        """Rows holding ids, and whether each id is in the pool at all."""
+        ids = np.array(ids, dtype=np.int64, ndmin=1)
+        pos = np.minimum(np.searchsorted(self._sorted_ids, ids), self._ids.size - 1)
+        rows = self._order[pos]
+        return rows, self._ids[rows] == ids
+
+    def _unlabeled_rows(self) -> np.ndarray:
+        return np.flatnonzero(self._status == _UNLABELED)
+
+    def _target_rows(self) -> np.ndarray:
+        return np.concatenate([self._annotated, self._unlabeled_rows()])
 
     # -- oracle ----------------------------------------------------------
 
@@ -100,62 +124,54 @@ class DataPool:
         ids outside the unlabeled pool so double-annotation cannot slip
         through silently.
         """
-        if sample_id not in self._truth:
+        (row,), (known,) = self._find(sample_id)
+        if not known:
             raise ValueError(f"unknown sample id {sample_id}")
-        if not any(s.id == sample_id for s in self.target_unlabeled):
+        if self._status[row] != _UNLABELED:
             raise ValueError(
                 f"sample id {sample_id} is not in the unlabeled pool"
             )
-        return self._truth[sample_id]
+        return int(self._labels[row])
 
     def annotate_batch(self, ids: list[int]) -> "DataPool":
         """Move the given unlabeled samples into the labeled target pool,
         attaching their oracle labels. Fails atomically: either every id is
         valid or the pool is left untouched."""
-        ids = list(ids)
-        if len(set(ids)) != len(ids):
+        ids = np.array(ids, dtype=np.int64, ndmin=1)
+        if np.unique(ids).size != ids.size:
             raise ValueError("duplicate ids in annotation batch")
-        by_id = {s.id: s for s in self.target_unlabeled}
-        missing = [i for i in ids if i not in by_id]
-        if missing:
-            raise ValueError(f"ids not in unlabeled pool: {missing}")
-        picked = set(ids)
-        for i in ids:
-            self.target_labeled.append((by_id[i], self._truth[i]))
-        self.target_unlabeled = [
-            s for s in self.target_unlabeled if s.id not in picked
-        ]
+        rows, known = self._find(ids)
+        ok = known & (self._status[rows] == _UNLABELED)
+        if not ok.all():
+            raise ValueError(f"ids not in unlabeled pool: {ids[~ok].tolist()}")
+        self._status[rows] = _LABELED
+        self._annotated = np.concatenate([self._annotated, rows])
         return self
 
-    # -- array views -----------------------------------------------------
+    # -- array views (copies, never pool storage) ------------------------
 
     def labeled_arrays(self, include_source: bool = True):
-        """Feature matrix and labels over S ∪ T (or T alone)."""
-        pairs = (self.source_labeled if include_source else []) + self.target_labeled
-        if not pairs:
-            return np.zeros((0, self.d_in)), np.zeros(0, dtype=int)
-        X = np.stack([s.x for s, _ in pairs])
-        y = np.array([lab for _, lab in pairs], dtype=int)
-        return X, y
+        """Feature matrix and labels over S ∪ T (or T alone): source rows
+        first, then target rows in annotation order."""
+        rows = self._annotated
+        if include_source:
+            rows = np.concatenate([self._source_rows, rows])
+        return self._X[rows], self._labels[rows]
+
+    def source_arrays(self):
+        """Feature matrix and labels over S."""
+        return self._X[self._source_rows], self._labels[self._source_rows]
 
     def unlabeled_arrays(self):
         """Ids and feature matrix over U, in pool order."""
-        if not self.target_unlabeled:
-            return np.zeros(0, dtype=int), np.zeros((0, self.d_in))
-        ids = np.array([s.id for s in self.target_unlabeled], dtype=int)
-        X = np.stack([s.x for s in self.target_unlabeled])
-        return ids, X
+        rows = self._unlabeled_rows()
+        return self._ids[rows], self._X[rows]
 
     def target_arrays(self):
-        """Ids and feature matrix over the full target domain (T ∪ U)."""
-        samples = [s for s, _ in self.target_labeled] + self.target_unlabeled
-        ids = np.array([s.id for s in samples], dtype=int)
-        X = (
-            np.stack([s.x for s in samples])
-            if samples
-            else np.zeros((0, self.d_in))
-        )
-        return ids, X
+        """Ids and feature matrix over the full target domain: T in
+        annotation order, then U in pool order."""
+        rows = self._target_rows()
+        return self._ids[rows], self._X[rows]
 
     def evaluation_labels(self, ids) -> np.ndarray:
         """True labels for the given target ids.
@@ -163,41 +179,52 @@ class DataPool:
         Metric computation only (target-domain accuracy, selected-sample
         error rate); adaptation code must go through oracle_label.
         """
-        return np.array([self._truth[i] for i in ids], dtype=int)
+        rows, known = self._find(ids)
+        if not known.all():
+            raise ValueError(f"unknown sample ids: {np.asarray(ids)[~known].tolist()}")
+        return self._labels[rows]
 
     # -- bookkeeping -----------------------------------------------------
 
     @property
-    def unlabeled_ids(self) -> set[int]:
-        return {s.id for s in self.target_unlabeled}
+    def target_labeled(self) -> np.ndarray:
+        """Ids of the labeled target pool, in annotation order (a copy)."""
+        return self._ids[self._annotated]
+
+    @property
+    def target_unlabeled(self) -> np.ndarray:
+        """Ids of the unlabeled target pool, in pool order (a copy)."""
+        return self._ids[self._unlabeled_rows()]
 
     @property
     def sizes(self) -> tuple[int, int, int]:
-        return (
-            len(self.source_labeled),
-            len(self.target_labeled),
-            len(self.target_unlabeled),
-        )
-
-    def copy(self) -> "DataPool":
-        return _copy.deepcopy(self)
+        n_s, n_t, n_u = np.bincount(self._status, minlength=3)
+        return int(n_s), int(n_t), int(n_u)
 
     def check_invariants(self):
         """Raise if pool bookkeeping is corrupted."""
-        sid = [s.id for s, _ in self.source_labeled]
-        tid = [s.id for s, _ in self.target_labeled]
-        uid = [s.id for s in self.target_unlabeled]
-        all_ids = sid + tid + uid
-        if len(set(all_ids)) != len(all_ids):
-            raise ValueError("sample ids are not pairwise disjoint across pools")
-        covered = {lab for _, lab in self.source_labeled}
-        if covered != set(range(self.C)):
+        dup = self._sorted_ids[1:][np.diff(self._sorted_ids) == 0]
+        if dup.size:
+            raise ValueError(f"duplicate sample id {dup[0]}")
+        bad = np.flatnonzero((self._labels < 0) | (self._labels >= self.C))
+        if bad.size:
+            i = bad[0]
             raise ValueError(
-                f"source pool covers classes {sorted(covered)}, expected all of [0, {self.C})"
+                f"label {self._labels[i]} of sample {self._ids[i]} outside [0, {self.C})"
             )
-        bad = [lab for _, lab in self.source_labeled + self.target_labeled if not 0 <= lab < self.C]
-        if bad:
-            raise ValueError(f"labels outside [0, C): {bad}")
+        covered = np.unique(self._labels[self._source_rows])
+        if covered.size != self.C:
+            raise ValueError(
+                f"source pool covers classes {covered.tolist()}, expected all of [0, {self.C})"
+            )
+        status = np.full(self._ids.size, _UNLABELED, dtype=np.int8)
+        status[self._source_rows] = _SOURCE
+        status[self._annotated] = _LABELED
+        if (
+            not np.array_equal(status, self._status)
+            or np.unique(self._annotated).size != self._annotated.size
+        ):
+            raise ValueError("pool status does not match the source rows and annotations")
 
 
 # -- synthetic generator ---------------------------------------------------
@@ -264,7 +291,8 @@ def generate_shifted_dataset(cfg: ShiftConfig) -> DataPool:
     Source samples come from C class-conditional Gaussians with means on a
     scaled simplex; target samples come from the same Gaussians pushed
     through the configured shift. Pure function of the config, seed
-    included.
+    included. Source rows get ids 0..n_source-1 and target rows the ids
+    after them.
     """
     rng = np.random.default_rng(cfg.seed)
     means = simplex_means(cfg.C, cfg.d_in, cfg.class_separation)
@@ -279,17 +307,11 @@ def generate_shifted_dataset(cfg: ShiftConfig) -> DataPool:
     )
     X_t = base @ rotation.T + offset
 
-    pool = DataPool(C=cfg.C, d_in=cfg.d_in)
-    for i in range(cfg.n_source):
-        s = Sample(id=i, x=X_s[i], domain=Domain.SOURCE)
-        pool.source_labeled.append((s, int(y_s[i])))
-        pool._truth[i] = int(y_s[i])
-    for j in range(cfg.n_target):
-        sid = cfg.n_source + j
-        s = Sample(id=sid, x=X_t[j], domain=Domain.TARGET)
-        pool.target_unlabeled.append(s)
-        pool._truth[sid] = int(y_t[j])
-    return pool
+    ids = np.arange(cfg.n_source + cfg.n_target)
+    return DataPool(
+        cfg.C, ids, np.concatenate([X_s, X_t]), np.concatenate([y_s, y_t]),
+        source=ids < cfg.n_source,
+    )
 
 
 # -- delimited-file ingestion ----------------------------------------------
@@ -305,45 +327,42 @@ def save_pool(pool: DataPool, path) -> None:
     Intended for fresh pools; labeled-target membership is not encoded, so
     loading a saved pool puts every target sample back into U.
     """
+    rows = np.concatenate([pool._source_rows, pool._target_rows()])
+    dom = np.where(pool._status[rows] == _SOURCE, "S", "T").tolist()
     lines = [f"{pool.d_in},{pool.C}"]
-    for s, lab in pool.source_labeled:
-        feats = ",".join(repr(float(v)) for v in s.x)
-        lines.append(f"{s.id},S,{lab},{feats}")
-    target = [(s, pool._truth[s.id]) for s, _ in pool.target_labeled]
-    target += [(s, pool._truth[s.id]) for s in pool.target_unlabeled]
-    for s, lab in target:
-        feats = ",".join(repr(float(v)) for v in s.x)
-        lines.append(f"{s.id},T,{lab},{feats}")
+    for sid, d, lab, x in zip(
+        pool._ids[rows].tolist(), dom, pool._labels[rows].tolist(), pool._X[rows].tolist()
+    ):
+        lines.append(f"{sid},{d},{lab}," + ",".join(map(repr, x)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_pool(path) -> DataPool:
-    """Read a pool from the delimited dataset format."""
-    text = Path(path).read_text().strip()
-    if not text:
-        raise ValueError(f"empty dataset file: {path}")
-    lines = text.splitlines()
-    try:
-        d_in, C = (int(v) for v in lines[0].split(","))
-    except Exception as exc:
-        raise ValueError(f"bad header line {lines[0]!r}") from exc
-    pool = DataPool(C=C, d_in=d_in)
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3 + d_in:
-            raise ValueError(f"line {ln}: expected {3 + d_in} fields, got {len(parts)}")
-        sid, dom, lab = int(parts[0]), parts[1], int(parts[2])
-        x = np.array([float(v) for v in parts[3:]])
-        if sid in pool._truth:
-            raise ValueError(f"line {ln}: duplicate sample id {sid}")
-        if not 0 <= lab < C:
-            raise ValueError(f"line {ln}: label {lab} outside [0, {C})")
-        pool._truth[sid] = lab
-        if dom == "S":
-            pool.source_labeled.append((Sample(sid, x, Domain.SOURCE), lab))
-        elif dom == "T":
-            pool.target_unlabeled.append(Sample(sid, x, Domain.TARGET))
-        else:
-            raise ValueError(f"line {ln}: domain must be S or T, got {dom!r}")
-    pool.check_invariants()
-    return pool
+    """Read a pool from the delimited dataset format.
+
+    The rows are parsed in one vectorized pass. Field counts and field
+    types are checked by the parser, the domain here, and ids, labels and
+    class coverage by the pool itself; any violation raises ValueError.
+    """
+    with open(path) as fh:
+        header = fh.readline()
+        if not header.strip():
+            raise ValueError(f"empty dataset file: {path}")
+        try:
+            d_in, C = (int(v) for v in header.split(","))
+        except ValueError as exc:
+            raise ValueError(f"bad header line {header.strip()!r}") from exc
+        # U2 keeps a longer domain such as "SX" from being cut to a valid "S"
+        fields = np.dtype([("id", "i8"), ("dom", "U2"), ("lab", "i8"), ("x", "f8", (d_in,))])
+        try:
+            table = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"malformed dataset file {path}: {exc}") from exc
+    dom = table["dom"]
+    source = dom == "S"
+    bad = np.flatnonzero(~source & (dom != "T"))
+    if bad.size:
+        raise ValueError(
+            f"sample {table['id'][bad[0]]}: domain must be S or T, got {str(dom[bad[0]])!r}"
+        )
+    return DataPool(C, table["id"], table["x"], table["lab"], source)

@@ -167,10 +167,9 @@ def pretrain_source(
     model: Classifier, pool: DataPool, cfg: TrainConfig, epochs: int | None = None, rng=None
 ) -> Classifier:
     """Supervised training on the source pool only."""
-    if not pool.source_labeled:
+    X, y = pool.source_arrays()
+    if y.size == 0:
         raise ValueError("source pool is empty")
-    X = np.stack([s.x for s, _ in pool.source_labeled])
-    y = np.array([lab for _, lab in pool.source_labeled], dtype=int)
     if len(np.unique(y)) != pool.C:
         raise ValueError("source pool must cover every class")
     epochs = cfg.epochs_per_round if epochs is None else epochs
@@ -270,9 +269,10 @@ def run_active_loop(
     training uses [train.seed, 2, r], and random selection in round r uses
     [seed, 3, r].
     """
-    if cfg.budget > len(pool.target_unlabeled):
+    n_unlabeled = pool.sizes[2]
+    if cfg.budget > n_unlabeled:
         raise ValueError(
-            f"budget {cfg.budget} exceeds unlabeled pool size {len(pool.target_unlabeled)}"
+            f"budget {cfg.budget} exceeds unlabeled pool size {n_unlabeled}"
         )
     pool.check_invariants()
     model = Classifier.initialize(
@@ -370,9 +370,24 @@ def run_baseline(cfg: LoopConfig, pool: DataPool) -> list[RoundReport]:
 AGGREGATE_FIELDS = ["strategy", "seed", "round", "accuracy", "selected_error_rate"]
 
 
+def aggregate_rows(strategy: Strategy, seed: int, reports) -> list[dict]:
+    """One aggregate row (AGGREGATE_FIELDS) per round report of a run."""
+    return [
+        {
+            "strategy": strategy.value,
+            "seed": seed,
+            "round": rep.round_index,
+            "accuracy": rep.accuracy,
+            "selected_error_rate": rep.selected_error_rate,
+        }
+        for rep in reports
+    ]
+
+
 def compare_strategies(shift_cfg, loop_cfg: LoopConfig, strategies, n_seeds: int):
     """Run each strategy on freshly generated pools over n_seeds paired
-    seeds. Returns aggregate rows (one per strategy/seed/round)."""
+    seeds; baselines run through run_baseline. Returns aggregate rows (one
+    per strategy/seed/round)."""
     rows = []
     for seed_i in range(n_seeds):
         data_cfg = dataclasses.replace(shift_cfg, seed=shift_cfg.seed + seed_i)
@@ -382,21 +397,8 @@ def compare_strategies(shift_cfg, loop_cfg: LoopConfig, strategies, n_seeds: int
             cfg = dataclasses.replace(
                 loop_cfg, strategy=strat, seed=loop_cfg.seed + seed_i, train=train
             )
-            if strat is not Strategy.DIANA:
-                cfg = dataclasses.replace(
-                    cfg, train=dataclasses.replace(cfg.train, lambda_c=0.0, lambda_e=0.0)
-                )
-            pool = generate_shifted_dataset(data_cfg)
-            for rep in run_active_loop(cfg, pool):
-                rows.append(
-                    {
-                        "strategy": strat.value,
-                        "seed": seed_i,
-                        "round": rep.round_index,
-                        "accuracy": rep.accuracy,
-                        "selected_error_rate": rep.selected_error_rate,
-                    }
-                )
+            run = run_active_loop if strat is Strategy.DIANA else run_baseline
+            rows += aggregate_rows(strat, seed_i, run(cfg, generate_shifted_dataset(data_cfg)))
     return rows
 
 

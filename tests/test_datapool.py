@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from activeadapt.datapool import (
     DataPool,
@@ -23,6 +30,19 @@ def small_cfg(**kw):
     return ShiftConfig(**base)
 
 
+def assert_same_pool(a, b):
+    """Every view, id list and hidden label of two pools is bit-identical."""
+    assert (a.C, a.d_in, a.sizes) == (b.C, b.d_in, b.sizes)
+    for include_source in (True, False):
+        for va, vb in zip(a.labeled_arrays(include_source), b.labeled_arrays(include_source)):
+            np.testing.assert_array_equal(va, vb)
+    for va, vb in zip(a.target_arrays(), b.target_arrays()):
+        np.testing.assert_array_equal(va, vb)
+    np.testing.assert_array_equal(a.target_labeled, b.target_labeled)
+    ids, _ = a.target_arrays()
+    np.testing.assert_array_equal(a.evaluation_labels(ids), b.evaluation_labels(ids))
+
+
 class TestGenerator:
     def test_zero_shift_is_identity_transform(self):
         """At magnitude 0 the target transform is exactly (I, 0, 1), so both
@@ -36,15 +56,7 @@ class TestGenerator:
 
     def test_determinism(self):
         """Same config, same seed: byte-identical pools."""
-        a = generate_shifted_dataset(small_cfg())
-        b = generate_shifted_dataset(small_cfg())
-        for (sa, la), (sb, lb) in zip(a.source_labeled, b.source_labeled):
-            assert sa.id == sb.id and la == lb
-            np.testing.assert_array_equal(sa.x, sb.x)
-        for sa, sb in zip(a.target_unlabeled, b.target_unlabeled):
-            assert sa.id == sb.id
-            np.testing.assert_array_equal(sa.x, sb.x)
-        assert a._truth == b._truth
+        assert_same_pool(generate_shifted_dataset(small_cfg()), generate_shifted_dataset(small_cfg()))
 
     def test_counts_and_class_coverage(self):
         cfg = ShiftConfig(C=5, d_in=8, n_source=100, n_target=2000, seed=1)
@@ -86,12 +98,12 @@ class TestOracle:
 
     def test_idempotent(self):
         pool = generate_shifted_dataset(small_cfg())
-        sid = pool.target_unlabeled[0].id
+        sid = int(pool.target_unlabeled[0])
         assert pool.oracle_label(sid) == pool.oracle_label(sid)
 
     def test_rejects_annotated_and_unknown_ids(self):
         pool = generate_shifted_dataset(small_cfg())
-        sid = pool.target_unlabeled[0].id
+        sid = int(pool.target_unlabeled[0])
         pool.annotate_batch([sid])
         with pytest.raises(ValueError):
             pool.oracle_label(sid)
@@ -101,7 +113,7 @@ class TestOracle:
     def test_source_ids_not_unlabeled(self):
         pool = generate_shifted_dataset(small_cfg())
         with pytest.raises(ValueError):
-            pool.oracle_label(pool.source_labeled[0][0].id)
+            pool.oracle_label(0)  # generated source rows hold ids 0..n_source-1
 
 
 class TestAnnotateBatch:
@@ -113,30 +125,28 @@ class TestAnnotateBatch:
 
     def test_conservation(self):
         pool = generate_shifted_dataset(small_cfg(n_target=100))
-        ids = [s.id for s in pool.target_unlabeled[:10]]
+        ids = pool.target_unlabeled[:10].tolist()
         pool.annotate_batch(ids)
         assert pool.sizes == (30, 10, 90)
-        labeled_ids = {s.id for s, _ in pool.target_labeled}
-        assert labeled_ids == set(ids)
+        assert set(pool.target_labeled.tolist()) == set(ids)
 
     def test_labels_come_from_oracle(self):
         pool = generate_shifted_dataset(small_cfg())
-        ids = [s.id for s in pool.target_unlabeled[:5]]
+        ids = pool.target_unlabeled[:5].tolist()
         truth = pool.evaluation_labels(ids)
         pool.annotate_batch(ids)
-        got = {s.id: lab for s, lab in pool.target_labeled}
-        assert got == dict(zip(ids, truth))
+        _, y_t = pool.labeled_arrays(include_source=False)
+        assert dict(zip(pool.target_labeled.tolist(), y_t.tolist())) == dict(zip(ids, truth))
 
     def test_duplicate_ids_rejected(self):
         pool = generate_shifted_dataset(small_cfg())
-        sid = pool.target_unlabeled[0].id
+        sid = int(pool.target_unlabeled[0])
         with pytest.raises(ValueError):
             pool.annotate_batch([sid, sid])
 
     def test_already_labeled_id_rejected_and_atomic(self):
         pool = generate_shifted_dataset(small_cfg())
-        first = pool.target_unlabeled[0].id
-        second = pool.target_unlabeled[1].id
+        first, second = pool.target_unlabeled[:2].tolist()
         pool.annotate_batch([first])
         before = pool.sizes
         with pytest.raises(ValueError):
@@ -151,7 +161,7 @@ class TestAnnotateBatch:
         pool = generate_shifted_dataset(small_cfg())
         total = sum(pool.sizes)
         for p in picks:
-            ids = [s.id for s in pool.target_unlabeled]
+            ids = pool.target_unlabeled.tolist()
             if not ids:
                 break
             pool.annotate_batch([ids[p % len(ids)]])
@@ -164,16 +174,33 @@ class TestFileFormat:
         pool = generate_shifted_dataset(small_cfg())
         path = tmp_path / "pool.csv"
         save_pool(pool, path)
+        assert_same_pool(load_pool(path), pool)
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        """Features with full-precision mantissas survive save and load
+        bit for bit."""
+        pool = generate_shifted_dataset(
+            small_cfg(C=4, d_in=6, n_source=40, n_target=300, shift_kind="mixed", seed=11)
+        )
+        path = tmp_path / "pool.csv"
+        save_pool(pool, path)
         loaded = load_pool(path)
-        assert loaded.C == pool.C and loaded.d_in == pool.d_in
-        assert loaded.sizes == pool.sizes
-        for (sa, la), (sb, lb) in zip(pool.source_labeled, loaded.source_labeled):
-            assert sa.id == sb.id and la == lb
-            np.testing.assert_array_equal(sa.x, sb.x)
-        for sa, sb in zip(pool.target_unlabeled, loaded.target_unlabeled):
-            assert sa.id == sb.id
-            np.testing.assert_array_equal(sa.x, sb.x)
-        assert loaded._truth == pool._truth
+        assert_same_pool(loaded, pool)
+        _, X = pool.target_arrays()
+        _, X_loaded = loaded.target_arrays()
+        assert X.tobytes() == X_loaded.tobytes()
+
+    def test_saved_annotations_come_back_unlabeled(self, tmp_path):
+        pool = generate_shifted_dataset(small_cfg())
+        pool.annotate_batch([45, 31])
+        path = tmp_path / "pool.csv"
+        save_pool(pool, path)
+        loaded = load_pool(path)
+        assert loaded.sizes == (30, 0, 50)
+        ids, X = pool.target_arrays()
+        loaded_ids, loaded_X = loaded.unlabeled_arrays()
+        np.testing.assert_array_equal(loaded_ids, ids)
+        np.testing.assert_array_equal(loaded_X, X)
 
     def test_header_and_layout(self, tmp_path):
         pool = generate_shifted_dataset(small_cfg())
@@ -191,8 +218,8 @@ class TestFileFormat:
         save_pool(pool, path)
         loaded = load_pool(path)
         assert len(loaded.target_labeled) == 0
-        sid = loaded.target_unlabeled[0].id
-        assert loaded.oracle_label(sid) == pool._truth[sid]
+        sid = int(loaded.target_unlabeled[0])
+        assert loaded.oracle_label(sid) == pool.evaluation_labels([sid])[0]
 
     def test_rejects_malformed(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -202,3 +229,180 @@ class TestFileFormat:
         bad.write_text("4,3\n0,X,1,0.0,0.0,0.0,0.0\n")
         with pytest.raises(ValueError):
             load_pool(bad)
+        bad.write_text("4,0\n0,S,0,0.0,0.0,0.0,0.0\n")
+        with pytest.raises(ValueError, match="at least one class"):
+            load_pool(bad)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,S,0,0.0,0.0\n1,S,1,0.0\n2,S,2,0.0,0.0\n",  # ragged line mid-file
+            "0,S,0,0.0\n1,S,1,0.0\n2,S,2,0.0\n",  # every line one field short
+            "0,S,0,0.0,0.0,0.0\n1,S,1,0.0,0.0,0.0\n2,S,2,0.0,0.0,0.0\n",  # one too many
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n3,X,1,0.0,0.0\n",
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n3,SX,1,0.0,0.0\n",
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n3,T,1.5,0.0,0.0\n",
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n3,T,C,0.0,0.0\n",
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n3,T,3,0.0,0.0\n",  # label >= C
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n1,T,0,0.0,0.0\n",  # duplicate id
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,T,2,0.0,0.0\n",  # source misses class 2
+            "1.0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n",  # non-integer id
+            "",  # header only
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_rejects_malformed_rows(self, tmp_path, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("2,3\n" + body)
+        with pytest.raises(ValueError):
+            load_pool(bad)
+
+    def test_one_target_row(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("2,2\n7,S,0,0.5,1.5\n3,T,1,2.0,-1.0\n5,S,1,-0.25,0.0\n")
+        pool = load_pool(path)
+        assert pool.sizes == (2, 0, 1)
+        X_s, y_s = pool.labeled_arrays()
+        np.testing.assert_array_equal(X_s, [[0.5, 1.5], [-0.25, 0.0]])
+        np.testing.assert_array_equal(y_s, [0, 1])
+        ids, X = pool.unlabeled_arrays()
+        np.testing.assert_array_equal(ids, [3])
+        np.testing.assert_array_equal(X, [[2.0, -1.0]])
+        assert pool.oracle_label(3) == 1
+        pool.annotate_batch([3])
+        assert pool.sizes == (2, 1, 0)
+        assert pool.unlabeled_arrays()[1].shape == (0, 2)
+
+    def test_single_row_file(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("3,1\n0,S,0,1.0,2.0,3.0\n")
+        pool = load_pool(path)
+        assert pool.sizes == (1, 0, 0)
+        np.testing.assert_array_equal(pool.labeled_arrays()[0], [[1.0, 2.0, 3.0]])
+
+
+class TestArrayPool:
+    def test_rejects_mismatched_rows(self):
+        with pytest.raises(ValueError):
+            DataPool(2, [0, 1, 2], [[0.0], [1.0]], [0, 1, 1], [True, True, False])
+        with pytest.raises(ValueError):
+            DataPool(2, [0, 1], [[0.0], [1.0]], [0, 1], [True])
+
+    def test_views_and_inputs_do_not_alias_storage(self):
+        X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        pool = DataPool(2, [0, 1, 2], X, [0, 1, 1], [True, True, False])
+        X[:] = -1.0
+        for view in (pool.labeled_arrays()[0], pool.unlabeled_arrays()[1], pool.target_arrays()[1]):
+            view[:] = -2.0
+        pool.target_unlabeled[:] = 99
+        np.testing.assert_array_equal(pool.target_arrays()[1], [[4.0, 5.0]])
+        np.testing.assert_array_equal(pool.labeled_arrays()[0], [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(pool.target_unlabeled, [2])
+
+    def test_evaluation_labels_rejects_unknown_ids(self):
+        pool = generate_shifted_dataset(small_cfg())
+        with pytest.raises(ValueError):
+            pool.evaluation_labels([31, 10**6])
+
+
+class PoolMachine(RuleBasedStateMachine):
+    """annotate_batch, oracle_label and the array views against a plain
+    model of the pools: S, T and U as id lists in pool order (T in
+    annotation order) and a dict of hidden labels. Ids are drawn at random,
+    so they are unsorted, and source and target rows interleave. A rejected
+    call leaves the model untouched, so the invariant also checks that every
+    failure is atomic."""
+
+    @initialize(seed=st.integers(0, 2**32 - 1))
+    def build(self, seed):
+        rng = np.random.default_rng(seed)
+        C, n = 3, 14
+        ids = rng.choice(200, size=n, replace=False)
+        source = rng.permutation(np.arange(n) < 4)
+        labels = rng.integers(0, C, n)
+        labels[np.flatnonzero(source)[:C]] = np.arange(C)
+        X = rng.standard_normal((n, 2))
+        self.pool = DataPool(C, ids, X, labels, source)
+        self.x = {int(i): X[r] for r, i in enumerate(ids)}
+        self.truth = {int(i): int(y) for i, y in zip(ids, labels)}
+        self.S = ids[source].tolist()
+        self.T = []
+        self.U = ids[~source].tolist()
+
+    def _unlabeled_batch(self, data, **kw):
+        return data.draw(st.lists(st.sampled_from(self.U), unique=True, **kw))
+
+    def _rejected(self, batch):
+        with pytest.raises(ValueError):
+            self.pool.annotate_batch(batch)
+
+    @precondition(lambda self: self.U)
+    @rule(data=st.data())
+    def annotate_valid(self, data):
+        batch = self._unlabeled_batch(data, max_size=4)
+        assert self.pool.annotate_batch(batch) is self.pool
+        self.T += batch
+        self.U = [i for i in self.U if i not in batch]
+
+    @precondition(lambda self: self.U)
+    @rule(data=st.data())
+    def annotate_duplicate(self, data):
+        batch = self._unlabeled_batch(data, min_size=1, max_size=4)
+        batch.insert(data.draw(st.integers(0, len(batch))), data.draw(st.sampled_from(batch)))
+        self._rejected(batch)
+
+    @rule(data=st.data())
+    def annotate_already_labeled(self, data):
+        batch = self._unlabeled_batch(data, max_size=3) if self.U else []
+        bad = data.draw(st.sampled_from(self.S + self.T))
+        batch.insert(data.draw(st.integers(0, len(batch))), bad)
+        self._rejected(batch)
+
+    @rule(data=st.data())
+    def annotate_unknown(self, data):
+        batch = self._unlabeled_batch(data, max_size=3) if self.U else []
+        bad = data.draw(st.integers(-3, 300).filter(lambda i: i not in self.truth))
+        batch.insert(data.draw(st.integers(0, len(batch))), bad)
+        self._rejected(batch)
+
+    @rule(data=st.data())
+    def oracle(self, data):
+        sid = data.draw(st.sampled_from(sorted(self.truth)) | st.integers(-3, 300))
+        if sid in self.U:
+            assert self.pool.oracle_label(sid) == self.truth[sid]
+        else:
+            with pytest.raises(ValueError):
+                self.pool.oracle_label(sid)
+
+    @invariant()
+    def matches_model(self):
+        pool = self.pool
+        eq = np.testing.assert_array_equal
+
+        def rows(ids):
+            return np.array([self.x[i] for i in ids]).reshape(len(ids), 2)
+
+        def labels(ids):
+            return [self.truth[i] for i in ids]
+
+        X, y = pool.labeled_arrays(include_source=True)
+        eq(X, rows(self.S + self.T))
+        eq(y, labels(self.S + self.T))
+        X, y = pool.labeled_arrays(include_source=False)
+        eq(X, rows(self.T))
+        eq(y, labels(self.T))
+        ids, X = pool.unlabeled_arrays()
+        eq(ids, self.U)
+        eq(X, rows(self.U))
+        ids, X = pool.target_arrays()
+        eq(ids, self.T + self.U)
+        eq(X, rows(self.T + self.U))
+        eq(pool.evaluation_labels(ids), labels(self.T + self.U))
+        eq(pool.target_labeled, self.T)
+        eq(pool.target_unlabeled, self.U)
+        assert pool.sizes == (len(self.S), len(self.T), len(self.U))
+        pool.check_invariants()
+
+
+PoolMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=12, deadline=None)
+TestPoolStateMachine = PoolMachine.TestCase

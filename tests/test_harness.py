@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from activeadapt.classifier import Classifier, TrainConfig
-from activeadapt.datapool import (
-    DataPool,
-    Domain,
-    Sample,
-    ShiftConfig,
-    generate_shifted_dataset,
-)
+from activeadapt.datapool import DataPool, ShiftConfig, generate_shifted_dataset
 import activeadapt.harness as harness
 from activeadapt.harness import (
     LoopConfig,
@@ -58,16 +52,8 @@ def small_pool(seed=1, n_target=90):
 
 
 def hand_pool(C, X_s, y_s, X_t, y_t):
-    d_in = len(X_s[0])
-    pool = DataPool(C=C, d_in=d_in)
-    for i, (x, y) in enumerate(zip(X_s, y_s)):
-        pool.source_labeled.append((Sample(i, np.asarray(x, float), Domain.SOURCE), int(y)))
-        pool._truth[i] = int(y)
-    for j, (x, y) in enumerate(zip(X_t, y_t)):
-        sid = len(X_s) + j
-        pool.target_unlabeled.append(Sample(sid, np.asarray(x, float), Domain.TARGET))
-        pool._truth[sid] = int(y)
-    return pool
+    ids = np.arange(len(X_s) + len(X_t))
+    return DataPool(C, ids, list(X_s) + list(X_t), list(y_s) + list(y_t), ids < len(X_s))
 
 
 class TestConfigValidation:
@@ -129,8 +115,7 @@ class TestPretrain:
         pool = generate_shifted_dataset(cfg)
         model = Classifier.initialize(4, 16, 2, np.random.default_rng(0))
         pretrain_source(model, pool, fast_train(), epochs=30)
-        X = np.stack([s.x for s, _ in pool.source_labeled])
-        y = np.array([lab for _, lab in pool.source_labeled])
+        X, y = pool.source_arrays()
         assert np.mean(model.predict(X) == y) > 0.95
 
     def test_zero_epochs_no_change(self):
@@ -251,9 +236,7 @@ class TestBaselines:
         ref_pool = small_pool()
         annotated = set()
         for r, rep in enumerate(reports, start=1):
-            u_ids = np.array(
-                [s.id for s in ref_pool.target_unlabeled if s.id not in annotated]
-            )
+            u_ids = np.array([i for i in ref_pool.target_unlabeled if i not in annotated])
             rng = np.random.default_rng([cfg.seed, 3, r])
             want = rng.choice(u_ids, size=4, replace=False)
             assert rep.selected_ids == [int(i) for i in want]
