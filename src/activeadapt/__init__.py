@@ -16,11 +16,9 @@ from .classifier import (
     combined_grads,
     combined_loss,
     load_checkpoint,
-    loss_consistency,
     loss_entropy,
     loss_supervised,
     save_checkpoint,
-    total_loss,
 )
 from .datapool import (
     DataPool,
@@ -36,13 +34,9 @@ from .gmm import (
     GmmTrainSet,
     component_posterior,
     component_posteriors,
-    e_step,
     fit_gmm,
-    gmm_density,
     init_from_labeled,
-    m_step,
     run_em,
-    weighted_log_likelihood,
 )
 from .harness import (
     LoopConfig,
@@ -70,16 +64,10 @@ from .scoring import (
     CentroidSet,
     centroids_from_features,
     compute_centroids,
-    index_iou,
-    info_score_labeled,
-    info_score_unlabeled,
     info_scores_labeled,
     info_scores_unlabeled,
-    observation_label,
     observation_labels,
-    similarity_label,
     similarity_labels,
-    topk_indices,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ difference oracle in the test suite keeps them honest.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,14 +78,6 @@ class Classifier:
             b_out=np.zeros(C),
         )
 
-    def copy(self) -> "Classifier":
-        return Classifier(
-            self.W_hidden.copy(),
-            self.b_hidden.copy(),
-            self.W_out.copy(),
-            self.b_out.copy(),
-        )
-
     # -- forward passes ----------------------------------------------------
 
     def features(self, X: np.ndarray) -> np.ndarray:
@@ -97,8 +89,7 @@ class Classifier:
         return self.features(X) @ self.W_out + self.b_out
 
     def log_proba(self, X: np.ndarray) -> np.ndarray:
-        z = self.logits(X)
-        return z - logsumexp(z, axis=1, keepdims=True)
+        return self._head_log_proba(self.features(X))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self.log_proba(X))
@@ -106,14 +97,12 @@ class Classifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(X), axis=1)
 
-    def forward(self, x: np.ndarray):
-        """Single-sample pass: (feature vector, probability vector)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("forward expects a single input vector")
-        f = self.features(x[None, :])[0]
-        p = np.exp(self.log_proba(x[None, :])[0])
-        return f, p
+    def _head_log_proba(self, F: np.ndarray) -> np.ndarray:
+        """Features to log-probabilities: the package's one log-softmax. The
+        logits are normalized in place, so a call holds one (n, C) array."""
+        z = F @ self.W_out + self.b_out
+        z -= logsumexp(z, axis=1, keepdims=True)
+        return z
 
     def _check_input(self, X):
         if X.shape[-1] != self.d_in:
@@ -160,20 +149,6 @@ def loss_supervised(model: Classifier, X: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(logp[np.arange(len(y)), y]))
 
 
-def loss_consistency(
-    model: Classifier,
-    X: np.ndarray,
-    y_sim: np.ndarray,
-    cfg: TrainConfig,
-    rng,
-) -> float:
-    """Mean cross-entropy at the precomputed similarity-based labels after
-    perturbing the inputs. Empty batch contributes 0."""
-    if len(y_sim) == 0:
-        return 0.0
-    return loss_supervised(model, augment(X, cfg, rng), y_sim)
-
-
 def loss_entropy(model: Classifier, X: np.ndarray) -> float:
     """Mean prediction entropy -sum_c P_c log P_c; 0 for an empty batch."""
     X = np.atleast_2d(X)
@@ -214,26 +189,6 @@ def combined_loss(
     return LossBreakdown(sup, con, ent, total, empty_cc, empty_uc)
 
 
-def total_loss(
-    model: Classifier,
-    labeled_batch,
-    cc_batch,
-    uc_batch,
-    cfg: TrainConfig,
-    rng,
-) -> float:
-    """Full training objective with the perturbation applied to the
-    consistency batch. labeled_batch=(X, y), cc_batch=(X, similarity
-    labels), uc_batch=X."""
-    X_l, y_l = labeled_batch
-    X_cc, y_cc = cc_batch
-    if len(y_cc) > 0:
-        X_cc = augment(X_cc, cfg, rng)
-    return combined_loss(
-        model, X_l, y_l, X_cc, y_cc, uc_batch, cfg.lambda_c, cfg.lambda_e
-    ).total
-
-
 # -- gradients ---------------------------------------------------------------
 
 
@@ -255,8 +210,7 @@ def _accumulate_cross_entropy(model, X, y, weight, grads):
     # d/dz of mean -log P_y is (P - onehot(y)) / n
     n = len(y)
     F = model.features(X)
-    Z2 = F @ model.W_out + model.b_out
-    logp = Z2 - logsumexp(Z2, axis=1, keepdims=True)
+    logp = model._head_log_proba(F)
     P = np.exp(logp)
     dZ2 = P.copy()
     dZ2[np.arange(n), y] -= 1.0
@@ -268,8 +222,7 @@ def _accumulate_entropy(model, X, weight, grads):
     # d/dz_j of H(P) is -P_j (log P_j + H); see the gradient-check tests
     n = X.shape[0]
     F = model.features(X)
-    Z2 = F @ model.W_out + model.b_out
-    logp = Z2 - logsumexp(Z2, axis=1, keepdims=True)
+    logp = model._head_log_proba(F)
     P = np.exp(logp)
     H = -np.sum(P * logp, axis=1, keepdims=True)
     dZ2 = -P * (logp + H) * (weight / n)

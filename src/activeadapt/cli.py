@@ -65,17 +65,15 @@ def _loop_config(d: dict) -> LoopConfig:
 
 
 def _build_pool(data_cfg: dict):
-    data_cfg = dict(data_cfg)
     if "file" in data_cfg:
-        return load_pool(data_cfg["file"]), None
-    shift = ShiftConfig(**data_cfg)
-    return generate_shifted_dataset(shift), shift
+        return load_pool(data_cfg["file"])
+    return generate_shifted_dataset(ShiftConfig(**data_cfg))
 
 
 def cmd_run(args) -> int:
     cfg = _read_config(args.config)
-    pool, _ = _build_pool(cfg["data"])
     loop = _loop_config(cfg["loop"])
+    pool = _build_pool(cfg["data"])
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 

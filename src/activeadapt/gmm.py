@@ -109,12 +109,6 @@ def _log_weighted(scores, params: GmmParams) -> np.ndarray:
     return _to_log_weights(_squared_residuals(scores, params.mu), params)
 
 
-def gmm_density(score, params: GmmParams):
-    """Mixture density sum_k pi_k N(score; mu_k, sigma2_k)."""
-    out = np.exp(logsumexp(_log_weighted(score, params), axis=0))
-    return float(out[0]) if np.isscalar(score) else out
-
-
 def component_posteriors(scores, params: GmmParams) -> np.ndarray:
     """Posterior membership Pr(z=k | score) for each score, rows summing
     to 1. Scaling all four weighted densities by a common constant cancels."""
@@ -168,21 +162,19 @@ class _EmKernel:
 
     Unlabeled responsibilities and squared residuals live in two reused
     (4, n_u) buffers that swap roles every pass. The labeled side's
-    responsibilities (one-hot at the observation labels unless given), its
-    mass and its score sums are fixed for the fit and computed once here.
+    responsibilities (one-hot at the observation labels), its mass and its
+    score sums are fixed for the fit and computed once here.
     """
 
-    def __init__(self, ts: GmmTrainSet, labeled_resp=None):
+    def __init__(self, ts: GmmTrainSet):
         self.a, self.b = ts.alpha, 1.0 - ts.alpha
         self.ls, self.us = ts.labeled_scores, ts.unlabeled_scores
         n_l, n_u = self.ls.size, self.us.size
         self.total_weight = self.a * n_l + self.b * n_u
         self.picks = (ts.labeled_components - 1, np.arange(n_l))
-        if labeled_resp is None:
-            labeled_resp = np.zeros((N_COMPONENTS, n_l))
-            labeled_resp[self.picks] = 1.0
-        self.resp_l = labeled_resp
-        self.mass_l, self.sum_l = labeled_resp.sum(axis=1), labeled_resp @ self.ls
+        self.resp_l = np.zeros((N_COMPONENTS, n_l))
+        self.resp_l[self.picks] = 1.0
+        self.mass_l, self.sum_l = self.resp_l.sum(axis=1), self.resp_l @ self.ls
         self.sq_l = np.empty((N_COMPONENTS, n_l))
         self.resp = np.empty((N_COMPONENTS, n_u))
         self.sq = np.empty((N_COMPONENTS, n_u))
@@ -194,7 +186,10 @@ class _EmKernel:
     def e_pass(self, params: GmmParams) -> float:
         """With the squared residuals about params.mu in place: the
         responsibilities under params into self.resp, and the weighted
-        log-likelihood of params (the objective EM ascends) returned."""
+        log-likelihood of params (the objective EM ascends) returned: alpha
+        times the complete-data log-likelihood of the hard-assigned labeled
+        scores plus (1 - alpha) times the mixture log-likelihood of the
+        unlabeled scores."""
         total = 0.0
         lw_l = _to_log_weights(self.sq_l, params)
         if self.a > 0:
@@ -213,8 +208,19 @@ class _EmKernel:
         self.resp, self.sq = self.sq, self.resp
 
     def m_step(self, prev: GmmParams) -> GmmParams:
-        """Parameters from self.resp and the labeled responsibilities,
-        leaving the squared residuals about the new means in place."""
+        """Parameters from self.resp (u) and the labeled responsibilities
+        (g), leaving the squared residuals about the new means in place.
+
+        With a = alpha and b = 1 - alpha:
+
+          pi_k     = (a sum_i g_ik + b sum_j u_jk) / (a n_l + b n_u)
+          mu_k     = (a sum_i g_ik l_i + b sum_j u_jk l_j) / (a sum g + b sum u)
+          sigma2_k = same form with squared residuals about the new mu_k
+
+        A component whose total weighted responsibility falls below 1e-12
+        keeps its previous mean and variance and still receives pi from the
+        formula. Variances are floored at 1e-6.
+        """
         a, b = self.a, self.b
         mass = a * self.mass_l + b * self.resp.sum(axis=1)
         pi = mass / self.total_weight
@@ -226,46 +232,6 @@ class _EmKernel:
         var_num = a * _row_dots(self.resp_l, self.sq_l) + b * _row_dots(self.resp, self.sq)
         sigma2 = np.where(alive, np.maximum(var_num / safe_mass, VARIANCE_FLOOR), prev.sigma2)
         return GmmParams(pi=pi, mu=mu, sigma2=sigma2)
-
-
-def _kernel_at(trainset: GmmTrainSet, params: GmmParams) -> tuple[_EmKernel, float]:
-    kernel = _EmKernel(trainset)
-    kernel.residuals(params.mu)
-    return kernel, kernel.e_pass(params)
-
-
-def e_step(trainset: GmmTrainSet, params: GmmParams):
-    """Responsibilities: labeled scores are one-hot at their observation
-    label regardless of the parameters; unlabeled scores get normalized
-    posteriors. Both come back score-major, (n, 4)."""
-    kernel, _ = _kernel_at(trainset, params)
-    return kernel.resp_l.T, kernel.resp.T
-
-
-def m_step(trainset: GmmTrainSet, responsibilities, prev: GmmParams) -> GmmParams:
-    """Weighted parameter updates.
-
-    With a = alpha and b = 1 - alpha:
-
-      pi_k     = (a sum_i g_ik + b sum_j u_jk) / (a n_l + b n_u)
-      mu_k     = (a sum_i g_ik l_i + b sum_j u_jk l_j) / (a sum g + b sum u)
-      sigma2_k = same form with squared residuals about the new mu_k
-
-    A component whose total weighted responsibility falls below 1e-12 keeps
-    its previous mean and variance and still receives pi from the formula.
-    Variances are floored at 1e-6.
-    """
-    gamma_l, gamma_u = (np.asarray(g, dtype=float) for g in responsibilities)
-    kernel = _EmKernel(trainset, labeled_resp=gamma_l.T)
-    kernel.resp = gamma_u.reshape(-1, N_COMPONENTS).T
-    return kernel.m_step(prev)
-
-
-def weighted_log_likelihood(trainset: GmmTrainSet, params: GmmParams) -> float:
-    """The objective EM ascends: alpha-weighted complete-data log-likelihood
-    of the hard-assigned scores plus (1-alpha)-weighted mixture
-    log-likelihood of the unlabeled scores."""
-    return _kernel_at(trainset, params)[1]
 
 
 @dataclass
@@ -325,8 +291,9 @@ def run_em(
     objective = objective_trace[-1].
     """
     params = init_from_labeled(trainset.labeled_scores, trainset.labeled_components)
-    kernel, objective = _kernel_at(trainset, params)
-    trace = [objective]
+    kernel = _EmKernel(trainset)
+    kernel.residuals(params.mu)
+    trace = [kernel.e_pass(params)]
     converged = False
     path = [params]  # plain EM steps since the last extrapolation attempt
     while not converged and len(trace) <= max_iter:

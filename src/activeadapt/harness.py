@@ -82,6 +82,11 @@ class LoopConfig:
             )
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
+        k = self.resolved_k()
+        if not 1 <= k <= self.d_feat:
+            raise ValueError(f"k={k} must lie in [1, d_feat={self.d_feat}]")
+        if self.pretrain_epochs < 0:
+            raise ValueError("pretrain_epochs must be nonnegative")
         if self.sfda is not None and self.strategy is not Strategy.DIANA:
             raise ValueError("the source-free variant only applies to the diana strategy")
 

@@ -1,7 +1,8 @@
 """The package's one stable log-sum-exp.
 
-The classifier's log-softmax, the score computation and the mixture E step
-all normalize through it, so they share one formula and one rounding.
+The classifier's log-softmax head (which the score computation also runs)
+and the mixture E step normalize through it, so they share one formula and
+one rounding.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from enum import IntEnum
 import numpy as np
 
 from .classifier import Classifier
-from .numerics import logsumexp
 
 PROB_FLOOR = 1e-12
 LOG_PROB_FLOOR = float(np.log(PROB_FLOOR))
@@ -69,18 +68,6 @@ def compute_centroids(model: Classifier, X: np.ndarray, y: np.ndarray) -> Centro
 # -- top-k index overlap -----------------------------------------------------
 
 
-def topk_indices(v: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest-magnitude entries, ties going to the smaller
-    index. Returned in rank order."""
-    v = np.asarray(v)
-    if k > v.shape[-1]:
-        raise ValueError(f"k={k} exceeds vector dimension {v.shape[-1]}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    order = np.argsort(-np.abs(v), kind="stable")
-    return order[:k]
-
-
 def _topk_mask(F: np.ndarray, k: int) -> np.ndarray:
     """Exactly k entries per row, the largest by magnitude; among entries
     equal to the k-th largest, the smaller index wins."""
@@ -97,12 +84,6 @@ def _topk_mask(F: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def index_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection-over-union of two index sets."""
-    a, b = set(np.asarray(a).tolist()), set(np.asarray(b).tolist())
-    return len(a & b) / len(a | b)
-
-
 def similarity_labels(
     F: np.ndarray, centroids: CentroidSet, k: int
 ) -> np.ndarray:
@@ -110,6 +91,8 @@ def similarity_labels(
     top-k index set has maximal IoU with the row's top-k index set. Ties go
     to the smallest class index."""
     F = np.atleast_2d(F)
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     if k > F.shape[1]:
         raise ValueError(f"k={k} exceeds feature dimension {F.shape[1]}")
     f_mask = _topk_mask(F, k)
@@ -119,10 +102,6 @@ def similarity_labels(
     # both sets have exactly k members, so |union| = 2k - |intersection|
     iou = inter / (2 * k - inter)
     return np.argmax(iou, axis=1)
-
-
-def similarity_label(feature: np.ndarray, centroids: CentroidSet, k: int) -> int:
-    return int(similarity_labels(feature[None, :], centroids, k)[0])
 
 
 # -- informativeness scores ----------------------------------------------
@@ -139,17 +118,9 @@ def info_scores_unlabeled(
     X = np.atleast_2d(X)
     F = model.features(X)
     labels = similarity_labels(F, centroids, k)
-    z = F @ model.W_out + model.b_out
-    logp = z - logsumexp(z, axis=1, keepdims=True)
+    logp = model._head_log_proba(F)
     picked = np.maximum(logp[np.arange(len(labels)), labels], LOG_PROB_FLOOR)
     return -picked, labels
-
-
-def info_score_unlabeled(
-    model: Classifier, centroids: CentroidSet, x: np.ndarray, k: int
-) -> float:
-    scores, _ = info_scores_unlabeled(model, centroids, x[None, :], k)
-    return float(scores[0])
 
 
 def info_scores_labeled(model: Classifier, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -158,10 +129,6 @@ def info_scores_labeled(model: Classifier, X: np.ndarray, y: np.ndarray) -> np.n
         raise ValueError("label outside [0, C)")
     logp = model.log_proba(np.atleast_2d(X))
     return -np.maximum(logp[np.arange(len(y)), y], LOG_PROB_FLOOR)
-
-
-def info_score_labeled(model: Classifier, x: np.ndarray, y: int) -> float:
-    return float(info_scores_labeled(model, x[None, :], [y])[0])
 
 
 # -- observation labels ----------------------------------------------------
@@ -192,10 +159,6 @@ def observation_labels(
         np.where(confident, Category.CI, Category.UI),
     )
     return q.astype(int)
-
-
-def observation_label(model: Classifier, x: np.ndarray, y: int, tau: float) -> Category:
-    return Category(int(observation_labels(model, x[None, :], [y], tau)[0]))
 
 
 # -- debug dump --------------------------------------------------------------

@@ -20,12 +20,11 @@ from activeadapt.classifier import (
     combined_grads,
     combined_loss,
     load_checkpoint,
-    loss_consistency,
     loss_entropy,
     loss_supervised,
     save_checkpoint,
-    total_loss,
 )
+from oracles import forward_probs
 
 IDENTITY_AUG = TrainConfig(aug_noise_sigma=0.0, aug_dropout_p=0.0)
 
@@ -60,19 +59,28 @@ def random_model(rng, d_in=3, d_feat=4, C=3):
 class TestForward:
     def test_zero_weights_uniform(self):
         model = Classifier(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 5)), np.zeros(5))
-        _, p = model.forward(np.array([1.0, -2.0, 0.5]))
-        np.testing.assert_allclose(p, np.full(5, 0.2), atol=1e-15)
+        p = model.predict_proba(np.array([[1.0, -2.0, 0.5]]))
+        np.testing.assert_allclose(p, np.full((1, 5), 0.2), atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_probs_normalized_and_positive(self, seed):
+    @given(st.integers(0, 10**6), st.integers(1, 6))
+    def test_matches_loop_oracle(self, seed, n):
+        """Features and probabilities of one or several rows against the
+        loop oracle, row by row; probabilities are normalized and positive,
+        and predict is their argmax."""
         rng = np.random.default_rng(seed)
         model = random_model(rng)
-        x = 3 * rng.standard_normal(3)
-        f, p = model.forward(x)
-        assert f.shape == (4,) and p.shape == (3,)
-        assert abs(p.sum() - 1.0) < 1e-6
-        assert (p > 0).all()
+        X = 3 * rng.standard_normal((n, 3))
+        F, P = model.features(X), model.predict_proba(X)
+        assert F.shape == (n, 4) and P.shape == (n, 3)
+        for x, f, p in zip(X, F, P):
+            want_f, want_p = forward_probs(model, x.tolist())
+            np.testing.assert_allclose(f, want_f, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(p, want_p, rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+        assert (P > 0).all()
+        np.testing.assert_array_equal(np.exp(model.log_proba(X)), P)
+        np.testing.assert_array_equal(model.predict(X), np.argmax(P, axis=1))
 
     def test_hand_computed_two_class(self):
         """One hidden unit on scalar input against explicit arithmetic."""
@@ -82,7 +90,8 @@ class TestForward:
             W_out=np.array([[1.0, -1.0]]),
             b_out=np.array([0.2, -0.3]),
         )
-        f, p = model.forward(np.array([2.0]))
+        x = np.array([[2.0]])
+        f, p = model.features(x)[0], model.predict_proba(x)[0]
         feat = math.tanh(0.5 * 2.0 + 0.1)
         z0, z1 = feat + 0.2, -feat - 0.3
         e0, e1 = math.exp(z0), math.exp(z1)
@@ -90,12 +99,13 @@ class TestForward:
         assert p[0] == pytest.approx(e0 / (e0 + e1), abs=1e-12)
         assert p[1] == pytest.approx(e1 / (e0 + e1), abs=1e-12)
 
-    def test_dimension_and_finiteness_errors(self):
+    @pytest.mark.parametrize("method", ["features", "log_proba", "predict_proba", "predict"])
+    def test_dimension_and_finiteness_errors(self, method):
         model = two_class_model()
         with pytest.raises(ValueError):
-            model.forward(np.array([1.0, 2.0]))
+            getattr(model, method)(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
-            model.forward(np.array([np.nan]))
+            getattr(model, method)(np.array([[0.0], [np.nan]]))
 
 
 class TestSupervisedLoss:
@@ -144,26 +154,31 @@ class TestAugment:
 
 
 class TestConsistencyLoss:
+    """The consistency part of combined_loss: cross-entropy at the
+    similarity-based labels of inputs the caller has already perturbed."""
+
     def test_identity_aug_equals_supervised(self):
         rng = np.random.default_rng(3)
         model = random_model(rng)
         X = rng.standard_normal((8, 3))
         y = rng.integers(0, 3, 8)
-        con = loss_consistency(model, X, y, IDENTITY_AUG, np.random.default_rng(0))
-        assert con == loss_supervised(model, X, y)
+        X_cc = augment(X, IDENTITY_AUG, np.random.default_rng(0))
+        bd = combined_loss(model, X, y, X_cc, y, np.zeros((0, 3)), 0.5, 0.1)
+        assert bd.consistency == loss_supervised(model, X, y)
 
     def test_hand_value(self):
         model = two_class_model()
-        got = loss_consistency(
-            model, x_for_prob(0.8)[None, :], [0], IDENTITY_AUG, np.random.default_rng(0)
-        )
-        assert got == pytest.approx(-math.log(0.8), abs=1e-12)
+        x = x_for_prob(0.8)[None, :]
+        bd = combined_loss(model, x, [0], x, [0], np.zeros((0, 1)), 0.5, 0.1)
+        assert bd.consistency == pytest.approx(-math.log(0.8), abs=1e-12)
 
     def test_empty_batch_zero(self):
-        got = loss_consistency(
-            two_class_model(), np.zeros((0, 1)), [], IDENTITY_AUG, np.random.default_rng(0)
+        bd = combined_loss(
+            two_class_model(), x_for_prob(0.8)[None, :], [0], np.zeros((0, 1)), [],
+            np.zeros((0, 1)), 0.5, 0.1,
         )
-        assert got == 0.0
+        assert bd.consistency == 0.0
+        assert bd.empty_consistency_batch
 
 
 class TestEntropyLoss:
@@ -202,12 +217,10 @@ class TestTotalLoss:
         self.X_uc = rng.standard_normal((5, 3))
 
     def test_zero_weights_reduce_to_supervised(self):
-        cfg = TrainConfig(lambda_c=0.0, lambda_e=0.0, aug_noise_sigma=0.0, aug_dropout_p=0.0)
-        got = total_loss(
-            self.model, (self.X_l, self.y_l), (self.X_cc, self.y_cc), self.X_uc,
-            cfg, np.random.default_rng(0),
+        bd = combined_loss(
+            self.model, self.X_l, self.y_l, self.X_cc, self.y_cc, self.X_uc, 0.0, 0.0
         )
-        assert got == loss_supervised(self.model, self.X_l, self.y_l)
+        assert bd.total == loss_supervised(self.model, self.X_l, self.y_l)
 
     def test_empty_aux_batches_reduce_to_supervised(self):
         cfg = TrainConfig()

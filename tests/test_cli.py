@@ -128,3 +128,14 @@ def test_budget_mismatch_nonzero_exit(tmp_path, tiny_config):
     path = tmp_path / "mismatch.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--output", str(tmp_path / "y")]) == 1
+
+
+def test_bad_k_exits_before_any_round(tmp_path, tiny_config, capsys):
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"]["k"] = 0
+    path = tmp_path / "k0.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "z"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert "k=0" in capsys.readouterr().err
+    assert not (out / "round_001.json").exists()

@@ -2,7 +2,8 @@
 
 Oracles: scipy.stats.norm for densities, pure-Python loop implementations
 of the M-step and the weighted objective, and planted mixtures for
-recovery checks.
+recovery checks. The plain EM map is pinned on _EmKernel: its E pass at
+given parameters, and its M step from responsibilities the test sets.
 """
 
 import math
@@ -19,16 +20,13 @@ from activeadapt.gmm import (
     GmmTrainSet,
     N_COMPONENTS,
     VARIANCE_FLOOR,
+    _EmKernel,
     component_posterior,
     component_posteriors,
     dump_params,
-    e_step,
     fit_gmm,
-    gmm_density,
     init_from_labeled,
-    m_step,
     run_em,
-    weighted_log_likelihood,
 )
 
 PLANTED_MEANS = (0.0, 1.0, 3.0, 6.0)
@@ -48,6 +46,35 @@ def planted_trainset(rng, means=PLANTED_MEANS, sigma=0.2, n_anchor=50, n_unlab=2
 
 def params_for(pi, mu, sigma2):
     return GmmParams(np.asarray(pi, float), np.asarray(mu, float), np.asarray(sigma2, float))
+
+
+def kernel_at(ts: GmmTrainSet, p: GmmParams):
+    """An _EmKernel after its E pass at p, and the objective of p. The
+    kernel's responsibilities come back score-major, (n, 4)."""
+    kernel = _EmKernel(ts)
+    kernel.residuals(p.mu)
+    return kernel, kernel.e_pass(p)
+
+
+def kernel_e_step(ts: GmmTrainSet, p: GmmParams):
+    """Labeled and unlabeled responsibilities at p, score-major."""
+    kernel, _ = kernel_at(ts, p)
+    return kernel.resp_l.T, kernel.resp.T
+
+
+def kernel_m_step(ts: GmmTrainSet, gamma_u, prev: GmmParams) -> GmmParams:
+    """_EmKernel.m_step from unlabeled responsibilities the test sets,
+    score-major; the labeled side is one-hot at the observation labels."""
+    kernel = _EmKernel(ts)
+    kernel.resp = np.ascontiguousarray(np.asarray(gamma_u, dtype=float).reshape(-1, 4).T)
+    return kernel.m_step(prev)
+
+
+def log_density(scores, p: GmmParams) -> float:
+    """Sum of log mixture densities at the scores, as the E pass of an
+    unlabeled-only (alpha = 0) train set gives it."""
+    ts = GmmTrainSet([0.0], [1], scores, alpha=0.0)
+    return kernel_at(ts, p)[1]
 
 
 # -- independent loop oracles -------------------------------------------------
@@ -220,32 +247,36 @@ class TestInit:
 class TestDensity:
     def test_single_component_peak(self):
         p = params_for([1, 0, 0, 0], [2.0, 0, 0, 0], [0.25, 1, 1, 1])
-        got = gmm_density(2.0, p)
+        got = math.exp(log_density([2.0], p))
         assert got == pytest.approx(1 / math.sqrt(2 * math.pi * 0.25), rel=1e-12)
 
     def test_single_component_symmetry(self):
         p = params_for([1, 0, 0, 0], [2.0, 0, 0, 0], [0.5, 1, 1, 1])
-        assert gmm_density(2.7, p) == pytest.approx(gmm_density(1.3, p), rel=1e-12)
+        assert log_density([2.7], p) == pytest.approx(log_density([1.3], p), rel=1e-12)
 
     def test_two_equal_components_standard_normal_oracle(self):
         """Equal components at 0 and 2 with unit variance give density
         phi(1) at the midpoint."""
         p = params_for([0.5, 0.5, 0, 0], [0.0, 2.0, 0, 0], [1.0, 1.0, 1, 1])
         want = 0.5 * norm.pdf(1, 0, 1) + 0.5 * norm.pdf(1, 2, 1)
-        assert gmm_density(1.0, p) == pytest.approx(want, rel=1e-12)
+        assert math.exp(log_density([1.0], p)) == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(0.2420, abs=5e-5)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_matches_linear_domain_oracle(self, seed):
+    @given(st.integers(0, 10**6), st.integers(1, 5))
+    def test_matches_linear_domain_oracle(self, seed, n):
+        """One or several scores: the E pass sums their log densities."""
         rng = np.random.default_rng(seed)
         pi = rng.dirichlet(np.ones(4))
         mu = rng.uniform(-3, 3, 4)
         s2 = rng.uniform(0.05, 2.0, 4)
         p = params_for(pi, mu, s2)
-        x = rng.uniform(-5, 5)
-        want = sum(pi[k] * norm.pdf(x, mu[k], math.sqrt(s2[k])) for k in range(4))
-        assert gmm_density(x, p) == pytest.approx(want, rel=1e-10)
+        xs = rng.uniform(-5, 5, n)
+        want = sum(
+            math.log(sum(pi[k] * norm.pdf(x, mu[k], math.sqrt(s2[k])) for k in range(4)))
+            for x in xs
+        )
+        assert log_density(xs, p) == pytest.approx(want, rel=1e-10)
 
 
 class TestEStep:
@@ -253,19 +284,19 @@ class TestEStep:
         ts = GmmTrainSet([0.4], [2], [])
         for mu in ([0, 1, 2, 3], [9, 9, 9, 9]):
             p = params_for([0.25] * 4, mu, [1, 1, 1, 1])
-            gl, _ = e_step(ts, p)
+            gl, _ = kernel_e_step(ts, p)
             np.testing.assert_array_equal(gl, [[0.0, 1.0, 0.0, 0.0]])
 
     def test_identical_components_posterior_equals_prior(self):
         ts = GmmTrainSet([0.4], [1], [1.7, 0.2])
         p = params_for([0.1, 0.2, 0.3, 0.4], [1.0] * 4, [0.5] * 4)
-        _, gu = e_step(ts, p)
+        _, gu = kernel_e_step(ts, p)
         np.testing.assert_allclose(gu, [[0.1, 0.2, 0.3, 0.4]] * 2, atol=1e-12)
 
     def test_score_at_separated_mean_is_confident(self):
         p = params_for([0.25] * 4, PLANTED_MEANS, [0.04] * 4)
         ts = GmmTrainSet([0.0], [1], [0.0, 6.0])
-        _, gu = e_step(ts, p)
+        _, gu = kernel_e_step(ts, p)
         assert gu[0, 0] > 0.99
         assert gu[1, 3] > 0.99
 
@@ -273,9 +304,23 @@ class TestEStep:
         rng = np.random.default_rng(3)
         ts = planted_trainset(rng, n_anchor=5, n_unlab=50)
         p = init_from_labeled(ts.labeled_scores, ts.labeled_components)
-        gl, gu = e_step(ts, p)
+        gl, gu = kernel_e_step(ts, p)
         np.testing.assert_allclose(gl.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(gu.sum(axis=1), 1.0, atol=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_matches_loop_oracle(self, seed):
+        """Responsibilities and objective at random parameters against
+        oracle_responsibilities and oracle_objective."""
+        rng = np.random.default_rng(seed)
+        ts = random_trainset(rng, n_l=6, n_u=15)
+        p = params_for(rng.dirichlet(np.ones(4)), rng.uniform(0, 7, 4), rng.uniform(0.2, 3, 4))
+        kernel, objective = kernel_at(ts, p)
+        want_l, want_u = oracle_responsibilities(ts, p)
+        np.testing.assert_array_equal(kernel.resp_l.T, want_l)
+        np.testing.assert_allclose(kernel.resp.T, want_u, rtol=1e-10, atol=1e-14)
+        assert objective == pytest.approx(oracle_objective(ts, p), rel=1e-10)
 
 
 class TestMStep:
@@ -284,7 +329,7 @@ class TestMStep:
         comps = np.array([1, 1, 2, 2, 3, 3, 4, 4])
         ts = GmmTrainSet(scores, comps, [10.0, 20.0], alpha=1.0)
         prev = init_from_labeled(scores, comps)
-        new = m_step(ts, e_step(ts, prev), prev)
+        new = kernel_m_step(ts, kernel_e_step(ts, prev)[1], prev)
         for k in range(4):
             own = scores[comps == k + 1]
             assert new.pi[k] == pytest.approx(len(own) / len(scores))
@@ -296,8 +341,8 @@ class TestMStep:
         unl = rng.normal(2.0, 1.0, 40)
         ts = GmmTrainSet([0.0], [1], unl, alpha=0.0)
         prev = params_for([0.25] * 4, [0, 1.5, 3, 4.5], [0.5] * 4)
-        gl, gu = e_step(ts, prev)
-        new = m_step(ts, (gl, gu), prev)
+        _, gu = kernel_e_step(ts, prev)
+        new = kernel_m_step(ts, gu, prev)
         for k in range(4):
             nk = gu[:, k].sum()
             assert new.pi[k] == pytest.approx(nk / len(unl))
@@ -314,12 +359,28 @@ class TestMStep:
             [0.1, 1.1, 2.8, 6.2],
         )
         prev = init_from_labeled(ts.labeled_scores, ts.labeled_components)
-        gl, gu_soft = e_step(ts, prev)
+        gl, gu_soft = kernel_e_step(ts, prev)
         # hard responsibilities for the unlabeled side too
         gu = np.zeros_like(gu_soft)
         gu[np.arange(4), np.argmax(gu_soft, axis=1)] = 1.0
-        got = m_step(ts, (gl, gu), prev)
+        got = kernel_m_step(ts, gu, prev)
         want = oracle_m_step(ts, gl.tolist(), gu.tolist(), prev)
+        np.testing.assert_allclose(got.pi, want.pi, atol=1e-12)
+        np.testing.assert_allclose(got.mu, want.mu, atol=1e-12)
+        np.testing.assert_allclose(got.sigma2, want.sigma2, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_matches_loop_oracle_with_set_responsibilities(self, seed):
+        """Arbitrary unlabeled responsibilities the test draws, not ones an
+        E pass produced, against the pure-Python update."""
+        rng = np.random.default_rng(seed)
+        ts = planted_trainset(rng, n_anchor=3, n_unlab=12)
+        prev = init_from_labeled(ts.labeled_scores, ts.labeled_components)
+        gl, _ = oracle_responsibilities(ts, prev)
+        gu = rng.dirichlet(np.full(4, 0.5), size=12)
+        got = kernel_m_step(ts, gu, prev)
+        want = oracle_m_step(ts, gl, gu.tolist(), prev)
         np.testing.assert_allclose(got.pi, want.pi, atol=1e-12)
         np.testing.assert_allclose(got.mu, want.mu, atol=1e-12)
         np.testing.assert_allclose(got.sigma2, want.sigma2, atol=1e-12)
@@ -328,8 +389,8 @@ class TestMStep:
         rng = np.random.default_rng(8)
         ts = planted_trainset(rng, n_anchor=3, n_unlab=12)
         prev = init_from_labeled(ts.labeled_scores, ts.labeled_components)
-        gl, gu = e_step(ts, prev)
-        got = m_step(ts, (gl, gu), prev)
+        gl, gu = kernel_e_step(ts, prev)
+        got = kernel_m_step(ts, gu, prev)
         want = oracle_m_step(ts, gl.tolist(), gu.tolist(), prev)
         np.testing.assert_allclose(got.pi, want.pi, atol=1e-12)
         np.testing.assert_allclose(got.mu, want.mu, atol=1e-12)
@@ -338,11 +399,23 @@ class TestMStep:
     def test_dead_component_keeps_previous_moments(self):
         ts = GmmTrainSet([0.5, 0.6], [1, 1], [], alpha=1.0)
         prev = init_from_labeled(ts.labeled_scores, ts.labeled_components)
-        new = m_step(ts, e_step(ts, prev), prev)
+        new = kernel_m_step(ts, kernel_e_step(ts, prev)[1], prev)
         for k in (1, 2, 3):
             assert new.pi[k] == 0.0
             assert new.mu[k] == prev.mu[k]
             assert new.sigma2[k] == prev.sigma2[k]
+
+    def test_m_step_leaves_residuals_about_the_new_means(self):
+        """An E pass right after an M step needs no residual pass: its
+        objective and responsibilities equal those of a fresh kernel."""
+        rng = np.random.default_rng(12)
+        ts = random_trainset(rng)
+        kernel, _ = kernel_at(ts, init_from_labeled(ts.labeled_scores, ts.labeled_components))
+        new = kernel.m_step(init_from_labeled(ts.labeled_scores, ts.labeled_components))
+        got = kernel.e_pass(new)
+        fresh, want = kernel_at(ts, new)
+        assert got == want
+        np.testing.assert_array_equal(kernel.resp, fresh.resp)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
@@ -351,7 +424,7 @@ class TestMStep:
         ts = planted_trainset(rng, n_anchor=4, n_unlab=30)
         p = init_from_labeled(ts.labeled_scores, ts.labeled_components)
         for _ in range(3):
-            p = m_step(ts, e_step(ts, p), p)
+            p = kernel_m_step(ts, kernel_e_step(ts, p)[1], p)
             assert abs(p.pi.sum() - 1.0) < 1e-9
             assert (p.pi >= 0).all()
             assert (p.sigma2 >= VARIANCE_FLOOR * (1 - 1e-12)).all()
@@ -378,9 +451,11 @@ class TestFit:
         rng = np.random.default_rng(5)
         ts = planted_trainset(rng, n_anchor=4, n_unlab=20)
         p = init_from_labeled(ts.labeled_scores, ts.labeled_components)
-        assert weighted_log_likelihood(ts, p) == pytest.approx(
-            oracle_objective(ts, p), rel=1e-10
-        )
+        fit = run_em(ts, max_iter=0)
+        assert fit.n_iter == 0 and not fit.converged
+        assert fit.params.max_abs_diff(p) == 0.0
+        assert fit.objective_trace == [fit.objective]
+        assert fit.objective == pytest.approx(oracle_objective(ts, p), rel=1e-10)
 
     def test_monotone_objective(self):
         rng = np.random.default_rng(77)
@@ -401,15 +476,18 @@ class TestFit:
         np.testing.assert_array_equal(a.params.sigma2, b.params.sigma2)
 
     def test_labeled_responsibilities_stay_one_hot(self):
+        """Across one kernel's E passes and M steps, the labeled side stays
+        one-hot at the observation labels."""
         rng = np.random.default_rng(10)
         ts = planted_trainset(rng, n_anchor=5, n_unlab=40)
         p = init_from_labeled(ts.labeled_scores, ts.labeled_components)
+        kernel, _ = kernel_at(ts, p)
+        want = np.zeros((len(ts.labeled_components), 4))
+        want[np.arange(len(ts.labeled_components)), ts.labeled_components - 1] = 1.0
         for _ in range(4):
-            gl, gu = e_step(ts, p)
-            want = np.zeros_like(gl)
-            want[np.arange(len(ts.labeled_components)), ts.labeled_components - 1] = 1.0
-            np.testing.assert_array_equal(gl, want)
-            p = m_step(ts, (gl, gu), p)
+            p = kernel.m_step(p)
+            kernel.e_pass(p)
+            np.testing.assert_array_equal(kernel.resp_l.T, want)
 
     def test_dump_params(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -445,7 +523,9 @@ def assert_fit_matches_oracle(ts: GmmTrainSet, max_iter: int = 12):
 class TestRunEmAgainstOracle:
     """run_em against the SQUAREM cycle built from the loop oracles: same
     parameters and the same objective trace, update by update. The plain EM
-    map itself is pinned by the e_step/m_step oracle tests."""
+    map itself is pinned by the _EmKernel tests: TestEStep (residuals plus
+    e_pass at given parameters) and TestMStep (m_step from responsibilities
+    the test sets)."""
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))

@@ -79,6 +79,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fast_loop(strategy=Strategy.RANDOM, sfda=SfdaConfig())
 
+    @pytest.mark.parametrize("kw", [
+        dict(k=0), dict(k=-1), dict(k=17), dict(d_feat=64, k=65), dict(pretrain_epochs=-1),
+    ])
+    def test_bad_k_or_pretrain_epochs_rejected_at_construction(self, kw):
+        """A k outside [1, d_feat] or a negative pretraining length fails when
+        the config is built, not in round 1 after pretraining."""
+        with pytest.raises(ValueError):
+            fast_loop(**kw)
+
+    def test_k_bounds_accepted(self):
+        assert fast_loop(k=1).resolved_k() == 1
+        assert fast_loop(k=16).resolved_k() == 16
+        assert fast_loop(pretrain_epochs=0).pretrain_epochs == 0
+
 
 class TestEvaluate:
     def test_all_correct(self):

@@ -15,22 +15,16 @@ from activeadapt.scoring import (
     _topk_mask,
     centroids_from_features,
     compute_centroids,
-    index_iou,
-    info_score_labeled,
-    info_score_unlabeled,
     info_scores_labeled,
     info_scores_unlabeled,
-    observation_label,
     observation_labels,
-    similarity_label,
     similarity_labels,
-    topk_indices,
     write_score_dump,
     SCORE_DUMP_FIELDS,
     LOG_PROB_FLOOR,
 )
 
-from oracles import topk_set
+from oracles import forward_probs, info_score, obs_label, sim_label, topk_set
 from test_classifier import random_model, two_class_model, x_for_prob
 
 
@@ -80,47 +74,58 @@ class TestCentroids:
             assert (cs.A[c] <= sub.max(axis=0) + 1e-12).all()
 
 
+def top_set(v, k):
+    return set(np.flatnonzero(_topk_mask(np.atleast_2d(v), k)[0]).tolist())
+
+
+def tie_heavy(rng, kind, shape):
+    """Rows with many equal magnitudes: rounded entries, signs, mostly
+    zeros, or +-1.0 mixed with tanh values as from saturated features."""
+    F = rng.standard_normal(shape)
+    if kind == "round":
+        return np.round(F, int(rng.integers(0, 2)))
+    if kind == "sign":
+        return np.sign(F)
+    if kind == "zeros":
+        F[rng.random(shape) < 0.7] = 0.0
+        return F
+    return np.where(rng.random(shape) < 0.5, np.sign(F), np.tanh(F))
+
+
+TIE_KINDS = ["round", "sign", "zeros", "unit"]
+
+
 class TestTopK:
     def test_magnitude_ranking_with_sign(self):
-        assert set(topk_indices(np.array([3.0, -5.0, 1.0]), 2).tolist()) == {0, 1}
+        assert top_set(np.array([3.0, -5.0, 1.0]), 2) == {0, 1}
 
     def test_full_set(self):
-        assert set(topk_indices(np.array([1.0, -2.0, 0.5]), 3).tolist()) == {0, 1, 2}
+        assert top_set(np.array([1.0, -2.0, 0.5]), 3) == {0, 1, 2}
 
     def test_tie_break_smallest_index(self):
-        assert topk_indices(np.array([2.0, 2.0, 1.0]), 1).tolist() == [0]
+        assert top_set(np.array([2.0, 2.0, 1.0]), 1) == {0}
 
-    def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            topk_indices(np.array([1.0, 2.0]), 3)
+    @pytest.mark.parametrize("k, message", [
+        (0, "k=0 must be at least 1"),
+        (-1, "k=-1 must be at least 1"),
+        (3, "k=3 exceeds feature dimension 2"),
+    ])
+    def test_k_out_of_range(self, k, message):
+        cs = centroids_from_features(np.eye(2), [0, 1], C=2)
+        with pytest.raises(ValueError, match=message):
+            similarity_labels(np.array([[1.0, 2.0]]), cs, k)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**6), st.sampled_from(["round", "sign", "zeros", "unit"]))
+    @given(st.integers(0, 10**6), st.sampled_from(TIE_KINDS))
     def test_mask_matches_oracle_on_ties(self, seed, kind):
-        """Row masks against topk_set on tie-heavy rows: rounded entries,
-        signs, rows with many zeros, and +-1.0 as from saturated tanh."""
+        """Row masks against topk_set on tie-heavy rows."""
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(1, 30)), int(rng.integers(1, 20))
-        F = rng.standard_normal((n, d))
-        if kind == "round":
-            F = np.round(F, int(rng.integers(0, 2)))
-        elif kind == "sign":
-            F = np.sign(F)
-        elif kind == "zeros":
-            F[rng.random(F.shape) < 0.7] = 0.0
-        else:
-            F = np.where(rng.random(F.shape) < 0.5, np.sign(F), np.tanh(F))
+        F = tie_heavy(rng, kind, (n, d))
         for k in {1, int(rng.integers(1, d + 1)), d}:
             mask = _topk_mask(F, k)
             for row, m in zip(F, mask):
                 assert set(np.flatnonzero(m).tolist()) == topk_set(row.tolist(), k)
-
-    def test_iou_identities(self):
-        a = np.array([0, 1, 2])
-        b = np.array([3, 4, 5])
-        assert index_iou(a, a) == 1.0
-        assert index_iou(a, b) == 0.0
-        assert index_iou(a, b) == index_iou(b, a)
 
 
 class TestSimilarityLabel:
@@ -135,7 +140,8 @@ class TestSimilarityLabel:
             ]
         )
         cs = centroids_from_features(A, [0, 1, 2], C=3)
-        assert similarity_label(A[2].copy(), cs, k=2) == 2
+        assert similarity_labels(A[2][None, :], cs, k=2).tolist() == [2]
+        assert similarity_labels(A, cs, k=2).tolist() == [0, 1, 2]
 
     def test_hand_enumerated_iou(self):
         """feature top2={0,1}; centroid top2 sets {0,1},{2,3},{1,2} give
@@ -149,12 +155,12 @@ class TestSimilarityLabel:
             ]
         )
         cs = centroids_from_features(A, [0, 1, 2], C=3)
-        ious = [
-            index_iou(topk_indices(feature, 2), topk_indices(A[c], 2))
-            for c in range(3)
-        ]
+        f_set = top_set(feature, 2)
+        assert f_set == {0, 1}
+        assert [top_set(a, 2) for a in A] == [{0, 1}, {2, 3}, {1, 2}]
+        ious = [len(f_set & top_set(a, 2)) / len(f_set | top_set(a, 2)) for a in A]
         assert ious == [1.0, 0.0, pytest.approx(1 / 3)]
-        assert similarity_label(feature, cs, k=2) == 0
+        assert similarity_labels(feature[None, :], cs, k=2).tolist() == [0]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -163,32 +169,39 @@ class TestSimilarityLabel:
     )
     def test_positive_scale_invariance(self, seed, scale):
         rng = np.random.default_rng(seed)
-        F = rng.standard_normal((4, 6))
+        F = rng.standard_normal((8, 6))
         cs = centroids_from_features(F[:3], [0, 1, 2], C=3)
-        f = F[3]
-        assert similarity_label(f, cs, k=2) == similarity_label(scale * f, cs, k=2)
+        np.testing.assert_array_equal(
+            similarity_labels(F[3:], cs, k=2), similarity_labels(scale * F[3:], cs, k=2)
+        )
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(2)
-        F = rng.standard_normal((10, 8))
-        cs = centroids_from_features(rng.standard_normal((4, 8)), [0, 1, 2, 3], C=4)
-        batch = similarity_labels(F, cs, k=3)
-        singles = [similarity_label(F[i], cs, k=3) for i in range(10)]
-        assert batch.tolist() == singles
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(TIE_KINDS))
+    def test_matches_oracle_on_ties(self, seed, kind):
+        """One or several rows against sim_label, with ties in the features,
+        in the centroids and among the IoUs."""
+        rng = np.random.default_rng(seed)
+        n, d, C = int(rng.integers(1, 20)), int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        F = tie_heavy(rng, kind, (n, d))
+        cs = centroids_from_features(tie_heavy(rng, kind, (C, d)), np.arange(C), C=C)
+        A = cs.A.tolist()
+        for k in {1, int(rng.integers(1, d + 1)), d}:
+            want = [sim_label(f.tolist(), A, k) for f in F]
+            assert similarity_labels(F, cs, k).tolist() == want
 
 
 class TestInfoScores:
     def test_perfect_prediction_zero(self):
         model = two_class_model(scale=500.0)
         cs = centroids_from_features(np.array([[1.0], [-1.0]]), [0, 1], C=2)
-        assert info_score_unlabeled(model, cs, np.array([5.0]), k=1) == 0.0
-        assert info_score_labeled(model, np.array([5.0]), 0) == 0.0
+        scores, _ = info_scores_unlabeled(model, cs, np.array([[5.0]]), k=1)
+        assert scores.tolist() == [0.0]
+        assert info_scores_labeled(model, np.array([[5.0]]), [0]).tolist() == [0.0]
 
     def test_uniform_prediction_log_c(self):
         model = Classifier(np.zeros((2, 3)), np.zeros(3), np.zeros((3, 4)), np.zeros(4))
-        assert info_score_labeled(model, np.ones(2), 2) == pytest.approx(
-            math.log(4), abs=1e-12
-        )
+        got = info_scores_labeled(model, np.ones((4, 2)), [2, 0, 3, 1])
+        np.testing.assert_allclose(got, math.log(4), atol=1e-12)
 
     def test_prob_02_gives_log5(self):
         """P at the similarity label is 0.2, so the score is -log 0.2."""
@@ -196,9 +209,28 @@ class TestInfoScores:
         # d_feat = 1 and k = 1: every top-k set is {0}, all IoUs tie at 1,
         # and the tie-break pins the similarity label to class 0
         cs = centroids_from_features(np.array([[0.5], [-0.5]]), [0, 1], C=2)
-        x = x_for_prob(0.2)
-        got = info_score_unlabeled(model, cs, x, k=1)
-        assert got == pytest.approx(-math.log(0.2), abs=1e-12)
+        scores, labels = info_scores_unlabeled(model, cs, x_for_prob(0.2)[None, :], k=1)
+        assert labels.tolist() == [0]
+        assert scores[0] == pytest.approx(-math.log(0.2), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 8))
+    def test_match_loop_oracle(self, seed, n):
+        """Unlabeled scores and labels, and labeled scores, of one or several
+        rows against forward_probs, sim_label and info_score."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        cs = compute_centroids(model, rng.standard_normal((6, 3)), [0, 1, 2] * 2)
+        X = 2 * rng.standard_normal((n, 3))
+        y = rng.integers(0, 3, n)
+        scores_u, labels = info_scores_unlabeled(model, cs, X, k=2)
+        scores_l = info_scores_labeled(model, X, y)
+        for i, x in enumerate(X):
+            feat, probs = forward_probs(model, x.tolist())
+            want = sim_label(feat, cs.A.tolist(), 2)
+            assert labels[i] == want
+            assert scores_u[i] == pytest.approx(info_score(probs[want]), rel=1e-9, abs=1e-12)
+            assert scores_l[i] == pytest.approx(info_score(probs[y[i]]), rel=1e-9, abs=1e-12)
 
     def test_unlabeled_equals_labeled_at_similarity_label(self):
         """score_u(x) == score_l(x, y_sim(x)) identically."""
@@ -213,38 +245,47 @@ class TestInfoScores:
 
     def test_floor_bounds_scores(self):
         model = two_class_model(scale=500.0)
-        score = info_score_labeled(model, np.array([5.0]), 1)  # wrong class
+        score = info_scores_labeled(model, np.array([[5.0]]), [1])[0]  # wrong class
         assert score == pytest.approx(-LOG_PROB_FLOOR)
         assert np.isfinite(score)
+        # d_feat = 1 pins the similarity label to class 0, which x = -5
+        # predicts with log-probability near -1000
+        cs = centroids_from_features(np.array([[1.0], [-1.0]]), [0, 1], C=2)
+        scores, labels = info_scores_unlabeled(model, cs, np.array([[-5.0], [5.0]]), k=1)
+        assert labels.tolist() == [0, 0]
+        assert scores.tolist() == [pytest.approx(-LOG_PROB_FLOOR), 0.0]
+
+
+def obs_label_of(model, x, y, tau):
+    return Category(int(observation_labels(model, x[None, :], [y], tau)[0]))
 
 
 class TestObservationLabel:
     def test_confident_consistent(self):
         model = two_class_model(scale=3.0)
         x = x_for_prob(0.99, scale=3.0)
-        assert observation_label(model, x, 0, tau=0.95) is Category.CC
+        assert obs_label_of(model, x, 0, tau=0.95) is Category.CC
 
     def test_uncertain_inconsistent(self):
         model = two_class_model()
         x = x_for_prob(0.5 + 1e-3)
         # prediction is class 0; true label 1; max prob ~0.5 < tau
-        assert observation_label(model, x, 1, tau=0.95) is Category.UI
+        assert obs_label_of(model, x, 1, tau=0.95) is Category.UI
 
     def test_all_four_branches(self):
         model = two_class_model(scale=3.0)
         hi, lo = x_for_prob(0.97, 3.0), x_for_prob(0.6, 3.0)
-        assert observation_label(model, hi, 0, 0.95) is Category.CC
-        assert observation_label(model, lo, 0, 0.95) is Category.UC
-        assert observation_label(model, lo, 1, 0.95) is Category.UI
-        assert observation_label(model, hi, 1, 0.95) is Category.CI
+        X = np.vstack([hi, lo, lo, hi])
+        got = observation_labels(model, X, [0, 0, 1, 1], 0.95)
+        assert got.tolist() == [Category.CC, Category.UC, Category.UI, Category.CI]
 
     def test_threshold_boundary_inclusive(self):
         """max P exactly equal to tau counts as confident."""
         model = two_class_model(scale=2.0)
         x = x_for_prob(0.8, 2.0)
         tau = float(model.predict_proba(x[None, :]).max())
-        assert observation_label(model, x, 0, tau) is Category.CC
-        assert observation_label(model, x, 1, tau) is Category.CI
+        assert obs_label_of(model, x, 0, tau) is Category.CC
+        assert obs_label_of(model, x, 1, tau) is Category.CI
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.floats(0.3, 0.99))
@@ -267,6 +308,16 @@ class TestObservationLabel:
                 (True, False): Category.CI,
             }[(bool(conf), bool(agree))]
             assert got[i] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.floats(0.3, 0.99))
+    def test_matches_loop_oracle(self, seed, n, tau):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        X = 2 * rng.standard_normal((n, 3))
+        y = rng.integers(0, 3, n)
+        want = [obs_label(forward_probs(model, x.tolist())[1], int(c), tau) for x, c in zip(X, y)]
+        assert observation_labels(model, X, y, tau).tolist() == want
 
 
 class TestScoreDump:
