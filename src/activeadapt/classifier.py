@@ -192,43 +192,6 @@ def combined_loss(
 # -- gradients ---------------------------------------------------------------
 
 
-def _zero_grads(model: Classifier) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in model.params().items()}
-
-
-def _backprop_from_dlogits(model, X, F, dZ2, grads):
-    # shared tail of the chain rule: logits -> feature layer -> input layer
-    grads["W_out"] += F.T @ dZ2
-    grads["b_out"] += dZ2.sum(axis=0)
-    dF = dZ2 @ model.W_out.T
-    dZ1 = dF * (1.0 - F**2)  # tanh'
-    grads["W_hidden"] += X.T @ dZ1
-    grads["b_hidden"] += dZ1.sum(axis=0)
-
-
-def _accumulate_cross_entropy(model, X, y, weight, grads):
-    # d/dz of mean -log P_y is (P - onehot(y)) / n
-    n = len(y)
-    F = model.features(X)
-    logp = model._head_log_proba(F)
-    P = np.exp(logp)
-    dZ2 = P.copy()
-    dZ2[np.arange(n), y] -= 1.0
-    dZ2 *= weight / n
-    _backprop_from_dlogits(model, X, F, dZ2, grads)
-
-
-def _accumulate_entropy(model, X, weight, grads):
-    # d/dz_j of H(P) is -P_j (log P_j + H); see the gradient-check tests
-    n = X.shape[0]
-    F = model.features(X)
-    logp = model._head_log_proba(F)
-    P = np.exp(logp)
-    H = -np.sum(P * logp, axis=1, keepdims=True)
-    dZ2 = -P * (logp + H) * (weight / n)
-    _backprop_from_dlogits(model, X, F, dZ2, grads)
-
-
 def combined_grads(
     model: Classifier,
     X_l,
@@ -243,20 +206,43 @@ def combined_grads(
 
     The consistency inputs are treated as fixed (already perturbed), and the
     similarity-based labels are fixed targets: no gradient flows into either.
+    The contributing parts (labeled, consistency, entropy) are stacked into
+    one batch for a single forward pass; each part writes its own block of
+    the logit gradient, and one backprop runs over the stack.
     """
     y_l = np.asarray(y_l, dtype=int)
-    if len(y_l) == 0:
+    n_l = len(y_l)
+    if n_l == 0:
         raise ValueError("supervised batch must be non-empty")
-    grads = _zero_grads(model)
-    _accumulate_cross_entropy(model, np.atleast_2d(X_l), y_l, 1.0, grads)
+    rows, y, scale = [np.atleast_2d(X_l)], [y_l], [np.full(n_l, 1.0 / n_l)]
     if len(y_cc) > 0 and lambda_c != 0.0:
-        _accumulate_cross_entropy(
-            model, np.atleast_2d(X_cc), np.asarray(y_cc, dtype=int), lambda_c, grads
-        )
-    X_uc = np.atleast_2d(X_uc) if np.size(X_uc) else np.zeros((0, model.d_in))
-    if X_uc.shape[0] > 0 and lambda_e != 0.0:
-        _accumulate_entropy(model, X_uc, lambda_e, grads)
-    return grads
+        n_c = len(y_cc)
+        rows.append(np.atleast_2d(X_cc))
+        y.append(np.asarray(y_cc, dtype=int))
+        scale.append(np.full(n_c, lambda_c / n_c))
+    if np.size(X_uc) and lambda_e != 0.0:
+        rows.append(np.atleast_2d(X_uc))
+    X = np.concatenate(rows)
+    F = model.features(X)
+    logp = model._head_log_proba(F)
+    dZ2 = np.exp(logp)
+    y, scale = np.concatenate(y), np.concatenate(scale)
+    n_ce = len(y)
+    if X.shape[0] > n_ce:
+        # d/dz_j of H(P) is -P_j (log P_j + H); see the gradient-check tests
+        P, lu = dZ2[n_ce:], logp[n_ce:]
+        H = -np.sum(P * lu, axis=1, keepdims=True)
+        dZ2[n_ce:] = -P * (lu + H) * (lambda_e / len(P))
+    # d/dz of mean -log P_y is (P - onehot(y)) / n, times the part's weight
+    dZ2[np.arange(n_ce), y] -= 1.0
+    dZ2[:n_ce] *= scale[:, None]
+    dZ1 = (dZ2 @ model.W_out.T) * (1.0 - F**2)  # tanh'
+    return {
+        "W_hidden": X.T @ dZ1,
+        "b_hidden": dZ1.sum(axis=0),
+        "W_out": F.T @ dZ2,
+        "b_out": dZ2.sum(axis=0),
+    }
 
 
 def backward_and_step(

@@ -146,18 +146,16 @@ def _aux_batch(n_pool: int, batch_size: int, rng):
     return rng.choice(n_pool, size=take, replace=False)
 
 
-_EMPTY = (np.zeros((0, 1)), np.zeros(0, dtype=int))
-
-
 def _train_epochs(model, X, y, cc, uc, cfg: TrainConfig, epochs: int, rng):
     """SGD epochs over the labeled set; each step draws companion batches
     from the consistency and entropy pools when they are active."""
     use_cc = cc is not None and len(cc[1]) > 0 and cfg.lambda_c != 0.0
     use_uc = uc is not None and uc.shape[0] > 0 and cfg.lambda_e != 0.0
+    empty_cc = (np.zeros((0, model.d_in)), np.zeros(0, dtype=int))
+    empty_uc = np.zeros((0, model.d_in))
     for _ in range(epochs):
         for idx in _epoch_batches(len(y), cfg.batch_size, rng):
-            cc_batch = _EMPTY
-            uc_batch = np.zeros((0, model.d_in))
+            cc_batch, uc_batch = empty_cc, empty_uc
             if use_cc:
                 pick = _aux_batch(len(cc[1]), cfg.batch_size, rng)
                 cc_batch = (cc[0][pick], cc[1][pick])

@@ -97,8 +97,10 @@ def similarity_labels(
         raise ValueError(f"k={k} exceeds feature dimension {F.shape[1]}")
     f_mask = _topk_mask(F, k)
     c_mask = _topk_mask(centroids.A, k)
-    # counts of at most k, exact in float64, where the product runs on BLAS
-    inter = f_mask.astype(float) @ c_mask.T.astype(float)
+    # exact integer intersection counts, one class at a time, on the mask itself
+    inter = np.stack(
+        [np.count_nonzero(f_mask[:, row], axis=1) for row in c_mask], axis=1
+    )
     # both sets have exactly k members, so |union| = 2k - |intersection|
     iou = inter / (2 * k - inter)
     return np.argmax(iou, axis=1)

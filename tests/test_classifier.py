@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activeadapt.classifier import (
@@ -333,6 +333,51 @@ class TestGradients:
         assert max_rel_err(ga, gn) < 1e-4
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n_l=st.integers(1, 8),
+        n_cc=st.integers(0, 8),
+        n_uc=st.integers(0, 8),
+        lc=st.sampled_from([0.0, 0.5, 1.7]),
+        le=st.sampled_from([0.0, 0.1, 2.3]),
+    )
+    @example(seed=1, n_l=1, n_cc=1, n_uc=1, lc=0.5, le=0.1)
+    @example(seed=2, n_l=5, n_cc=0, n_uc=4, lc=0.5, le=0.1)
+    @example(seed=3, n_l=5, n_cc=4, n_uc=0, lc=0.5, le=0.1)
+    @example(seed=4, n_l=5, n_cc=4, n_uc=3, lc=0.0, le=0.1)
+    @example(seed=5, n_l=5, n_cc=4, n_uc=3, lc=0.5, le=0.0)
+    def test_matches_per_part_loop_oracle(self, seed, n_l, n_cc, n_uc, lc, le):
+        """The stacked gradient equals the sum of three parts, each built
+        row by row from the loop oracle's features and probabilities. The
+        reference keeps every part, even an empty or zero-weighted one,
+        so the skip rules are checked by the arithmetic."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        X_l, y_l = 2 * rng.standard_normal((n_l, 3)), rng.integers(0, 3, n_l)
+        X_cc, y_cc = 2 * rng.standard_normal((n_cc, 3)), rng.integers(0, 3, n_cc)
+        X_uc = 2 * rng.standard_normal((n_uc, 3))
+        want = {k: np.zeros_like(v) for k, v in model.params().items()}
+        for X, y, weight in ((X_l, y_l, 1.0), (X_cc, y_cc, lc), (X_uc, None, le)):
+            for i, x in enumerate(X):
+                feat, probs = forward_probs(model, x.tolist())
+                f, p = np.array(feat), np.array(probs)
+                if y is None:  # entropy: d/dz_j H = -p_j (log p_j + H)
+                    dz2 = -p * (np.log(p) - np.sum(p * np.log(p)))
+                else:  # cross-entropy at y: p - onehot(y)
+                    dz2 = p - np.eye(3)[y[i]]
+                dz2 *= weight / len(X)
+                dz1 = (model.W_out @ dz2) * (1.0 - f**2)
+                want["W_out"] += np.outer(f, dz2)
+                want["b_out"] += dz2
+                want["W_hidden"] += np.outer(x, dz1)
+                want["b_hidden"] += dz1
+        got = combined_grads(model, X_l, y_l, X_cc, y_cc, X_uc, lc, le)
+        assert list(got) == list(want)
+        for k in want:
+            np.testing.assert_allclose(got[k], want[k], rtol=1e-10, atol=1e-13)
+
+
 class TestStep:
     def test_zero_learning_rate_no_change(self):
         rng = np.random.default_rng(5)
@@ -375,6 +420,58 @@ class TestStep:
                 np.random.default_rng(0),
             )
         np.testing.assert_array_equal(flat_params(model), before)
+
+
+    def _batches(self, rng):
+        X_l, y_l = rng.standard_normal((4, 3)), rng.integers(0, 3, 4)
+        X_cc, y_cc = rng.standard_normal((3, 3)), rng.integers(0, 3, 3)
+        return X_l, y_l, X_cc, y_cc, rng.standard_normal((2, 3))
+
+    @pytest.mark.parametrize("lambda_c", [0.0, 0.5])
+    def test_augment_draws_whenever_cc_batch_is_non_empty(self, lambda_c):
+        """The perturbation is drawn for a non-empty consistency batch even
+        when its weight is 0, so the generator ends where augment leaves a
+        fresh copy of it; an empty batch draws nothing."""
+        rng = np.random.default_rng(8)
+        model = random_model(rng)
+        X_l, y_l, X_cc, y_cc, X_uc = self._batches(rng)
+        cfg = TrainConfig(lambda_c=lambda_c)
+        step_rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+        backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, cfg, step_rng)
+        augment(X_cc, cfg, ref)
+        assert step_rng.bit_generator.state == ref.bit_generator.state
+        backward_and_step(model, (X_l, y_l), (X_cc[:0], y_cc[:0]), X_uc, cfg, step_rng)
+        assert step_rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("part", ["X_l", "X_cc", "X_uc"])
+    def test_non_finite_input_rejected_before_any_change(self, part):
+        rng = np.random.default_rng(9)
+        model = random_model(rng)
+        X_l, y_l, X_cc, y_cc, X_uc = self._batches(rng)
+        {"X_l": X_l, "X_cc": X_cc, "X_uc": X_uc}[part][1, 2] = np.nan
+        before = flat_params(model).copy()
+        with pytest.raises(ValueError, match="non-finite input"):
+            backward_and_step(
+                model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig(), np.random.default_rng(0)
+            )
+        np.testing.assert_array_equal(flat_params(model), before)
+
+    @pytest.mark.parametrize("part,weights", [
+        ("X_cc", dict(lambda_c=0.0)), ("X_uc", dict(lambda_e=0.0)),
+    ])
+    def test_zero_weighted_part_stays_out_of_the_pass(self, part, weights):
+        """A part whose weight is 0 is not stacked, so its rows are neither
+        checked nor computed: a NaN there leaves the step finite."""
+        rng = np.random.default_rng(10)
+        model = random_model(rng)
+        X_l, y_l, X_cc, y_cc, X_uc = self._batches(rng)
+        {"X_cc": X_cc, "X_uc": X_uc}[part][0, 0] = np.nan
+        before = flat_params(model).copy()
+        backward_and_step(
+            model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig(**weights), rng
+        )
+        assert np.isfinite(flat_params(model)).all()
+        assert (flat_params(model) != before).any()
 
 
 class TestCheckpoint:

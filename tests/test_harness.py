@@ -152,6 +152,26 @@ class TestPretrain:
             np.testing.assert_array_equal(a.params()[k], b.params()[k])
 
 
+    def test_empty_companion_batches_have_input_width(self, monkeypatch):
+        """Without consistency or entropy pools, every step gets empty
+        companion batches of width d_in, built once per call."""
+        seen = []
+        real_step = harness.backward_and_step
+
+        def step_spy(model, labeled, cc_batch, uc_batch, cfg, rng):
+            seen.append((cc_batch, uc_batch))
+            return real_step(model, labeled, cc_batch, uc_batch, cfg, rng)
+
+        monkeypatch.setattr(harness, "backward_and_step", step_spy)
+        model = Classifier.initialize(4, 16, 3, np.random.default_rng(0))
+        pretrain_source(model, small_pool(), fast_train(), epochs=2)
+        assert len(seen) > 1
+        for cc_batch, uc_batch in seen:
+            assert cc_batch[0].shape == (0, 4) and cc_batch[1].shape == (0,)
+            assert uc_batch.shape == (0, 4)
+            assert cc_batch is seen[0][0] and uc_batch is seen[0][1]
+
+
 class TestBudgetAccounting:
     def test_zero_budget_single_eval_report(self):
         pool = small_pool()
