@@ -47,13 +47,11 @@ from .harness import (
     evaluate,
     pretrain_source,
     run_active_loop,
-    run_baseline,
 )
 from .sampler import (
     PartitionAssignment,
     SfdaConfig,
     SfdaResult,
-    consistency_rate,
     loss_quantile_split,
     partition_unlabeled,
     select_active_batch,

@@ -138,13 +138,21 @@ def augment(x: np.ndarray, cfg: TrainConfig, rng) -> np.ndarray:
 # -- losses ------------------------------------------------------------------
 
 
+def _checked_labels(y, C: int) -> np.ndarray:
+    """y as an integer array; ValueError unless every label lies in [0, C).
+    Viewed as unsigned, a negative label exceeds any C, so one max checks
+    both ends."""
+    y = np.asarray(y, dtype=np.intp)
+    if y.size and y.view(np.uintp).max() >= C:
+        raise ValueError("label outside [0, C)")
+    return y
+
+
 def loss_supervised(model: Classifier, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy -log P_y(x) over a labeled batch."""
-    y = np.asarray(y, dtype=int)
+    y = _checked_labels(y, model.C)
     if len(y) == 0:
         raise ValueError("supervised batch must be non-empty")
-    if (y < 0).any() or (y >= model.C).any():
-        raise ValueError("label outside [0, C)")
     logp = model.log_proba(X)
     return float(-np.mean(logp[np.arange(len(y)), y]))
 
@@ -208,9 +216,9 @@ def combined_grads(
     similarity-based labels are fixed targets: no gradient flows into either.
     The contributing parts (labeled, consistency, entropy) are stacked into
     one batch for a single forward pass; each part writes its own block of
-    the logit gradient, and one backprop runs over the stack.
+    the logit gradient, and one backprop runs over the stack. A label
+    outside [0, C) raises ValueError before any computation.
     """
-    y_l = np.asarray(y_l, dtype=int)
     n_l = len(y_l)
     if n_l == 0:
         raise ValueError("supervised batch must be non-empty")
@@ -218,15 +226,16 @@ def combined_grads(
     if len(y_cc) > 0 and lambda_c != 0.0:
         n_c = len(y_cc)
         rows.append(np.atleast_2d(X_cc))
-        y.append(np.asarray(y_cc, dtype=int))
+        y.append(y_cc)
         scale.append(np.full(n_c, lambda_c / n_c))
     if np.size(X_uc) and lambda_e != 0.0:
         rows.append(np.atleast_2d(X_uc))
+    y = _checked_labels(np.concatenate(y), model.C)
+    scale = np.concatenate(scale)
     X = np.concatenate(rows)
     F = model.features(X)
     logp = model._head_log_proba(F)
     dZ2 = np.exp(logp)
-    y, scale = np.concatenate(y), np.concatenate(scale)
     n_ce = len(y)
     if X.shape[0] > n_ce:
         # d/dz_j of H(P) is -P_j (log P_j + H); see the gradient-check tests

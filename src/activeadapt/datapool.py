@@ -176,8 +176,8 @@ class DataPool:
     def evaluation_labels(self, ids) -> np.ndarray:
         """True labels for the given target ids.
 
-        Metric computation only (target-domain accuracy, selected-sample
-        error rate); adaptation code must go through oracle_label.
+        Metric computation only (target-domain accuracy, the consistency
+        diagnostic); adaptation code must go through oracle_label.
         """
         rows, known = self._find(ids)
         if not known.all():

@@ -1,10 +1,11 @@
 """End-to-end active adaptation loops against the simulated oracle.
 
 One run: pretrain on source, then R rounds of
-score -> fit mixture -> select and annotate -> partition -> train.
-Baseline strategies (random / entropy / least-confidence) swap the selection
-rule and train with the supervised loss only, which isolates acquisition
-quality in comparisons.
+score -> fit mixture -> select -> partition -> annotate -> train.
+Baseline strategies (random / entropy / least-confidence) run the same loop
+with another selection rule. They fit no mixture, so they build no
+consistency or entropy pools and train with the supervised loss only, which
+isolates acquisition quality in comparisons.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from .classifier import (
     combined_loss,
 )
 from .datapool import DataPool, generate_shifted_dataset
-from .gmm import EmFit, GmmTrainSet, component_posteriors, run_em
+from .gmm import EmFit, GmmTrainSet, _fit_payload, component_posteriors, run_em
 from .sampler import (
+    PartitionAssignment,
     SfdaConfig,
     partition_unlabeled,
     select_active_batch,
     sfda_bootstrap,
-    consistency_rate,
     loss_quantile_split,
 )
 from .scoring import (
@@ -39,6 +40,7 @@ from .scoring import (
     info_scores_labeled,
     info_scores_unlabeled,
     observation_labels,
+    similarity_labels,
 )
 
 
@@ -65,7 +67,6 @@ class LoopConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     strategy: Strategy = Strategy.DIANA
     sfda: SfdaConfig | None = None
-    alpha_override: float | None = None
     pretrain_epochs: int = 50
     seed: int = 0
 
@@ -119,14 +120,7 @@ class RoundReport:
             "selected_error_rate": self.selected_error_rate,
         }
         if self.gmm is not None:
-            out["gmm"] = {
-                "pi": self.gmm.params.pi.tolist(),
-                "mu": self.gmm.params.mu.tolist(),
-                "sigma2": self.gmm.params.sigma2.tolist(),
-                "n_iter": self.gmm.n_iter,
-                "converged": self.gmm.converged,
-                "objective": self.gmm.objective,
-            }
+            out["gmm"] = _fit_payload(self.gmm)
         if self.losses is not None:
             out["losses"] = dataclasses.asdict(self.losses)
         return out
@@ -194,50 +188,47 @@ def evaluate(model: Classifier, pool: DataPool) -> float:
 
 @dataclass
 class _Selection:
+    """A round's batch and, after a mixture fit, the rest of the pool's
+    partition with the training pools it feeds."""
+
     ids: list[int]
-    posteriors: list[float] | None
-    gmm: EmFit | None
-    centroids: object | None  # CentroidSet when the scoring pipeline ran
-    pool_ids: np.ndarray  # the unlabeled pool the selection ranked, in pool order
-    pool_X: np.ndarray
-    pool_scores: np.ndarray | None = None  # scores of the scored pool
-    pool_sim: np.ndarray | None = None  # similarity labels of the scored pool
-
-
-def _rows_of(pool_ids: np.ndarray, ids) -> np.ndarray:
-    """Rows of pool_ids that hold ids, in the order of ids."""
-    ids = np.asarray(ids, dtype=int)
-    hit = np.flatnonzero(np.isin(pool_ids, ids))
-    hit = hit[np.argsort(pool_ids[hit])]
-    return hit[np.searchsorted(pool_ids[hit], ids)]
-
-
-def _score_and_fit(model, pool, cfg: LoopConfig, include_source: bool):
-    X_lab, y_lab = pool.labeled_arrays(include_source=include_source)
-    centroids = compute_centroids(model, X_lab, y_lab)
-    l_scores = info_scores_labeled(model, X_lab, y_lab)
-    l_obs = observation_labels(model, X_lab, y_lab, cfg.tau)
-    u_ids, u_X = pool.unlabeled_arrays()
-    u_scores, u_sim = info_scores_unlabeled(model, centroids, u_X, cfg.resolved_k())
-    trainset = GmmTrainSet(l_scores, l_obs, u_scores, alpha=cfg.alpha_override)
-    fit = run_em(trainset)
-    return centroids, fit, u_ids, u_X, u_scores, u_sim
+    posteriors: list[float] | None = None
+    gmm: EmFit | None = None
+    partition: PartitionAssignment | None = None
+    cc: tuple[np.ndarray, np.ndarray] | None = None  # rows and similarity labels
+    uc: np.ndarray | None = None
 
 
 def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
+    """Score, fit, select the top b and partition the rest of the pool. The
+    partition runs before annotation: the model and centroids it needs are
+    the ones the batch was selected with."""
+    u_ids, u_X = pool.unlabeled_arrays()
+    k = cfg.resolved_k()
     if cfg.sfda is not None:
         _, y_t = pool.labeled_arrays(include_source=False)
         if len(np.unique(y_t)) < pool.C:
-            u_ids, u_X = pool.unlabeled_arrays()
-            res = sfda_bootstrap(model, u_ids, u_X, cfg.sfda, b, cfg.resolved_k())
-            return _Selection(res.active_ids, None, None, res.centroids, u_ids, u_X)
-    centroids, fit, u_ids, u_X, u_scores, u_sim = _score_and_fit(
-        model, pool, cfg, include_source=cfg.sfda is None
+            return _Selection(sfda_bootstrap(model, u_ids, u_X, cfg.sfda, b, k).active_ids)
+    X_lab, y_lab = pool.labeled_arrays(include_source=cfg.sfda is None)
+    centroids = compute_centroids(model, X_lab, y_lab)
+    l_scores = info_scores_labeled(model, X_lab, y_lab)
+    l_obs = observation_labels(model, X_lab, y_lab, cfg.tau)
+    scores, sim = info_scores_unlabeled(model, centroids, u_X, k)
+    fit = run_em(GmmTrainSet(l_scores, l_obs, scores))
+    ids = select_active_batch(u_ids, scores, fit.params, b)
+
+    order = np.argsort(u_ids)
+    rows = order[np.searchsorted(u_ids, ids, sorter=order)]
+    ui_post = component_posteriors(scores[rows], fit.params)[:, Category.UI - 1]
+    kept = np.ones(u_ids.size, dtype=bool)
+    kept[rows] = False
+    rem_X, rem_sim = u_X[kept], sim[kept]
+    part = partition_unlabeled(
+        u_ids[kept], rem_X, model, centroids, fit.params, k, scores=scores[kept]
     )
-    ids = select_active_batch(u_ids, u_scores, fit.params, b)
-    batch_scores = u_scores[_rows_of(u_ids, ids)]
-    ui_post = component_posteriors(batch_scores, fit.params)[:, Category.UI - 1]
-    return _Selection(ids, ui_post.tolist(), fit, centroids, u_ids, u_X, u_scores, u_sim)
+    cc = part.cats == Category.CC
+    uc = part.cats == Category.UC
+    return _Selection(ids, ui_post.tolist(), fit, part, (rem_X[cc], rem_sim[cc]), rem_X[uc])
 
 
 def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> _Selection:
@@ -245,15 +236,14 @@ def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> 
     if cfg.strategy is Strategy.RANDOM:
         rng = np.random.default_rng([cfg.seed, 3, round_index])
         take = rng.choice(u_ids, size=min(b, u_ids.size), replace=False)
-        return _Selection([int(i) for i in take], None, None, None, u_ids, u_X)
+        return _Selection([int(i) for i in take])
     logp = model.log_proba(u_X)
     if cfg.strategy is Strategy.ENTROPY:
         key = np.sum(np.exp(logp) * logp, axis=1)  # ascending = max entropy first
     else:  # least confidence: smallest max-probability first
         key = logp.max(axis=1)
     order = np.lexsort((u_ids, key))
-    take = u_ids[order[: min(b, u_ids.size)]]
-    return _Selection([int(i) for i in take], None, None, None, u_ids, u_X)
+    return _Selection([int(i) for i in u_ids[order[: min(b, u_ids.size)]]])
 
 
 # -- the loop ----------------------------------------------------------------
@@ -266,6 +256,11 @@ def run_active_loop(
     in place. Returns one report per round (a single evaluation-only report
     when budget is 0). on_round_end, when given, is called with
     (model, pool, report) after every round.
+
+    Every strategy runs this loop. Only a diana round with a mixture fit
+    builds the confident-consistent and uncertain-consistent pools, so
+    baseline and source-free bootstrap rounds train on the supervised loss
+    alone, whatever lambda_c and lambda_e are.
 
     Randomness is derived from the config seeds so a run is reproducible:
     model init uses [seed, 0], pretraining uses [train.seed, 1], round r
@@ -285,9 +280,7 @@ def run_active_loop(
         model, pool, cfg.train, cfg.pretrain_epochs, np.random.default_rng([cfg.train.seed, 1])
     )
     if cfg.budget == 0:
-        return [
-            RoundReport(0, evaluate(model, pool), {}, None, [], None, None)
-        ]
+        return [RoundReport(0, evaluate(model, pool), {}, None, [], None, None)]
 
     reports = []
     use_source = cfg.sfda is None
@@ -297,54 +290,32 @@ def run_active_loop(
         else:
             sel = _select_baseline(model, pool, cfg, cfg.per_round, r)
 
-        err_rate = None
-        if sel.ids:
-            picked = sel.pool_X[_rows_of(sel.pool_ids, sel.ids)]
-            truth = pool.evaluation_labels(sel.ids)
-            err_rate = float(np.mean(model.predict(picked) != truth))
-
         # annotation order is canonical so downstream training does not
         # depend on how the strategy happened to order its picks
         pool.annotate_batch(sorted(sel.ids))
-
-        partition = None
-        cc = uc = None
-        if sel.gmm is not None:
-            # annotation keeps the pool order and the model has not moved
-            # since scoring, so the remaining pool is the scored one minus
-            # the batch, scores and similarity labels included
-            kept = ~np.isin(sel.pool_ids, sel.ids)
-            rem_X, rem_sim = sel.pool_X[kept], sel.pool_sim[kept]
-            partition = partition_unlabeled(
-                sel.pool_ids[kept], rem_X, model, sel.centroids, sel.gmm.params,
-                cfg.resolved_k(), scores=sel.pool_scores[kept],
-            )
-            cc_mask = partition.cats == Category.CC
-            cc = (rem_X[cc_mask], rem_sim[cc_mask])
-            uc = rem_X[partition.cats == Category.UC]
-
         X_l, y_l = pool.labeled_arrays(include_source=use_source)
+        err_rate = None
+        if sel.ids:
+            # the batch is the last rows annotated, with its oracle labels
+            n = len(sel.ids)
+            err_rate = float(np.mean(model.predict(X_l[-n:]) != y_l[-n:]))
+
         train_rng = np.random.default_rng([cfg.train.seed, 2, r])
-        _train_epochs(model, X_l, y_l, cc, uc, cfg.train, cfg.train.epochs_per_round, train_rng)
+        _train_epochs(
+            model, X_l, y_l, sel.cc, sel.uc, cfg.train, cfg.train.epochs_per_round, train_rng
+        )
 
         losses = None
         if sel.gmm is not None:
             losses = combined_loss(
-                model,
-                X_l,
-                y_l,
-                cc[0],
-                cc[1],
-                uc,
-                cfg.train.lambda_c,
-                cfg.train.lambda_e,
+                model, X_l, y_l, *sel.cc, sel.uc, cfg.train.lambda_c, cfg.train.lambda_e
             )
 
         reports.append(
             RoundReport(
                 round_index=r,
                 accuracy=evaluate(model, pool),
-                partition_sizes=partition.sizes if partition else {},
+                partition_sizes=sel.partition.sizes if sel.partition else {},
                 gmm=sel.gmm,
                 selected_ids=sel.ids,
                 selected_posteriors=sel.posteriors,
@@ -356,16 +327,6 @@ def run_active_loop(
         if on_round_end is not None:
             on_round_end(model, pool, reports[-1])
     return reports
-
-
-def run_baseline(cfg: LoopConfig, pool: DataPool) -> list[RoundReport]:
-    """An active loop with a non-diana selection rule and supervised-only
-    training (auxiliary loss weights forced to zero)."""
-    if cfg.strategy is Strategy.DIANA:
-        raise ValueError("run_baseline expects a baseline strategy")
-    train = dataclasses.replace(cfg.train, lambda_c=0.0, lambda_e=0.0)
-    cfg = dataclasses.replace(cfg, train=train)
-    return run_active_loop(cfg, pool)
 
 
 # -- comparisons and diagnostics --------------------------------------------
@@ -389,8 +350,7 @@ def aggregate_rows(strategy: Strategy, seed: int, reports) -> list[dict]:
 
 def compare_strategies(shift_cfg, loop_cfg: LoopConfig, strategies, n_seeds: int):
     """Run each strategy on freshly generated pools over n_seeds paired
-    seeds; baselines run through run_baseline. Returns aggregate rows (one
-    per strategy/seed/round)."""
+    seeds. Returns aggregate rows (one per strategy/seed/round)."""
     rows = []
     for seed_i in range(n_seeds):
         data_cfg = dataclasses.replace(shift_cfg, seed=shift_cfg.seed + seed_i)
@@ -400,8 +360,8 @@ def compare_strategies(shift_cfg, loop_cfg: LoopConfig, strategies, n_seeds: int
             cfg = dataclasses.replace(
                 loop_cfg, strategy=strat, seed=loop_cfg.seed + seed_i, train=train
             )
-            run = run_active_loop if strat is Strategy.DIANA else run_baseline
-            rows += aggregate_rows(strat, seed_i, run(cfg, generate_shifted_dataset(data_cfg)))
+            reports = run_active_loop(cfg, generate_shifted_dataset(data_cfg))
+            rows += aggregate_rows(strat, seed_i, reports)
     return rows
 
 
@@ -415,25 +375,29 @@ def write_aggregate_csv(path, rows) -> None:
 def consistency_diagnostic(
     model: Classifier, pool: DataPool, ks, quantiles=(0.25, 0.5, 0.75)
 ):
-    """Consistency rates of low-loss vs high-loss unlabeled subsets.
+    """Consistency rates of low-loss vs high-loss unlabeled subsets: the
+    fraction of each subset whose predicted class equals its
+    similarity-based label.
 
     Losses use the hidden true labels, so this is a validation diagnostic,
     not part of the adaptation loop. Returns
-    {k: {quantile: {"low": rate, "high": rate}}}.
+    {k: {quantile: {"low": rate, "high": rate}}}; an empty subset raises.
     """
     X_lab, y_lab = pool.labeled_arrays(include_source=True)
     u_ids, u_X = pool.unlabeled_arrays()
     truth = pool.evaluation_labels(u_ids)
     losses = info_scores_labeled(model, u_X, truth)
     centroids = compute_centroids(model, X_lab, y_lab)
+    F = model.features(u_X)
+    pred = np.argmax(F @ model.W_out + model.b_out, axis=1)
     out = {}
     for k in ks:
-        per_q = {}
+        consistent = pred == similarity_labels(F, centroids, k)
+        out[k] = {}
         for q in quantiles:
-            low, high = loss_quantile_split(losses, q)
-            per_q[q] = {
-                "low": consistency_rate(u_X[low], model, centroids, k),
-                "high": consistency_rate(u_X[high], model, centroids, k),
-            }
-        out[k] = per_q
+            split = loss_quantile_split(losses, q)
+            if not all(subset.any() for subset in split):
+                raise ValueError("consistency rate of an empty subset is undefined")
+            low, high = (float(np.mean(consistent[subset])) for subset in split)
+            out[k][q] = {"low": low, "high": high}
     return out

@@ -133,7 +133,8 @@ def sfda_bootstrap(
     if ids.size == 0:
         raise ValueError("bootstrap needs a non-empty unlabeled pool")
     C = model.C
-    P = model.predict_proba(X)
+    F = model.features(X)
+    P = np.exp(model._head_log_proba(F))
     pred = np.argmax(P, axis=1)
     maxp = P.max(axis=1)
 
@@ -148,10 +149,8 @@ def sfda_bootstrap(
             )
         t_v -= cfg.t_v_step
 
-    centroids = centroids_from_features(
-        model.features(X[proxy]), pred[proxy], C
-    )
-    sim = similarity_labels(model.features(X), centroids, k)
+    centroids = centroids_from_features(F[proxy], pred[proxy], C)
+    sim = similarity_labels(F, centroids, k)
     inconsistent = pred != sim
 
     t_c = cfg.t_c_init if cfg.t_c_init is not None else 1.0 / C + 1e-5
@@ -175,19 +174,6 @@ def sfda_bootstrap(
 
 
 # -- consistency diagnostic ----------------------------------------------
-
-
-def consistency_rate(
-    X, model: Classifier, centroids: CentroidSet, k: int
-) -> float:
-    """Fraction of samples whose predicted class equals their
-    similarity-based label."""
-    X = np.atleast_2d(X)
-    if X.shape[0] == 0:
-        raise ValueError("consistency rate of an empty subset is undefined")
-    pred = model.predict(X)
-    sim = similarity_labels(model.features(X), centroids, k)
-    return float(np.mean(pred == sim))
 
 
 def loss_quantile_split(losses, quantile: float):

@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .classifier import Classifier
+from .classifier import Classifier, _checked_labels
 
 PROB_FLOOR = 1e-12
 LOG_PROB_FLOOR = float(np.log(PROB_FLOOR))
@@ -126,9 +126,7 @@ def info_scores_unlabeled(
 
 
 def info_scores_labeled(model: Classifier, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=int)
-    if (y < 0).any() or (y >= model.C).any():
-        raise ValueError("label outside [0, C)")
+    y = _checked_labels(y, model.C)
     logp = model.log_proba(np.atleast_2d(X))
     return -np.maximum(logp[np.arange(len(y)), y], LOG_PROB_FLOOR)
 
@@ -148,9 +146,7 @@ def observation_labels(
     Exactly one branch holds for any sample; the threshold comparison is
     inclusive.
     """
-    y = np.asarray(y, dtype=int)
-    if (y < 0).any() or (y >= model.C).any():
-        raise ValueError("label outside [0, C)")
+    y = _checked_labels(y, model.C)
     P = model.predict_proba(np.atleast_2d(X))
     pred = np.argmax(P, axis=1)
     confident = P.max(axis=1) >= tau

@@ -456,6 +456,25 @@ class TestStep:
             )
         np.testing.assert_array_equal(flat_params(model), before)
 
+    @pytest.mark.parametrize("part", ["y_l", "y_cc"])
+    @pytest.mark.parametrize("bad", [[-1, 0], [3, 0]])
+    def test_out_of_range_label_rejected_before_any_change(self, part, bad):
+        """At C = 3, label -1 would index class 2 from the end and label 3
+        would raise IndexError; both raise ValueError with the model
+        untouched."""
+        rng = np.random.default_rng(11)
+        model = random_model(rng)
+        X_l, y_l, X_cc, y_cc, X_uc = self._batches(rng)
+        {"y_l": y_l, "y_cc": y_cc}[part][:2] = bad
+        before = flat_params(model).copy()
+        with pytest.raises(ValueError, match="label outside"):
+            combined_grads(model, X_l, y_l, X_cc, y_cc, X_uc, 0.5, 0.1)
+        with pytest.raises(ValueError, match="label outside"):
+            backward_and_step(
+                model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig(), np.random.default_rng(0)
+            )
+        np.testing.assert_array_equal(flat_params(model), before)
+
     @pytest.mark.parametrize("part,weights", [
         ("X_cc", dict(lambda_c=0.0)), ("X_uc", dict(lambda_e=0.0)),
     ])

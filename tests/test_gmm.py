@@ -497,7 +497,8 @@ class TestFit:
         import json
 
         payload = json.loads(path.read_text())
-        assert set(payload) == {"pi", "mu", "sigma2", "n_iter", "objective"}
+        assert list(payload) == ["pi", "mu", "sigma2", "n_iter", "converged", "objective"]
+        assert payload["converged"] is fit.converged
         assert len(payload["pi"]) == 4
 
 

@@ -17,7 +17,6 @@ from activeadapt.harness import (
     evaluate,
     pretrain_source,
     run_active_loop,
-    run_baseline,
     write_aggregate_csv,
     AGGREGATE_FIELDS,
 )
@@ -221,20 +220,29 @@ class TestBudgetAccounting:
 class TestRemainingPoolLabels:
     def test_sliced_similarity_labels_match_a_fresh_scoring_pass(self, monkeypatch):
         """The consistency targets and the partition's scores are the round's
-        similarity labels and scores sliced to the rows left after annotation.
-        A spy rescoring the remaining pool with the same model and centroids
-        finds the same rows, scores and labels."""
+        similarity labels and scores sliced to the rows left once the batch is
+        out. The partition runs before annotation, so a spy takes the
+        unlabeled pool minus the selected batch; rescoring it with the same
+        model and centroids finds the same rows, scores and labels."""
         pool = generate_shifted_dataset(
             ShiftConfig(C=5, d_in=8, n_source=500, n_target=2000,
                         shift_kind="rotation", shift_magnitude=0.5, seed=3)
         )
         cfg = LoopConfig(budget=40, rounds=2, d_feat=64, pretrain_epochs=5,
                          train=TrainConfig(epochs_per_round=2, seed=3), seed=3)
+        real_select = harness.select_active_batch
         real_partition, real_train = harness.partition_unlabeled, harness._train_epochs
-        expected, checked = [], []
+        batches, expected, checked = [], [], []
+
+        def select_spy(*args):
+            batches.append(real_select(*args))
+            return batches[-1]
 
         def partition_spy(ids, X, model, centroids, params, k, scores):
-            rem_ids, rem_X = pool.unlabeled_arrays()
+            u_ids, u_X = pool.unlabeled_arrays()
+            rest = ~np.isin(u_ids, batches[-1])
+            assert rest.sum() == u_ids.size - len(batches[-1])
+            rem_ids, rem_X = u_ids[rest], u_X[rest]
             np.testing.assert_array_equal(ids, rem_ids)
             np.testing.assert_array_equal(X, rem_X)
             fresh_scores, fresh = info_scores_unlabeled(model, centroids, rem_X, k)
@@ -253,10 +261,31 @@ class TestRemainingPoolLabels:
                 checked.append(len(want_sim))
             return real_train(model, X, y, cc, uc, *rest)
 
+        monkeypatch.setattr(harness, "select_active_batch", select_spy)
         monkeypatch.setattr(harness, "partition_unlabeled", partition_spy)
         monkeypatch.setattr(harness, "_train_epochs", train_spy)
         run_active_loop(cfg, pool)
-        assert len(checked) == 2
+        assert len(checked) == 2 and len(batches) == 2
+
+
+class TestSelectedErrorRate:
+    @pytest.mark.parametrize("strategy", [Strategy.DIANA, Strategy.ENTROPY])
+    def test_round_one_rate_is_the_pretrained_models_batch_error(self, strategy):
+        """Round 1's selected_error_rate is the share of its batch that the
+        pretrained model (rebuilt through the documented seed scheme)
+        misclassifies."""
+        cfg = fast_loop(strategy=strategy, budget=30, rounds=2)
+        reports = run_active_loop(cfg, small_pool())
+
+        ref = small_pool()
+        model = Classifier.initialize(ref.d_in, cfg.d_feat, ref.C, np.random.default_rng([cfg.seed, 0]))
+        pretrain_source(model, ref, cfg.train, cfg.pretrain_epochs, np.random.default_rng([cfg.train.seed, 1]))
+        u_ids, u_X = ref.unlabeled_arrays()
+        batch = reports[0].selected_ids
+        X = np.stack([u_X[list(u_ids).index(i)] for i in batch])
+        wrong = model.predict(X) != ref.evaluation_labels(batch)
+        assert 0 < wrong.sum() < len(batch)
+        assert reports[0].selected_error_rate == wrong.sum() / len(batch)
 
 
 class TestBaselines:
@@ -265,7 +294,7 @@ class TestBaselines:
         with the documented per-round generator."""
         cfg = fast_loop(strategy=Strategy.RANDOM)
         pool = small_pool()
-        reports = run_baseline(cfg, pool)
+        reports = run_active_loop(cfg, pool)
 
         ref_pool = small_pool()
         annotated = set()
@@ -279,7 +308,7 @@ class TestBaselines:
     def test_entropy_matches_sort_oracle(self):
         cfg = fast_loop(strategy=Strategy.ENTROPY, budget=4, rounds=1)
         pool = small_pool()
-        reports = run_baseline(cfg, pool)
+        reports = run_active_loop(cfg, pool)
 
         # rebuild the pretrained model through the documented seed scheme
         ref = small_pool()
@@ -294,7 +323,7 @@ class TestBaselines:
     def test_least_confidence_matches_sort_oracle(self):
         cfg = fast_loop(strategy=Strategy.LEAST_CONFIDENCE, budget=4, rounds=1)
         pool = small_pool()
-        reports = run_baseline(cfg, pool)
+        reports = run_active_loop(cfg, pool)
 
         ref = small_pool()
         model = Classifier.initialize(ref.d_in, cfg.d_feat, ref.C, np.random.default_rng([cfg.seed, 0]))
@@ -306,16 +335,26 @@ class TestBaselines:
 
     def test_random_repeatable(self):
         cfg = fast_loop(strategy=Strategy.RANDOM)
-        a = run_baseline(cfg, small_pool())
-        b = run_baseline(cfg, small_pool())
+        a = run_active_loop(cfg, small_pool())
+        b = run_active_loop(cfg, small_pool())
         assert [r.selected_ids for r in a] == [r.selected_ids for r in b]
 
-    def test_run_baseline_rejects_diana(self):
-        with pytest.raises(ValueError):
-            run_baseline(fast_loop(strategy=Strategy.DIANA), small_pool())
+    @pytest.mark.parametrize("strategy", [
+        Strategy.RANDOM, Strategy.ENTROPY, Strategy.LEAST_CONFIDENCE,
+    ])
+    def test_auxiliary_loss_weights_do_not_reach_baselines(self, strategy):
+        """A baseline round fits no mixture, so it builds no consistency or
+        entropy pool: its reports are the same with the auxiliary weights at
+        their defaults and at zero."""
+        cfg = fast_loop(strategy=strategy)
+        zeroed = dataclasses.replace(cfg, train=fast_train(lambda_c=0.0, lambda_e=0.0))
+        assert cfg.train.lambda_c != 0.0 and cfg.train.lambda_e != 0.0
+        a = run_active_loop(cfg, small_pool())
+        b = run_active_loop(zeroed, small_pool())
+        assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
     def test_baselines_report_no_gmm_or_partition(self):
-        reports = run_baseline(fast_loop(strategy=Strategy.RANDOM), small_pool())
+        reports = run_active_loop(fast_loop(strategy=Strategy.RANDOM), small_pool())
         assert all(r.gmm is None and r.partition_sizes == {} for r in reports)
 
 

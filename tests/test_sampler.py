@@ -6,10 +6,11 @@ import pytest
 
 import oracles
 from activeadapt.classifier import Classifier
+from activeadapt.datapool import DataPool
 from activeadapt.gmm import GmmParams
+from activeadapt.harness import consistency_diagnostic
 from activeadapt.sampler import (
     SfdaConfig,
-    consistency_rate,
     loss_quantile_split,
     partition_unlabeled,
     select_active_batch,
@@ -215,35 +216,54 @@ class TestSfdaBootstrap:
 
 
 class TestConsistencyRate:
-    def setup_method(self):
-        self.model = diag_model(3)
-        F = np.eye(3)
-        self.cs = centroids_from_features(F, [0, 1, 2], C=3)
+    """Rates from consistency_diagnostic on hand-built pools. The source rows
+    2*e_c of class c put centroid c's top-1 feature at index c. The
+    unlabeled pool is two halves: rows whose hidden label is the model's
+    prediction (low loss) and rows labeled otherwise (high loss), so the
+    median split separates them."""
+
+    @staticmethod
+    def rates(model, X_u, y_u):
+        X_u = np.asarray(X_u, dtype=float)
+        pool = DataPool(
+            3,
+            np.arange(3 + len(X_u)),
+            np.vstack([2.0 * np.eye(3), X_u]),
+            [0, 1, 2, *y_u],
+            np.arange(3 + len(X_u)) < 3,
+        )
+        return consistency_diagnostic(model, pool, ks=[1], quantiles=(0.5,))[1][0.5]
 
     def test_all_consistent(self):
-        X = 2.0 * np.eye(3)
-        assert consistency_rate(X, self.model, self.cs, k=1) == 1.0
+        X = 2.0 * np.vstack([np.eye(3), np.eye(3)])
+        rates = self.rates(diag_model(3), X, [0, 1, 2, 1, 2, 0])
+        assert rates == {"low": 1.0, "high": 1.0}
 
     def test_counting(self):
-        """3 of 4 samples predict their similarity-based label: the output
-        head routes feature 2 to class 0, so feature-2-dominant samples are
-        inconsistent."""
+        """3 of 4 low-loss samples predict their similarity-based label: the
+        output head routes feature 2 to class 0, so feature-2-dominant
+        samples are inconsistent."""
         model = diag_model(3)
         model.W_out = np.array([[2.0, 0, 0], [0, 2.0, 0], [2.0, 0, 0]])
-        X = np.vstack([2.0 * np.eye(3), [[2.0, 0.0, 0.0]]])
-        rate = consistency_rate(X, model, self.cs, k=1)
-        pred = model.predict(X)
-        assert pred.tolist() == [0, 1, 0, 0]
-        assert rate == pytest.approx(0.75)
+        low_X = np.vstack([2.0 * np.eye(3), [[2.0, 0.0, 0.0]]])
+        assert model.predict(low_X).tolist() == [0, 1, 0, 0]
+        high_X = np.tile([0.0, 2.0, 0.0], (4, 1))
+        rates = self.rates(model, np.vstack([low_X, high_X]), [0, 1, 0, 0, 2, 2, 2, 2])
+        assert rates["low"] == pytest.approx(0.75)
+        assert rates["high"] == 1.0
 
     def test_none_consistent(self):
         model = diag_model(3, bias=[0.0, 50.0, 0.0])
-        X = np.vstack([2.0 * np.eye(3)[[0, 2]]])
-        assert consistency_rate(X, model, self.cs, k=1) == 0.0
+        X = np.vstack([2.0 * np.eye(3)[[0, 2]]] * 2)
+        assert model.predict(X).tolist() == [1, 1, 1, 1]
+        rates = self.rates(model, X, [1, 1, 0, 2])
+        assert rates == {"low": 0.0, "high": 0.0}
 
     def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            consistency_rate(np.zeros((0, 3)), self.model, self.cs, k=1)
+        """Equal losses put every sample at or below the median, which
+        leaves the high-loss subset empty."""
+        with pytest.raises(ValueError, match="empty subset"):
+            self.rates(diag_model(3), np.tile([2.0, 0.0, 0.0], (4, 1)), [0, 0, 0, 0])
 
 
 class TestLossQuantileSplit:
