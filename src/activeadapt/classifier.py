@@ -17,6 +17,29 @@ from .numerics import logsumexp
 
 CHECKPOINT_VERSION = 1
 
+# Rows per block of a pool-sized pass: a (ROW_BLOCK, d_feat) feature block
+# is 4 MB at d_feat 64, where a whole 200k-row pool would be 102 MB.
+ROW_BLOCK = 8192
+
+
+def _row_blocks(n: int):
+    """Slices covering range(n) in ceil(n / ROW_BLOCK) contiguous blocks
+    whose sizes differ by at most one (a single empty block when n is 0).
+
+    Near-equal sizes leave no lone row, which BLAS would send down its
+    matrix-vector path, and no tiny tail block, whose products a
+    small-matrix kernel would compute; either moves the last ulp. With
+    OpenBLAS at C = 5 every block's rows then equal those of the
+    whole-matrix products bit for bit. At other C, a head product of a
+    block can fall under the small-matrix size (about 1e6 multiply-adds)
+    where the whole product does not, and move log-probabilities by a few
+    ulps. Callers reduce over the full per-row outputs, never over
+    per-block partial sums, so every reduction keeps its rounding.
+    """
+    count = max(1, -(-n // ROW_BLOCK))
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
 
 class NonFiniteGradientError(RuntimeError):
     """A training step produced NaN/inf gradients; parameters were left
@@ -83,19 +106,32 @@ class Classifier:
     def features(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         self._check_input(X)
-        return np.tanh(X @ self.W_hidden + self.b_hidden)
+        F = X @ self.W_hidden
+        F += self.b_hidden
+        return np.tanh(F, out=F)
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.features(X) @ self.W_out + self.b_out
 
     def log_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._head_log_proba(self.features(X))
+        """Log-probabilities of every row, computed one row block at a time,
+        so no whole-input feature matrix is ever built."""
+        X = np.atleast_2d(X)
+        out = np.empty((X.shape[0], self.C))
+        for rows in _row_blocks(X.shape[0]):
+            out[rows] = self._head_log_proba(self.features(X[rows]))
+        return out
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self.log_proba(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(X), axis=1)
+        """Argmax logit of every row, one row block at a time."""
+        X = np.atleast_2d(X)
+        out = np.empty(X.shape[0], dtype=np.intp)
+        for rows in _row_blocks(X.shape[0]):
+            out[rows] = np.argmax(self.logits(X[rows]), axis=1)
+        return out
 
     def _head_log_proba(self, F: np.ndarray) -> np.ndarray:
         """Features to log-probabilities: the package's one log-softmax. The
@@ -139,10 +175,13 @@ def augment(x: np.ndarray, cfg: TrainConfig, rng) -> np.ndarray:
 
 
 def _checked_labels(y, C: int) -> np.ndarray:
-    """y as an integer array; ValueError unless every label lies in [0, C).
-    Viewed as unsigned, a negative label exceeds any C, so one max checks
-    both ends."""
-    y = np.asarray(y, dtype=np.intp)
+    """y as an integer array; ValueError unless every label is a whole
+    number in [0, C). Integer arrays skip the whole-number test. Viewed as
+    unsigned, a negative label exceeds any C, so one max checks both ends."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "biu" and not np.all(np.isfinite(y) & (np.trunc(y) == y)):
+        raise ValueError("label is not a whole number")
+    y = y.astype(np.intp, copy=False)
     if y.size and y.view(np.uintp).max() >= C:
         raise ValueError("label outside [0, C)")
     return y

@@ -21,6 +21,7 @@ from .classifier import (
     Classifier,
     LossBreakdown,
     TrainConfig,
+    _row_blocks,
     backward_and_step,
     combined_loss,
 )
@@ -36,6 +37,7 @@ from .sampler import (
 )
 from .scoring import (
     Category,
+    _scores_at,
     compute_centroids,
     info_scores_labeled,
     info_scores_unlabeled,
@@ -380,24 +382,30 @@ def consistency_diagnostic(
     similarity-based label.
 
     Losses use the hidden true labels, so this is a validation diagnostic,
-    not part of the adaptation loop. Returns
+    not part of the adaptation loop. One feature pass over the unlabeled
+    pool, one row block at a time, gives the losses, the predictions and the
+    similarity labels for every k. Returns
     {k: {quantile: {"low": rate, "high": rate}}}; an empty subset raises.
     """
     X_lab, y_lab = pool.labeled_arrays(include_source=True)
     u_ids, u_X = pool.unlabeled_arrays()
     truth = pool.evaluation_labels(u_ids)
-    losses = info_scores_labeled(model, u_X, truth)
     centroids = compute_centroids(model, X_lab, y_lab)
-    F = model.features(u_X)
-    pred = np.argmax(F @ model.W_out + model.b_out, axis=1)
+    losses = np.empty(u_ids.size)
+    consistent = {k: np.empty(u_ids.size, dtype=bool) for k in ks}
+    for rows in _row_blocks(u_ids.size):
+        F = model.features(u_X[rows])
+        losses[rows] = _scores_at(model._head_log_proba(F), truth[rows])
+        pred = np.argmax(F @ model.W_out + model.b_out, axis=1)
+        for k, flags in consistent.items():
+            flags[rows] = pred == similarity_labels(F, centroids, k)
     out = {}
-    for k in ks:
-        consistent = pred == similarity_labels(F, centroids, k)
+    for k, flags in consistent.items():
         out[k] = {}
         for q in quantiles:
             split = loss_quantile_split(losses, q)
             if not all(subset.any() for subset in split):
                 raise ValueError("consistency rate of an empty subset is undefined")
-            low, high = (float(np.mean(consistent[subset])) for subset in split)
+            low, high = (float(np.mean(flags[subset])) for subset in split)
             out[k][q] = {"low": low, "high": high}
     return out

@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .classifier import Classifier, _checked_labels
+from .classifier import Classifier, _checked_labels, _row_blocks
 
 PROB_FLOOR = 1e-12
 LOG_PROB_FLOOR = float(np.log(PROB_FLOOR))
@@ -109,26 +109,34 @@ def similarity_labels(
 # -- informativeness scores ----------------------------------------------
 
 
+def _scores_at(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """-log P at each row's label, the probability floored at 1e-12 so that
+    saturated predictions cannot produce infinities."""
+    return -np.maximum(logp[np.arange(len(labels)), labels], LOG_PROB_FLOOR)
+
+
 def info_scores_unlabeled(
     model: Classifier, centroids: CentroidSet, X: np.ndarray, k: int
 ):
-    """Scores and similarity-based labels for a batch of unlabeled samples.
+    """Scores and similarity-based labels for a batch of unlabeled samples:
+    score = -log P at the similarity-based label (floored, see _scores_at).
 
-    score = -log P at the similarity-based label, probability floored at
-    1e-12 so saturated predictions cannot produce infinities.
+    The rows go through the model one row block at a time; each block's
+    features give its labels and scores and are then dropped.
     """
     X = np.atleast_2d(X)
-    F = model.features(X)
-    labels = similarity_labels(F, centroids, k)
-    logp = model._head_log_proba(F)
-    picked = np.maximum(logp[np.arange(len(labels)), labels], LOG_PROB_FLOOR)
-    return -picked, labels
+    scores = np.empty(X.shape[0])
+    labels = np.empty(X.shape[0], dtype=np.intp)
+    for rows in _row_blocks(X.shape[0]):
+        F = model.features(X[rows])
+        labels[rows] = similarity_labels(F, centroids, k)
+        scores[rows] = _scores_at(model._head_log_proba(F), labels[rows])
+    return scores, labels
 
 
 def info_scores_labeled(model: Classifier, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = _checked_labels(y, model.C)
-    logp = model.log_proba(np.atleast_2d(X))
-    return -np.maximum(logp[np.arange(len(y)), y], LOG_PROB_FLOOR)
+    return _scores_at(model.log_proba(X), y)
 
 
 # -- observation labels ----------------------------------------------------

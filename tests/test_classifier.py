@@ -12,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activeadapt.classifier import (
+    ROW_BLOCK,
     Classifier,
     NonFiniteGradientError,
     TrainConfig,
+    _row_blocks,
     augment,
     backward_and_step,
     combined_grads,
@@ -24,6 +26,7 @@ from activeadapt.classifier import (
     loss_supervised,
     save_checkpoint,
 )
+from activeadapt.numerics import logsumexp
 from oracles import forward_probs
 
 IDENTITY_AUG = TrainConfig(aug_noise_sigma=0.0, aug_dropout_p=0.0)
@@ -132,6 +135,95 @@ class TestSupervisedLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             loss_supervised(two_class_model(), np.zeros((0, 1)), [])
+
+    def test_fractional_labels_rejected(self):
+        """Labels 0.9 and 2.7 would truncate to 0 and 2; they raise instead,
+        and whole-valued floats give the loss of the integer labels."""
+        rng = np.random.default_rng(4)
+        model = random_model(rng)
+        X = rng.standard_normal((2, 3))
+        for bad in ([0.9, 2.7], [0.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="whole number"):
+                loss_supervised(model, X, bad)
+            with pytest.raises(ValueError, match="whole number"):
+                combined_grads(model, X, bad, X[:0], [], X[:0], 0.5, 0.1)
+        assert loss_supervised(model, X, [0.0, 2.0]) == loss_supervised(model, X, [0, 2])
+
+
+def whole_matrix_log_proba(model, X):
+    """Features and log-probabilities of every row from whole-matrix products,
+    with no row blocking."""
+    F = np.tanh(X @ model.W_hidden + model.b_hidden)
+    z = F @ model.W_out + model.b_out
+    return F, z - logsumexp(z, axis=1, keepdims=True)
+
+
+def block_sizes(monkeypatch):
+    """Row counts of every Classifier.features call from here on."""
+    sizes, real = [], Classifier.features
+
+    def spy(self, X):
+        sizes.append(np.atleast_2d(X).shape[0])
+        return real(self, X)
+
+    monkeypatch.setattr(Classifier, "features", spy)
+    return sizes
+
+
+class TestRowBlocks:
+    """Pool-sized passes go through the model in near-equal row blocks and
+    give, bit for bit, the rows of whole-matrix products."""
+
+    N = 2 * ROW_BLOCK + 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 200_000])
+    def test_block_layout(self, n):
+        blocks = _row_blocks(n)
+        assert len(blocks) == max(1, -(-n // ROW_BLOCK))
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [s.stop - s.start for s in blocks]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= ROW_BLOCK
+        assert n == 1 or min(sizes) != 1
+
+    @pytest.fixture(scope="class")
+    def pool_pass(self):
+        rng = np.random.default_rng(19)
+        model = Classifier.initialize(8, 64, 5, rng)
+        model.b_hidden[:] = 0.1 * rng.standard_normal(64)
+        model.b_out[:] = rng.standard_normal(5)
+        X = 2 * rng.standard_normal((self.N, 8))
+        y = rng.integers(0, 5, self.N)
+        return model, X, y
+
+    def test_forward_passes_match_whole_matrix(self, pool_pass, monkeypatch):
+        model, X, y = pool_pass
+        sizes = block_sizes(monkeypatch)
+        F, logp = whole_matrix_log_proba(model, X)
+        np.testing.assert_array_equal(model.log_proba(X), logp)
+        np.testing.assert_array_equal(model.predict(X), np.argmax(F @ model.W_out + model.b_out, axis=1))
+        assert sizes == [5461, 5462, 5462] * 2
+
+    def test_losses_match_whole_matrix(self, pool_pass):
+        model, X, y = pool_pass
+        _, logp = whole_matrix_log_proba(model, X)
+        assert loss_supervised(model, X, y) == float(-np.mean(logp[np.arange(self.N), y]))
+        assert loss_entropy(model, X) == float(np.mean(-np.sum(np.exp(logp) * logp, axis=1)))
+
+    def test_empty_and_single_row_inputs(self, pool_pass):
+        model, X, y = pool_pass
+        lp0, pred0 = model.log_proba(X[:0]), model.predict(X[:0])
+        assert lp0.shape == (0, 5) and lp0.dtype == np.float64
+        assert pred0.shape == (0,) and pred0.dtype == np.intp
+        assert loss_entropy(model, X[:0]) == 0.0
+        with pytest.raises(ValueError, match="non-empty"):
+            loss_supervised(model, X[:0], y[:0])
+        F, logp = whole_matrix_log_proba(model, X[:1])
+        for row in (X[:1], X[0]):
+            np.testing.assert_array_equal(model.log_proba(row), logp)
+            np.testing.assert_array_equal(model.predict(row), np.argmax(F @ model.W_out + model.b_out, axis=1))
+        assert loss_supervised(model, X[:1], y[:1]) == float(-logp[0, y[0]])
+        assert loss_entropy(model, X[:1]) == float(-np.sum(np.exp(logp) * logp))
 
 
 class TestAugment:

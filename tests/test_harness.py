@@ -2,11 +2,12 @@
 determinism, and the clean-ablation property."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from activeadapt.classifier import Classifier, TrainConfig
+from activeadapt.classifier import ROW_BLOCK, Classifier, TrainConfig
 from activeadapt.datapool import DataPool, ShiftConfig, generate_shifted_dataset
 import activeadapt.harness as harness
 from activeadapt.harness import (
@@ -21,7 +22,9 @@ from activeadapt.harness import (
     AGGREGATE_FIELDS,
 )
 from activeadapt.sampler import SfdaConfig
-from activeadapt.scoring import Category, info_scores_unlabeled
+from activeadapt.scoring import Category, compute_centroids, info_scores_unlabeled
+
+from test_classifier import block_sizes
 
 
 def fast_train(**kw):
@@ -420,3 +423,50 @@ class TestDiagnostic:
             for rates in per_q.values():
                 assert 0.0 <= rates["low"] <= 1.0
                 assert 0.0 <= rates["high"] <= 1.0
+
+    def test_one_feature_pass_over_the_unlabeled_pool(self, monkeypatch):
+        """The labeled set goes through the model once for the centroids and
+        each unlabeled row exactly once, in row blocks, for the losses, the
+        predictions and every k's similarity labels."""
+        pool = small_pool(n_target=2 * ROW_BLOCK + 1)
+        model = Classifier.initialize(4, 16, 3, np.random.default_rng(0))
+        pretrain_source(model, pool, fast_train(), epochs=5)
+        sizes = block_sizes(monkeypatch)
+        consistency_diagnostic(model, pool, ks=[2, 4, 8])
+        assert sizes == [60, 5461, 5462, 5462]
+
+
+class TestRowBlockMemory:
+    def test_pool_passes_hold_one_feature_block_at_a_time(self):
+        """Scoring and evaluating a three-block pool never hold a
+        whole-pool (n, d_feat) matrix: each pass peaks within a few
+        (ROW_BLOCK, d_feat) blocks plus its per-row inputs and outputs. A
+        whole-pool feature matrix alone is three blocks; the limits are 3.5
+        blocks for scoring (features, magnitudes and their partitioned copy
+        live together) and 1.5 for evaluation."""
+        n, d_in, d_feat, C = 3 * ROW_BLOCK, 8, 64, 5
+        rng = np.random.default_rng(3)
+        ids = np.arange(n + C)
+        X = rng.standard_normal((n + C, d_in))
+        y = np.concatenate([np.arange(C), rng.integers(0, C, n)])
+        pool = DataPool(C, ids, X, y, ids < C)
+        model = Classifier.initialize(d_in, d_feat, C, rng)
+        centroids = compute_centroids(model, X[:C], y[:C])
+        _, u_X = pool.unlabeled_arrays()
+        block = ROW_BLOCK * d_feat * 8
+        rows = n * 8  # one float64 or intp per row
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, run in [
+                ("score", lambda: info_scores_unlabeled(model, centroids, u_X, 8)),
+                ("evaluate", lambda: evaluate(model, pool)),
+            ]:
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks["score"] <= 3.5 * block + (C + 2) * rows, peaks
+        assert peaks["evaluate"] <= 1.5 * block + (d_in + C + 3) * rows, peaks

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from activeadapt.classifier import Classifier
+from activeadapt.classifier import ROW_BLOCK, Classifier
 from activeadapt.scoring import (
     Category,
     _topk_mask,
@@ -25,7 +25,13 @@ from activeadapt.scoring import (
 )
 
 from oracles import forward_probs, info_score, obs_label, sim_label, topk_set
-from test_classifier import random_model, two_class_model, x_for_prob
+from test_classifier import (
+    block_sizes,
+    random_model,
+    two_class_model,
+    whole_matrix_log_proba,
+    x_for_prob,
+)
 
 
 class TestCentroids:
@@ -254,6 +260,28 @@ class TestInfoScores:
         scores, labels = info_scores_unlabeled(model, cs, np.array([[-5.0], [5.0]]), k=1)
         assert labels.tolist() == [0, 0]
         assert scores.tolist() == [pytest.approx(-LOG_PROB_FLOOR), 0.0]
+
+    @pytest.mark.parametrize("n", [0, 1, 2 * ROW_BLOCK + 1])
+    def test_row_blocks_match_whole_matrix(self, n, monkeypatch):
+        """At C = 5 the blocked pass gives, bit for bit, the scores and
+        labels of whole-matrix products, at a pool two blocks plus one row
+        long and at one row; an empty pool gives empty outputs."""
+        rng = np.random.default_rng(23)
+        model = Classifier.initialize(8, 64, 5, rng)
+        model.b_hidden[:] = 0.1 * rng.standard_normal(64)
+        X = 2 * rng.standard_normal((n, 8))
+        cs = compute_centroids(model, rng.standard_normal((10, 8)), np.arange(10) % 5)
+        sizes = block_sizes(monkeypatch)
+        scores, labels = info_scores_unlabeled(model, cs, X, k=8)
+        assert sizes == ([5461, 5462, 5462] if n > ROW_BLOCK else [n])
+        F, logp = whole_matrix_log_proba(model, X)
+        want = similarity_labels(F, cs, 8)
+        np.testing.assert_array_equal(labels, want)
+        np.testing.assert_array_equal(
+            scores, -np.maximum(logp[np.arange(n), want], LOG_PROB_FLOOR)
+        )
+        assert scores.shape == labels.shape == (n,)
+        assert scores.dtype == np.float64 and labels.dtype == np.intp
 
 
 def obs_label_of(model, x, y, tau):
