@@ -8,6 +8,7 @@ difference oracle in the test suite keeps them honest.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,6 +40,13 @@ def _row_blocks(n: int):
     count = max(1, -(-n // ROW_BLOCK))
     bounds = [i * n // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite. A finite sum proves it in one
+    reduction; only a sum that is not finite (a NaN or inf entry, or finite
+    entries that overflow) pays the per-element test."""
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -136,7 +144,8 @@ class Classifier:
     def _head_log_proba(self, F: np.ndarray) -> np.ndarray:
         """Features to log-probabilities: the package's one log-softmax. The
         logits are normalized in place, so a call holds one (n, C) array."""
-        z = F @ self.W_out + self.b_out
+        z = F @ self.W_out
+        z += self.b_out
         z -= logsumexp(z, axis=1, keepdims=True)
         return z
 
@@ -145,7 +154,7 @@ class Classifier:
             raise ValueError(
                 f"input dimension {X.shape[-1]} does not match d_in={self.d_in}"
             )
-        if not np.isfinite(X).all():
+        if not _all_finite(X):
             raise ValueError("non-finite input")
 
     def params(self) -> dict[str, np.ndarray]:
@@ -166,24 +175,26 @@ def augment(x: np.ndarray, cfg: TrainConfig, rng) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = x + cfg.aug_noise_sigma * rng.standard_normal(x.shape)
     if cfg.aug_dropout_p > 0:
-        keep = rng.random(x.shape) >= cfg.aug_dropout_p
-        out = out * keep
+        out *= rng.random(x.shape) >= cfg.aug_dropout_p
     return out
 
 
 # -- losses ------------------------------------------------------------------
 
 
-def _checked_labels(y, C: int) -> np.ndarray:
+def _checked_labels(
+    y, C: int, first: int = 0, outside: str = "label outside [0, C)"
+) -> np.ndarray:
     """y as an integer array; ValueError unless every label is a whole
-    number in [0, C). Integer arrays skip the whole-number test. Viewed as
-    unsigned, a negative label exceeds any C, so one max checks both ends."""
+    number in [first, first + C), with message outside when one is not in
+    range. Integer arrays skip the whole-number test. Viewed as unsigned, a
+    label below first exceeds any C, so one max checks both ends."""
     y = np.asarray(y)
     if y.dtype.kind not in "biu" and not np.all(np.isfinite(y) & (np.trunc(y) == y)):
         raise ValueError("label is not a whole number")
     y = y.astype(np.intp, copy=False)
-    if y.size and y.view(np.uintp).max() >= C:
-        raise ValueError("label outside [0, C)")
+    if y.size and (y - first if first else y).view(np.uintp).max() >= C:
+        raise ValueError(outside)
     return y
 
 
@@ -257,40 +268,59 @@ def combined_grads(
     one batch for a single forward pass; each part writes its own block of
     the logit gradient, and one backprop runs over the stack. A label
     outside [0, C) raises ValueError before any computation.
+
+    The four gradients are views of one flat buffer, in parameter order;
+    backward_and_step checks and scales that buffer as a whole.
     """
     n_l = len(y_l)
     if n_l == 0:
         raise ValueError("supervised batch must be non-empty")
-    rows, y, scale = [np.atleast_2d(X_l)], [y_l], [np.full(n_l, 1.0 / n_l)]
-    if len(y_cc) > 0 and lambda_c != 0.0:
-        n_c = len(y_cc)
+    rows, y = [np.atleast_2d(X_l)], y_l
+    n_c = len(y_cc) if lambda_c != 0.0 else 0
+    if n_c:
         rows.append(np.atleast_2d(X_cc))
-        y.append(y_cc)
-        scale.append(np.full(n_c, lambda_c / n_c))
+        y = np.concatenate((y_l, y_cc))
     if np.size(X_uc) and lambda_e != 0.0:
         rows.append(np.atleast_2d(X_uc))
-    y = _checked_labels(np.concatenate(y), model.C)
-    scale = np.concatenate(scale)
+    y = _checked_labels(y, model.C)
     X = np.concatenate(rows)
     F = model.features(X)
     logp = model._head_log_proba(F)
     dZ2 = np.exp(logp)
-    n_ce = len(y)
+    n_ce = n_l + n_c
     if X.shape[0] > n_ce:
-        # d/dz_j of H(P) is -P_j (log P_j + H); see the gradient-check tests
+        # d/dz_j of H(P) is -P_j (log P_j + H), with H = -sum_c P_c log P_c;
+        # see the gradient-check tests. lu is consumed in place: logp is not
+        # read again.
         P, lu = dZ2[n_ce:], logp[n_ce:]
-        H = -np.sum(P * lu, axis=1, keepdims=True)
-        dZ2[n_ce:] = -P * (lu + H) * (lambda_e / len(P))
+        lu -= (P * lu).sum(axis=1, keepdims=True)
+        lu *= P
+        np.multiply(lu, -lambda_e / len(P), out=P)
     # d/dz of mean -log P_y is (P - onehot(y)) / n, times the part's weight
     dZ2[np.arange(n_ce), y] -= 1.0
-    dZ2[:n_ce] *= scale[:, None]
-    dZ1 = (dZ2 @ model.W_out.T) * (1.0 - F**2)  # tanh'
-    return {
-        "W_hidden": X.T @ dZ1,
-        "b_hidden": dZ1.sum(axis=0),
-        "W_out": F.T @ dZ2,
-        "b_out": dZ2.sum(axis=0),
+    dZ2[:n_l] *= 1.0 / n_l
+    if n_c:
+        dZ2[n_l:n_ce] *= lambda_c / n_c
+    dZ1 = dZ2 @ model.W_out.T
+    tanh_grad = np.square(F)  # tanh' = 1 - F^2
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    dZ1 *= tanh_grad
+    d_in, d_feat, C = model.d_in, model.d_feat, model.C
+    b_hidden = d_in * d_feat  # offsets of the parameters in the flat buffer
+    W_out = b_hidden + d_feat
+    b_out = W_out + d_feat * C
+    flat = np.empty(b_out + C)
+    grads = {
+        "W_hidden": flat[:b_hidden].reshape(d_in, d_feat),
+        "b_hidden": flat[b_hidden:W_out],
+        "W_out": flat[W_out:b_out].reshape(d_feat, C),
+        "b_out": flat[b_out:],
     }
+    np.matmul(X.T, dZ1, out=grads["W_hidden"])
+    dZ1.sum(axis=0, out=grads["b_hidden"])
+    np.matmul(F.T, dZ2, out=grads["W_out"])
+    dZ2.sum(axis=0, out=grads["b_out"])
+    return grads
 
 
 def backward_and_step(
@@ -313,11 +343,14 @@ def backward_and_step(
     grads = combined_grads(
         model, X_l, y_l, X_cc, y_cc, uc_batch, cfg.lambda_c, cfg.lambda_e
     )
-    for g in grads.values():
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError("non-finite gradient; step aborted")
-    for name, g in grads.items():
-        getattr(model, name)[...] -= cfg.learning_rate * g
+    flat = grads["W_hidden"].base  # the buffer all four gradients view
+    if not _all_finite(flat):
+        raise NonFiniteGradientError("non-finite gradient; step aborted")
+    flat *= cfg.learning_rate
+    model.W_hidden -= grads["W_hidden"]
+    model.b_hidden -= grads["b_hidden"]
+    model.W_out -= grads["W_out"]
+    model.b_out -= grads["b_out"]
     return model
 
 

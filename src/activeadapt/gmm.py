@@ -16,11 +16,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .classifier import _checked_labels
 from .numerics import logsumexp
 
 N_COMPONENTS = 4
 VARIANCE_FLOOR = 1e-6
 RESPONSIBILITY_FLOOR = 1e-12
+
+
+def _checked_components(components) -> np.ndarray:
+    """Flat integer component ids; ValueError unless every one is a whole
+    number in 1..N_COMPONENTS."""
+    return _checked_labels(
+        np.ravel(components), N_COMPONENTS, 1, f"components must lie in 1..{N_COMPONENTS}"
+    )
 
 
 @dataclass(frozen=True)
@@ -67,14 +76,12 @@ class GmmTrainSet:
 
     def __post_init__(self):
         self.labeled_scores = np.asarray(self.labeled_scores, dtype=float).ravel()
-        self.labeled_components = np.asarray(self.labeled_components, dtype=int).ravel()
+        self.labeled_components = _checked_components(self.labeled_components)
         self.unlabeled_scores = np.asarray(self.unlabeled_scores, dtype=float).ravel()
         if self.labeled_scores.size == 0:
             raise ValueError("EM initialization needs at least one labeled score")
         if self.labeled_scores.shape != self.labeled_components.shape:
             raise ValueError("labeled scores and components must align")
-        if ((self.labeled_components < 1) | (self.labeled_components > N_COMPONENTS)).any():
-            raise ValueError(f"components must lie in 1..{N_COMPONENTS}")
         if self.alpha is None:
             n_l, n_u = self.labeled_scores.size, self.unlabeled_scores.size
             self.alpha = n_l / (n_l + n_u)
@@ -132,7 +139,7 @@ def init_from_labeled(labeled_scores, labeled_components) -> GmmParams:
     component starts degenerate.
     """
     scores = np.asarray(labeled_scores, dtype=float).ravel()
-    comps = np.asarray(labeled_components, dtype=int).ravel()
+    comps = _checked_components(labeled_components)
     if scores.size == 0:
         raise ValueError("EM initialization needs at least one labeled score")
     counts = np.bincount(comps - 1, minlength=N_COMPONENTS)[:N_COMPONENTS]

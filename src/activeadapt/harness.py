@@ -131,33 +131,33 @@ class RoundReport:
 # -- training helpers --------------------------------------------------------
 
 
-def _epoch_batches(n: int, batch_size: int, rng):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
-
-
-def _aux_batch(n_pool: int, batch_size: int, rng):
-    take = min(batch_size, n_pool)
-    return rng.choice(n_pool, size=take, replace=False)
-
-
 def _train_epochs(model, X, y, cc, uc, cfg: TrainConfig, epochs: int, rng):
     """SGD epochs over the labeled set; each step draws companion batches
-    from the consistency and entropy pools when they are active."""
+    from the consistency and entropy pools when they are active.
+
+    Each epoch draws one permutation of the labeled rows; each step then
+    draws, in this order, the consistency batch, the entropy batch (both
+    without replacement) and, inside backward_and_step, the perturbation.
+    """
     use_cc = cc is not None and len(cc[1]) > 0 and cfg.lambda_c != 0.0
     use_uc = uc is not None and uc.shape[0] > 0 and cfg.lambda_e != 0.0
-    empty_cc = (np.zeros((0, model.d_in)), np.zeros(0, dtype=int))
-    empty_uc = np.zeros((0, model.d_in))
+    cc_batch = (np.zeros((0, model.d_in)), np.zeros(0, dtype=int))
+    uc_batch = np.zeros((0, model.d_in))
+    n, size, choice = len(y), cfg.batch_size, rng.choice
+    if use_cc:
+        X_cc, y_cc = cc
+        n_cc, take_cc = len(y_cc), min(size, len(y_cc))
+    if use_uc:
+        n_uc, take_uc = uc.shape[0], min(size, uc.shape[0])
     for _ in range(epochs):
-        for idx in _epoch_batches(len(y), cfg.batch_size, rng):
-            cc_batch, uc_batch = empty_cc, empty_uc
+        perm = rng.permutation(n)
+        for start in range(0, n, size):
+            idx = perm[start : start + size]
             if use_cc:
-                pick = _aux_batch(len(cc[1]), cfg.batch_size, rng)
-                cc_batch = (cc[0][pick], cc[1][pick])
+                pick = choice(n_cc, size=take_cc, replace=False)
+                cc_batch = (X_cc[pick], y_cc[pick])
             if use_uc:
-                pick = _aux_batch(uc.shape[0], cfg.batch_size, rng)
-                uc_batch = uc[pick]
+                uc_batch = uc[choice(n_uc, size=take_uc, replace=False)]
             backward_and_step(model, (X[idx], y[idx]), cc_batch, uc_batch, cfg, rng)
     return model
 

@@ -7,6 +7,8 @@ one rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Below this, exp(x) < 1e-304: nothing next to the largest term, exp(0) = 1,
@@ -25,10 +27,14 @@ def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False, softmax_out
     weights into responsibilities without a second exp pass.
     """
     a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    if not np.isfinite(m).all():
+    m = a.max(axis=axis, keepdims=True)
+    # a finite sum means every maximum is finite; one that overflows only
+    # costs the per-element test
+    if not math.isfinite(m.sum()):
         m = np.where(np.isfinite(m), m, 0.0)
     e = np.subtract(a, m, out=softmax_out)
+    # the mask doubles as the branch test: the EM E step takes the floor
+    # branch on large pools, where a separate e.min() test is one more pass
     keep = e >= EXP_FLOOR
     if keep.all():
         np.exp(e, out=e)
@@ -36,7 +42,7 @@ def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False, softmax_out
         np.maximum(e, EXP_FLOOR, out=e)
         np.exp(e, out=e)
         e *= keep
-    s = np.sum(e, axis=axis, keepdims=True)
+    s = e.sum(axis=axis, keepdims=True)
     if softmax_out is not None:
         np.divide(e, s, out=e)
     out = np.log(s, out=s)

@@ -43,9 +43,10 @@ class CentroidSet:
 
 
 def centroids_from_features(F: np.ndarray, y: np.ndarray, C: int) -> CentroidSet:
-    """Mean feature vector per class. Every class must be represented."""
+    """Mean feature vector per class. Every class must be represented, and
+    every label must be a whole number in [0, C)."""
     F = np.atleast_2d(F)
-    y = np.asarray(y, dtype=int)
+    y = _checked_labels(y, C)
     counts = np.bincount(y, minlength=C)
     missing = np.flatnonzero(counts == 0)
     if missing.size:

@@ -1,0 +1,109 @@
+"""Reference forms of one SGD step's arithmetic, written out operation by
+operation with plain temporaries: the log-sum-exp, the log-softmax head,
+the perturbation, the stacked gradient and the parameter update.
+
+The engine's versions issue fewer numpy calls (in-place updates, one flat
+gradient buffer, one finiteness test) but must perform the same
+floating-point operations in the same order, so tests compare them with
+these bit for bit. Nothing here is imported by the package.
+"""
+
+import numpy as np
+
+from activeadapt.classifier import NonFiniteGradientError, _checked_labels
+from activeadapt.numerics import EXP_FLOOR
+
+
+def logsumexp_ref(a, axis=-1, keepdims=False, softmax_out=None):
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    if not np.isfinite(m).all():
+        m = np.where(np.isfinite(m), m, 0.0)
+    e = np.subtract(a, m, out=softmax_out)
+    keep = e >= EXP_FLOOR
+    if keep.all():
+        np.exp(e, out=e)
+    else:
+        np.maximum(e, EXP_FLOOR, out=e)
+        np.exp(e, out=e)
+        e *= keep
+    s = np.sum(e, axis=axis, keepdims=True)
+    if softmax_out is not None:
+        np.divide(e, s, out=e)
+    out = np.log(s, out=s)
+    out += m
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def features_ref(model, X):
+    X = np.atleast_2d(X)
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite input")
+    F = X @ model.W_hidden
+    F += model.b_hidden
+    return np.tanh(F, out=F)
+
+
+def head_log_proba_ref(model, F):
+    z = F @ model.W_out + model.b_out
+    z -= logsumexp_ref(z, axis=1, keepdims=True)
+    return z
+
+
+def augment_ref(x, cfg, rng):
+    x = np.asarray(x, dtype=float)
+    out = x + cfg.aug_noise_sigma * rng.standard_normal(x.shape)
+    if cfg.aug_dropout_p > 0:
+        keep = rng.random(x.shape) >= cfg.aug_dropout_p
+        out = out * keep
+    return out
+
+
+def combined_grads_ref(model, X_l, y_l, X_cc, y_cc, X_uc, lambda_c, lambda_e):
+    n_l = len(y_l)
+    if n_l == 0:
+        raise ValueError("supervised batch must be non-empty")
+    rows, y, scale = [np.atleast_2d(X_l)], [y_l], [np.full(n_l, 1.0 / n_l)]
+    if len(y_cc) > 0 and lambda_c != 0.0:
+        n_c = len(y_cc)
+        rows.append(np.atleast_2d(X_cc))
+        y.append(y_cc)
+        scale.append(np.full(n_c, lambda_c / n_c))
+    if np.size(X_uc) and lambda_e != 0.0:
+        rows.append(np.atleast_2d(X_uc))
+    y = _checked_labels(np.concatenate(y), model.C)
+    scale = np.concatenate(scale)
+    X = np.concatenate(rows)
+    F = features_ref(model, X)
+    logp = head_log_proba_ref(model, F)
+    dZ2 = np.exp(logp)
+    n_ce = len(y)
+    if X.shape[0] > n_ce:
+        P, lu = dZ2[n_ce:], logp[n_ce:]
+        H = -np.sum(P * lu, axis=1, keepdims=True)
+        dZ2[n_ce:] = -P * (lu + H) * (lambda_e / len(P))
+    dZ2[np.arange(n_ce), y] -= 1.0
+    dZ2[:n_ce] *= scale[:, None]
+    dZ1 = (dZ2 @ model.W_out.T) * (1.0 - F**2)
+    return {
+        "W_hidden": X.T @ dZ1,
+        "b_hidden": dZ1.sum(axis=0),
+        "W_out": F.T @ dZ2,
+        "b_out": dZ2.sum(axis=0),
+    }
+
+
+def backward_and_step_ref(model, labeled_batch, cc_batch, uc_batch, cfg, rng):
+    X_l, y_l = labeled_batch
+    X_cc, y_cc = cc_batch
+    if len(y_cc) > 0:
+        X_cc = augment_ref(X_cc, cfg, rng)
+    grads = combined_grads_ref(
+        model, X_l, y_l, X_cc, y_cc, uc_batch, cfg.lambda_c, cfg.lambda_e
+    )
+    for g in grads.values():
+        if not np.isfinite(g).all():
+            raise NonFiniteGradientError("non-finite gradient; step aborted")
+    for name, g in grads.items():
+        getattr(model, name)[...] -= cfg.learning_rate * g
+    return model

@@ -28,6 +28,11 @@ from activeadapt.classifier import (
 )
 from activeadapt.numerics import logsumexp
 from oracles import forward_probs
+from step_reference import (
+    augment_ref,
+    backward_and_step_ref,
+    combined_grads_ref,
+)
 
 IDENTITY_AUG = TrainConfig(aug_noise_sigma=0.0, aug_dropout_p=0.0)
 
@@ -102,6 +107,7 @@ class TestForward:
         assert p[0] == pytest.approx(e0 / (e0 + e1), abs=1e-12)
         assert p[1] == pytest.approx(e1 / (e0 + e1), abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["features", "log_proba", "predict_proba", "predict"])
     def test_dimension_and_finiteness_errors(self, method):
         model = two_class_model()
@@ -109,6 +115,18 @@ class TestForward:
             getattr(model, method)(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             getattr(model, method)(np.array([[0.0], [np.nan]]))
+        with pytest.raises(ValueError):
+            getattr(model, method)([[np.inf], [-np.inf]])  # the sum is NaN
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lists_rows_and_overflowing_sums_accepted(self):
+        """A list, a 1-D row and finite inputs whose sum overflows all pass
+        the input check and give the 2-D array's features."""
+        model = two_class_model()
+        np.testing.assert_array_equal(model.features([[0.5], [2.0]]),
+                                      model.features(np.array([[0.5], [2.0]])))
+        np.testing.assert_array_equal(model.features(np.array([0.5])), model.features([[0.5]]))
+        assert np.isfinite(model.features([[1.5e308], [1.5e308]])).all()
 
 
 class TestSupervisedLoss:
@@ -583,6 +601,129 @@ class TestStep:
         )
         assert np.isfinite(flat_params(model)).all()
         assert (flat_params(model) != before).any()
+
+
+def _bits(params):
+    return {k: (v.shape, v.tobytes()) for k, v in params.items()}
+
+
+def _clone(model):
+    return Classifier(*(v.copy() for v in model.params().values()))
+
+
+class TestStepMatchesReference:
+    """The step's arithmetic is pinned bit for bit against the plain
+    reference forms in step_reference.py: every part combination, a long
+    trajectory, and the non-finite paths."""
+
+    PARTS = {  # (n_l, n_cc, n_uc, lambda_c, lambda_e); sizes not powers of 2
+        "supervised_only": (29, 0, 0, 0.5, 0.1),
+        "with_cc": (29, 31, 0, 0.5, 0.1),
+        "with_uc": (29, 0, 27, 0.5, 0.1),
+        "both": (29, 31, 27, 0.5, 0.1),
+        "desk_batches": (32, 32, 32, 0.5, 0.1),
+        "lambda_c_zero": (29, 31, 27, 0.0, 0.1),
+        "lambda_e_zero": (29, 31, 27, 0.5, 0.0),
+        "one_row_each": (1, 1, 1, 0.5, 0.1),
+    }
+
+    @pytest.mark.parametrize("shape", [(8, 64, 5), (3, 4, 3), (5, 16, 10)])
+    @pytest.mark.parametrize("part", sorted(PARTS))
+    def test_gradients_bit_identical(self, part, shape):
+        n_l, n_cc, n_uc, lc, le = self.PARTS[part]
+        d_in, d_feat, C = shape
+        rng = np.random.default_rng([n_l, n_cc, n_uc, d_feat])
+        model = Classifier.initialize(d_in, d_feat, C, rng)
+        args = (
+            2 * rng.standard_normal((n_l, d_in)), rng.integers(0, C, n_l),
+            2 * rng.standard_normal((n_cc, d_in)), rng.integers(0, C, n_cc),
+            2 * rng.standard_normal((n_uc, d_in)), lc, le,
+        )
+        got = combined_grads(model, *args)
+        want = combined_grads_ref(model, *args)
+        assert list(got) == list(want)
+        assert _bits(got) == _bits(want)
+
+    def test_trajectory_bit_identical(self):
+        """200 steps at desk shapes, with labeled batches of 1 to 32 rows,
+        full companion batches and the perturbation on: the parameters end equal bit for bit, and
+        both generators end in the same state."""
+        rng = np.random.default_rng(31)
+        model = Classifier.initialize(8, 64, 5, rng)
+        ref = _clone(model)
+        X, y = rng.standard_normal((300, 8)), rng.integers(0, 5, 300)
+        X_cc, y_cc = rng.standard_normal((80, 8)), rng.integers(0, 5, 80)
+        X_uc = rng.standard_normal((60, 8))
+        cfg = TrainConfig()
+        draw = np.random.default_rng(32)
+        got_rng, want_rng = np.random.default_rng(33), np.random.default_rng(33)
+        for _ in range(200):
+            idx = draw.choice(300, draw.integers(1, 33), replace=False)
+            pick = draw.choice(80, 32, replace=False)
+            uc = X_uc[draw.choice(60, 32, replace=False)]
+            batches = ((X[idx], y[idx]), (X_cc[pick], y_cc[pick]), uc)
+            backward_and_step(model, *batches, cfg, got_rng)
+            backward_and_step_ref(ref, *batches, cfg, want_rng)
+        assert _bits(model.params()) == _bits(ref.params())
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @staticmethod
+    def _overflow_model(a, d_feat=4):
+        """Features are exactly 0 at x = 1.5e308 (W_hidden 1e-308 cancels
+        b_hidden), so the W_hidden gradient is x times a weight set by a."""
+        return Classifier(
+            W_hidden=np.full((1, d_feat), 1e-308),
+            b_hidden=np.full(d_feat, -1.5),
+            W_out=np.tile([a, -a], (d_feat, 1)),
+            b_out=np.array([-3.0, 3.0]),
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_entries_whose_sum_overflows_still_step(self):
+        """Two finite inputs of 1.5e308 sum to inf, and so do four finite
+        W_hidden gradients of 7.5e307: both pass the per-element test that
+        the overflowing sum falls back to, and the step matches the
+        reference."""
+        model = self._overflow_model(-0.25)
+        ref = _clone(model)
+        X, y = np.full((2, 1), 1.5e308), np.array([0, 0])
+        empty = (np.zeros((0, 1)), np.zeros(0, dtype=int))
+        g = combined_grads_ref(model, X, y, *empty, np.zeros((0, 1)), 0.5, 0.1)
+        flat = np.concatenate([v.ravel() for v in g.values()])
+        assert np.isfinite(flat).all() and not np.isfinite(flat.sum())
+        cfg = TrainConfig(learning_rate=1e-310)
+        backward_and_step(model, (X, y), empty, np.zeros((0, 1)), cfg, np.random.default_rng(0))
+        backward_and_step_ref(ref, (X, y), empty, np.zeros((0, 1)), cfg, np.random.default_rng(0))
+        assert _bits(model.params()) == _bits(ref.params())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cause", ["overflowing_gradient", "infinite_weight", "nan_input"])
+    def test_non_finite_paths_leave_parameters_untouched(self, cause):
+        """An overflowing gradient from finite inputs, or an infinite weight,
+        raises NonFiniteGradientError; a NaN input raises the input check's
+        ValueError. Either way the reference raises the same and no
+        parameter moves."""
+        model = self._overflow_model(-1.0)
+        X, y = np.full((2, 1), 1.5e308), np.array([0, 0])
+        error = NonFiniteGradientError
+        if cause == "infinite_weight":
+            model.W_out[0, 0] = np.inf
+            X = np.ones((2, 1))
+        elif cause == "nan_input":
+            X = np.array([[1.0], [np.nan]])
+            error = ValueError
+        before = flat_params(model).copy()
+        empty = (np.zeros((0, 1)), np.zeros(0, dtype=int))
+        for step in (backward_and_step, backward_and_step_ref):
+            with pytest.raises(error):
+                step(model, (X, y), empty, np.zeros((0, 1)), TrainConfig(), np.random.default_rng(0))
+            np.testing.assert_array_equal(flat_params(model), before)
+
+    def test_augment_bit_identical(self):
+        x = np.random.default_rng(3).standard_normal((32, 8))
+        got = augment(x, TrainConfig(), np.random.default_rng(4))
+        want = augment_ref(x, TrainConfig(), np.random.default_rng(4))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:

@@ -214,9 +214,27 @@ class TestTrainSet:
         with pytest.raises(ValueError):
             GmmTrainSet([], [], [1.0])
 
-    def test_component_range_checked(self):
-        with pytest.raises(ValueError):
-            GmmTrainSet([1.0], [5], [])
+    @pytest.mark.parametrize("bad", [[5, 1], [0, 1], [-1, 2]])
+    def test_component_range_checked(self, bad):
+        with pytest.raises(ValueError, match="components must lie in 1..4"):
+            GmmTrainSet([1.0, 2.0], bad, [])
+        with pytest.raises(ValueError, match="components must lie in 1..4"):
+            init_from_labeled([1.0, 2.0], bad)
+
+    @pytest.mark.parametrize("bad", [[2.7, 1.2], [1.0, np.nan], [np.inf, 1.0]])
+    def test_fractional_components_rejected_not_truncated(self, bad):
+        """[2.7, 1.2] used to be stored as components [2, 1]."""
+        with pytest.raises(ValueError, match="not a whole number"):
+            GmmTrainSet([0.1, 0.5], bad)
+        with pytest.raises(ValueError, match="not a whole number"):
+            init_from_labeled([0.1, 0.5], bad)
+
+    def test_whole_valued_components_keep_their_values(self):
+        ts = GmmTrainSet([0.1, 0.5, 0.9], np.array([[4.0, 1.0, 2.0]]))
+        np.testing.assert_array_equal(ts.labeled_components, [4, 1, 2])
+        assert ts.labeled_components.dtype.kind == "i"
+        ints = np.array([3, 1, 2], dtype=np.int32)
+        np.testing.assert_array_equal(GmmTrainSet([0.1, 0.5, 0.9], ints).labeled_components, ints)
 
     def test_alpha_override(self):
         ts = GmmTrainSet([1.0], [1], [2.0], alpha=0.9)

@@ -56,6 +56,23 @@ class TestCentroids:
         with pytest.raises(ValueError):
             centroids_from_features(np.ones((2, 3)), [0, 0], C=2)
 
+    def test_fractional_labels_rejected_not_truncated(self):
+        """[0.9, 1.2, 0.2] used to give the centroids of [0, 1, 0]."""
+        F = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(ValueError, match="not a whole number"):
+            centroids_from_features(F, [0.9, 1.2, 0.2], C=2)
+        model = Classifier(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="not a whole number"):
+            compute_centroids(model, F, [0.9, 1.2, 0.2])
+        whole = centroids_from_features(F, [0.0, 1.0, 0.0], C=2)
+        np.testing.assert_array_equal(whole.A, centroids_from_features(F, [0, 1, 0], C=2).A)
+
+    @pytest.mark.parametrize("bad", [[0, 5, 1], [-1, 0, 1]])
+    def test_out_of_range_label_named_as_such(self, bad):
+        """Label 5 at C = 2 used to report classes [1, 2, 3, 4] as missing."""
+        with pytest.raises(ValueError, match=r"label outside \[0, C\)"):
+            centroids_from_features(np.ones((3, 2)), bad, C=2)
+
     def test_model_feature_space(self):
         rng = np.random.default_rng(0)
         model = random_model(rng)
