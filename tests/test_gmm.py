@@ -7,6 +7,7 @@ given parameters, and its M step from responsibilities the test sets.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from activeadapt import gmm
 from activeadapt.gmm import (
+    EM_BLOCK,
     EmFit,
     GmmParams,
     GmmTrainSet,
@@ -28,6 +31,8 @@ from activeadapt.gmm import (
     init_from_labeled,
     run_em,
 )
+from activeadapt.numerics import EXP_FLOOR, logsumexp
+from em_reference import WholeArrayKernel, posteriors_ref
 
 PLANTED_MEANS = (0.0, 1.0, 3.0, 6.0)
 
@@ -658,3 +663,117 @@ class TestPosterior:
         p = params_for(rng.dirichlet(np.ones(4)), rng.uniform(0, 5, 4), rng.uniform(0.1, 1, 4))
         post = component_posteriors(rng.uniform(-2, 8, 100), p)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
+
+
+# -- column blocks ------------------------------------------------------------
+
+N_MULTI = 2 * EM_BLOCK + 1  # two full blocks and a one-score tail
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def whole_array_fit(ts: GmmTrainSet, monkeypatch, **kw) -> EmFit:
+    with monkeypatch.context() as m:
+        m.setattr(gmm, "_EmKernel", WholeArrayKernel)
+        return run_em(ts, **kw)
+
+
+def assert_same_fit(got: EmFit, want: EmFit):
+    for g, w in zip(got.params.as_tuple(), want.params.as_tuple()):
+        assert _bits(g) == _bits(w)
+    assert _bits(got.objective_trace) == _bits(want.objective_trace)
+    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+
+
+def multi_block_trainset(rng, n_u=N_MULTI, outliers=(), alpha=None):
+    """Planted close components (sigma 0.2): no log weight of an inlier falls
+    EXP_FLOOR below its column's maximum. Scores at the outlier positions
+    are replaced by 40.0, far enough out to flush every narrow component."""
+    means = np.array([0.0, 0.5, 1.5, 3.0])
+    comps = np.repeat(np.arange(1, 5), 10)
+    labeled = means[comps - 1] + 0.2 * rng.standard_normal(comps.size)
+    unlabeled = means[rng.integers(0, 4, n_u)] + 0.2 * rng.standard_normal(n_u)
+    unlabeled[list(outliers)] = 40.0
+    return GmmTrainSet(labeled, comps, unlabeled, alpha=alpha)
+
+
+class TestColumnBlocks:
+    """The per-score passes run EM_BLOCK columns at a time; every result
+    matches the whole-array forms of tests/em_reference.py bit for bit."""
+
+    def test_block_layout(self):
+        assert gmm._column_blocks(0) == []
+        assert gmm._column_blocks(1) == [slice(0, EM_BLOCK)]
+        assert gmm._column_blocks(N_MULTI) == [
+            slice(0, EM_BLOCK), slice(EM_BLOCK, 2 * EM_BLOCK), slice(2 * EM_BLOCK, 3 * EM_BLOCK)
+        ]
+
+    @pytest.mark.parametrize("alpha", [None, 0.0, 0.5, 1.0])
+    def test_run_em_matches_whole_array_passes(self, alpha, monkeypatch):
+        ts = multi_block_trainset(np.random.default_rng(41), alpha=alpha)
+        fit = run_em(ts)
+        assert fit.n_iter > (0 if alpha == 1.0 else 2)
+        assert_same_fit(fit, whole_array_fit(ts, monkeypatch))
+
+    def test_component_posteriors_match_whole_array_pass(self):
+        rng = np.random.default_rng(42)
+        p = params_for(rng.dirichlet(np.ones(4)), rng.uniform(0, 5, 4), rng.uniform(0.01, 1, 4))
+        scores = rng.uniform(-2, 8, N_MULTI)
+        scores[EM_BLOCK + 7] = 60.0  # one column in the middle block flushes
+        assert _bits(component_posteriors(scores, p)) == _bits(posteriors_ref(scores, p))
+
+    def test_blocks_with_and_without_flushed_terms(self, monkeypatch):
+        """Outliers in the middle block only: in every E pass that block
+        takes log-sum-exp's flush branch and the other two do not."""
+        ts = multi_block_trainset(np.random.default_rng(43), outliers=range(EM_BLOCK, EM_BLOCK + 50))
+        flushed = []
+
+        def spy(a, axis, softmax_out):
+            flushed.append(bool((a - a.max(axis=0) < EXP_FLOOR).any()))
+            return logsumexp(a, axis=axis, softmax_out=softmax_out)
+
+        with monkeypatch.context() as m:
+            m.setattr(gmm, "logsumexp", spy)
+            fit = run_em(ts)
+        n_passes = len(fit.objective_trace)
+        assert len(flushed) >= 3 * n_passes
+        assert flushed[: 3 * n_passes : 3] == [False] * n_passes
+        assert flushed[1 : 3 * n_passes : 3] == [True] * n_passes
+        assert flushed[2 : 3 * n_passes : 3] == [False] * n_passes
+        assert_same_fit(fit, whole_array_fit(ts, monkeypatch))
+
+    def test_dead_component_weight_stays_exactly_zero(self, monkeypatch):
+        """As TestRunEmAgainstOracle.test_dead_component, over three blocks:
+        flushed terms are exact zeros, so component 4's responsibilities
+        sum to 0.0 and so does its weight."""
+        rng = np.random.default_rng(44)
+        labeled = np.array([0.5, 0.7, 2.0, 2.3, 4.1, 3.8, 500.0, 500.1])
+        comps = np.array([1, 1, 2, 2, 3, 3, 4, 4])
+        ts = GmmTrainSet(labeled, comps, rng.uniform(0.0, 5.0, N_MULTI), alpha=0.0)
+        start = init_from_labeled(labeled, comps)
+        fit = run_em(ts, max_iter=12, tol=0.0)
+        assert fit.params.pi[3] == 0.0
+        assert fit.params.mu[3] == start.mu[3]
+        assert fit.params.sigma2[3] == start.sigma2[3]
+        assert_same_fit(fit, whole_array_fit(ts, monkeypatch, max_iter=12, tol=0.0))
+
+    def test_e_pass_memory_is_the_kernel_buffers_and_one_block(self):
+        """Peak traced memory of a 3-block fit: the kernel's two (4, n_u)
+        buffers, its (n_u,) log mixture densities, and at most one (4,
+        EM_BLOCK) block's worth of temporaries. Whole-array temporaries of
+        the log-sum-exp (maxima, sums and flush mask over all n_u columns,
+        2.5 vectors) would exceed it."""
+        n_u = 3 * EM_BLOCK
+        ts = multi_block_trainset(np.random.default_rng(45), n_u=n_u)
+        tracemalloc.start()
+        try:
+            run_em(ts, max_iter=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        f8 = np.dtype(float).itemsize
+        kernel_buffers = 2 * N_COMPONENTS * n_u * f8 + n_u * f8
+        assert peak <= kernel_buffers + N_COMPONENTS * EM_BLOCK * f8

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from activeadapt import LoopConfig, ShiftConfig, TrainConfig, generate_shifted_dataset
 from activeadapt.harness import RoundReport, run_active_loop
 
@@ -43,3 +45,35 @@ def test_repeated_run_has_the_same_digest():
         for _ in range(2)
     }
     assert len(digests) == 1
+
+
+def _keep_blas_env(monkeypatch):
+    """main() pins BLAS threads in os.environ; restore them afterwards."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--workload", "desk", "--workload", "pool-200k", "--seed", "1", "--seed", "2"],
+     ["desk 1", "desk 2", "pool-200k 1", "pool-200k 2"]),
+    (["--workload", "pool-200k", "--workload", "desk", "--workload", "pool-200k", "--seed", "3"],
+     ["pool-200k 3", "desk 3"]),
+    (["--workload", "desk", "--workload", "all", "--seed", "1"], ["desk 1", "pool-200k 1", "wide 1"]),
+])
+def test_every_workload_given_is_digested(argv, want, monkeypatch, capsys):
+    """--workload repeats like --seed; each name is digested once, in the
+    order first given, and all means every workload."""
+    _keep_blas_env(monkeypatch)
+    monkeypatch.setattr(report_digest, "workload_digest", lambda name, seed: f"d-{name}-{seed}")
+    assert report_digest.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{pair} d-{pair.replace(' ', '-')}" for pair in want]
+
+
+def test_unknown_workload_is_an_error(monkeypatch, capsys):
+    _keep_blas_env(monkeypatch)
+    monkeypatch.setattr(report_digest, "workload_digest", lambda name, seed: "never")
+    with pytest.raises(SystemExit) as err:
+        report_digest.main(["--workload", "desk", "--workload", "nope", "--seed", "1"])
+    assert err.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 from the root of a checkout:
 
     python3 tools/report_digest.py --workload desk --seed 1 --seed 2
+    python3 tools/report_digest.py --workload desk --workload pool-200k --seed 1
     python3 tools/report_digest.py --workload all --seed 1
 
 prints one line `<workload> <seed> <sha256>` per (workload, seed). The
@@ -67,18 +68,19 @@ def workload_digest(name: str, seed: int) -> str:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, help="a perfbench workload name, or all")
-    ap.add_argument("--seed", type=int, action="append", required=True)
-    args = ap.parse_args(argv)
     # before numpy is first imported, as perfbench/run.py does
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     names = _engine()[1].NAMES
-    if args.workload != "all":
-        if args.workload not in names:
-            ap.error(f"unknown workload {args.workload!r}; choose from {', '.join(names)} or all")
-        names = (args.workload,)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument(
+        "--workload", action="append", required=True, choices=names + ("all",),
+        help="a perfbench workload, or all; repeat for several",
+    )
+    ap.add_argument("--seed", type=int, action="append", required=True)
+    args = ap.parse_args(argv)
+    if "all" not in args.workload:
+        names = tuple(dict.fromkeys(args.workload))
     for name in names:
         for seed in args.seed:
             print(f"{name} {seed} {workload_digest(name, seed)}", flush=True)
