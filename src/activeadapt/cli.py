@@ -13,7 +13,6 @@ import numpy as np
 
 from .classifier import Classifier, TrainConfig
 from .datapool import ShiftConfig, generate_shifted_dataset, load_pool
-from .gmm import dump_params
 from .harness import (
     AGGREGATE_FIELDS,
     LoopConfig,
@@ -82,8 +81,6 @@ def cmd_run(args) -> int:
         (out / f"round_{rep.round_index:03d}.json").write_text(
             json.dumps(rep.to_dict(), indent=2)
         )
-        if rep.gmm is not None:
-            dump_params(out / f"gmm_round_{rep.round_index:03d}.json", rep.gmm)
         print(
             f"round {rep.round_index}: accuracy={rep.accuracy:.4f}"
             + (
@@ -165,6 +162,13 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="activeadapt",
@@ -183,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="diana,random",
         help="comma-separated: diana,random,entropy,least_confidence",
     )
-    p_cmp.add_argument("--seeds", type=int, default=3)
+    p_cmp.add_argument("--seeds", type=_positive_int, default=3)
     p_cmp.add_argument("--config", help="JSON config (defaults used when omitted)")
     p_cmp.add_argument("--output", default="runs/compare")
     p_cmp.set_defaults(func=cmd_compare)
@@ -193,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="consistency rates of low- vs high-loss unlabeled subsets",
     )
     p_diag.add_argument("--k-sweep", default="8,16,32,64")
-    p_diag.add_argument("--seeds", type=int, default=3)
+    p_diag.add_argument("--seeds", type=_positive_int, default=3)
     p_diag.add_argument("--config", help="JSON config (defaults used when omitted)")
     p_diag.add_argument("--output", default="runs/diagnose")
     p_diag.set_defaults(func=cmd_diagnose)

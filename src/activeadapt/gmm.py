@@ -10,9 +10,7 @@ density arithmetic runs in the log domain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -357,20 +355,3 @@ def run_em(
 def fit_gmm(trainset: GmmTrainSet, max_iter: int = 200, tol: float = 1e-6) -> GmmParams:
     return run_em(trainset, max_iter=max_iter, tol=tol).params
 
-
-def _fit_payload(fit: EmFit) -> dict:
-    """A fit as JSON values; round reports embed it, dump_params writes it."""
-    return {
-        "pi": fit.params.pi.tolist(),
-        "mu": fit.params.mu.tolist(),
-        "sigma2": fit.params.sigma2.tolist(),
-        "n_iter": fit.n_iter,
-        "converged": fit.converged,
-        "objective": fit.objective,
-    }
-
-
-def dump_params(path, fit: EmFit) -> None:
-    """JSON snapshot of a fit: weights, means, variances, iteration count,
-    whether it converged, and final objective."""
-    Path(path).write_text(json.dumps(_fit_payload(fit), indent=2))

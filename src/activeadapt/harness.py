@@ -26,7 +26,7 @@ from .classifier import (
     combined_loss,
 )
 from .datapool import DataPool, generate_shifted_dataset
-from .gmm import EmFit, GmmTrainSet, _fit_payload, component_posteriors, run_em
+from .gmm import EmFit, GmmTrainSet, component_posteriors, run_em
 from .sampler import (
     PartitionAssignment,
     SfdaConfig,
@@ -122,7 +122,15 @@ class RoundReport:
             "selected_error_rate": self.selected_error_rate,
         }
         if self.gmm is not None:
-            out["gmm"] = _fit_payload(self.gmm)
+            fit = self.gmm
+            out["gmm"] = {
+                "pi": fit.params.pi.tolist(),
+                "mu": fit.params.mu.tolist(),
+                "sigma2": fit.params.sigma2.tolist(),
+                "n_iter": fit.n_iter,
+                "converged": fit.converged,
+                "objective": fit.objective,
+            }
         if self.losses is not None:
             out["losses"] = dataclasses.asdict(self.losses)
         return out
@@ -207,11 +215,11 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     the ones the batch was selected with."""
     u_ids, u_X = pool.unlabeled_arrays()
     k = cfg.resolved_k()
-    if cfg.sfda is not None:
-        _, y_t = pool.labeled_arrays(include_source=False)
-        if len(np.unique(y_t)) < pool.C:
-            return _Selection(sfda_bootstrap(model, u_ids, u_X, cfg.sfda, b, k).active_ids)
     X_lab, y_lab = pool.labeled_arrays(include_source=cfg.sfda is None)
+    # with source rows the labeled set covers every class (a pool
+    # invariant), so only a source-free round can bootstrap
+    if len(np.unique(y_lab)) < pool.C:
+        return _Selection(sfda_bootstrap(model, u_ids, u_X, cfg.sfda, b, k).active_ids)
     centroids = compute_centroids(model, X_lab, y_lab)
     l_scores = info_scores_labeled(model, X_lab, y_lab)
     l_obs = observation_labels(model, X_lab, y_lab, cfg.tau)

@@ -1,8 +1,8 @@
 """Active-batch selection and unlabeled-pool partitioning.
 
 Selection ranks the whole unlabeled pool by the posterior of the
-uncertain-inconsistent mixture component and takes the top b. After
-annotation the remaining pool is partitioned by posterior argmax:
+uncertain-inconsistent mixture component and takes the top b. Before
+annotation, the pool minus that batch is partitioned by posterior argmax:
 confident-consistent samples feed the consistency loss,
 uncertain-consistent samples feed the entropy loss, confident-inconsistent
 samples are withheld, and residual uncertain-inconsistent samples wait for
@@ -89,16 +89,18 @@ def partition_unlabeled(
     scores=None,
 ) -> PartitionAssignment:
     """Assign every remaining unlabeled sample to the argmax component of
-    its score posterior. Annotated ids must already be out of (ids, X).
+    its score posterior. The round's selected batch must already be out of
+    (ids, X): the partition runs before that batch is annotated.
 
     scores, when given, are the informativeness scores of the rows of X
-    under this model and these centroids, and save scoring them again."""
+    under this model and these centroids, and save scoring them again.
+    Given or computed, there must be one score per id (ValueError)."""
     ids = np.asarray(ids, dtype=int)
-    if ids.size == 0:
-        return PartitionAssignment(ids, np.zeros(0, dtype=int))
     if scores is None:
         scores, _ = info_scores_unlabeled(model, centroids, X, k)
     post = component_posteriors(scores, params)
+    if len(post) != ids.size:
+        raise ValueError(f"{len(post)} scores for {ids.size} ids: need one score per id")
     return PartitionAssignment(ids, np.argmax(post, axis=1) + 1)
 
 

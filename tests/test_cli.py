@@ -39,14 +39,13 @@ def test_run_writes_reports(tmp_path, tiny_config, capsys):
     assert main(["run", "--config", str(tiny_config), "--output", str(out)]) == 0
     assert (out / "round_001.json").exists()
     assert (out / "round_002.json").exists()
-    assert (out / "gmm_round_001.json").exists()
+    assert not list(out.glob("gmm_round_*.json"))
     report = json.loads((out / "round_001.json").read_text())
     assert {"round", "accuracy", "partition_sizes", "selected_ids"} <= set(report)
     assert len(report["selected_ids"]) == 3
     assert isinstance(report["gmm"]["converged"], bool)
     assert report["gmm"]["converged"] or report["gmm"]["n_iter"] == 200
-    gmm = json.loads((out / "gmm_round_001.json").read_text())
-    assert len(gmm["pi"]) == 4
+    assert len(report["gmm"]["pi"]) == 4
     agg = (out / "aggregate.csv").read_text().splitlines()
     assert agg[0] == "strategy,seed,round,accuracy,selected_error_rate"
     assert "round 2: accuracy=" in capsys.readouterr().out
@@ -139,3 +138,14 @@ def test_bad_k_exits_before_any_round(tmp_path, tiny_config, capsys):
     assert main(["run", "--config", str(path), "--output", str(out)]) == 1
     assert "k=0" in capsys.readouterr().err
     assert not (out / "round_001.json").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "diagnose-consistency"])
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_seeds_below_one_rejected(tmp_path, tiny_config, capsys, command, seeds):
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seeds", seeds, "--config", str(tiny_config), "--output", str(out)])
+    assert exc.value.code != 0
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,6 +6,7 @@ recovery checks. The plain EM map is pinned on _EmKernel: its E pass at
 given parameters, and its M step from responsibilities the test sets.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -26,11 +27,11 @@ from activeadapt.gmm import (
     _EmKernel,
     component_posterior,
     component_posteriors,
-    dump_params,
     fit_gmm,
     init_from_labeled,
     run_em,
 )
+from activeadapt.harness import RoundReport
 from activeadapt.numerics import EXP_FLOOR, logsumexp
 from em_reference import WholeArrayKernel, posteriors_ref
 
@@ -512,14 +513,11 @@ class TestFit:
             kernel.e_pass(p)
             np.testing.assert_array_equal(kernel.resp_l.T, want)
 
-    def test_dump_params(self, tmp_path):
+    def test_round_report_gmm_block(self):
         rng = np.random.default_rng(11)
         fit = run_em(planted_trainset(rng, n_anchor=5, n_unlab=30))
-        path = tmp_path / "gmm.json"
-        dump_params(path, fit)
-        import json
-
-        payload = json.loads(path.read_text())
+        report = RoundReport(1, 0.5, {}, fit, [], None, None)
+        payload = json.loads(json.dumps(report.to_dict()))["gmm"]
         assert list(payload) == ["pi", "mu", "sigma2", "n_iter", "converged", "objective"]
         assert payload["converged"] is fit.converged
         assert len(payload["pi"]) == 4

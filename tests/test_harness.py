@@ -2,7 +2,9 @@
 determinism, and the clean-ablation property."""
 
 import dataclasses
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,3 +472,42 @@ class TestRowBlockMemory:
             tracemalloc.stop()
         assert peaks["score"] <= 3.5 * block + (C + 2) * rows, peaks
         assert peaks["evaluate"] <= 1.5 * block + (d_in + C + 3) * rows, peaks
+
+
+def _perfbench_spans():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_harness_name_is_called(monkeypatch):
+    """perfbench's per-layer figures come from wrapping names in the harness
+    namespace. A name the loop no longer calls would read 0 there, so a
+    small diana run plus a source-free run must call every one of them."""
+    import activeadapt
+
+    before = dict(vars(harness))
+    tracer = _perfbench_spans().Tracer()
+    tracer.install(activeadapt)
+    try:
+        traced = [name for name, fn in vars(harness).items() if before.get(name) is not fn]
+    finally:
+        tracer.uninstall()
+    assert traced
+
+    calls = dict.fromkeys(traced, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in traced:
+        monkeypatch.setattr(harness, name, counted(name, before[name]))
+    run_active_loop(fast_loop(), small_pool(n_target=200))
+    run_active_loop(fast_loop(sfda=SfdaConfig()), small_pool(n_target=200))
+    assert [name for name, n in calls.items() if n == 0] == []

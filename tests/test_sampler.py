@@ -136,6 +136,28 @@ class TestPartition:
         assert sorted(got.category) == ids.tolist()
         assert sum(got.sizes.values()) == 40
 
+    @pytest.mark.parametrize(
+        "ids, scores",
+        [([10, 11, 12], [0.1, 2.5]), ([10, 11, 12], [0.1, 2.5, 0.2, 3.0]), ([], [0.1])],
+    )
+    def test_given_scores_one_per_id(self, ids, scores):
+        """Given scores that do not line up with ids raise rather than leave
+        ids without a category or categorize rows no id names."""
+        model = diag_model(3)
+        cs = centroids_from_features(np.eye(3), [0, 1, 2], C=3)
+        with pytest.raises(ValueError, match=f"{len(scores)} scores for {len(ids)} ids"):
+            partition_unlabeled(ids, np.eye(3), model, cs, WELL_SEPARATED, 1, scores=scores)
+
+    @pytest.mark.parametrize("n_rows", [2, 4])
+    def test_rows_one_per_id(self, n_rows):
+        """Scores computed from an X whose row count is not the id count
+        raise the same way."""
+        model = diag_model(3)
+        cs = centroids_from_features(np.eye(3), [0, 1, 2], C=3)
+        X = np.eye(4, 3)[:n_rows]
+        with pytest.raises(ValueError, match=f"{n_rows} scores for 3 ids"):
+            partition_unlabeled([10, 11, 12], X, model, cs, WELL_SEPARATED, 1)
+
 
 class TestSfdaBootstrap:
     def test_no_relaxation_when_confident(self):
