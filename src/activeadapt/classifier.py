@@ -66,6 +66,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs_per_round < 0:

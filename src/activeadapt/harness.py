@@ -28,7 +28,6 @@ from .classifier import (
 from .datapool import DataPool, generate_shifted_dataset
 from .gmm import EmFit, GmmTrainSet, component_posteriors, run_em
 from .sampler import (
-    PartitionAssignment,
     SfdaConfig,
     partition_unlabeled,
     select_active_batch,
@@ -199,12 +198,13 @@ def evaluate(model: Classifier, pool: DataPool) -> float:
 @dataclass
 class _Selection:
     """A round's batch and, after a mixture fit, the rest of the pool's
-    partition with the training pools it feeds."""
+    partition sizes and the training pools it feeds: copies of remaining
+    rows, so the loop drops the selection when its round ends."""
 
     ids: list[int]
     posteriors: list[float] | None = None
     gmm: EmFit | None = None
-    partition: PartitionAssignment | None = None
+    sizes: dict[str, int] = field(default_factory=dict)
     cc: tuple[np.ndarray, np.ndarray] | None = None  # rows and similarity labels
     uc: np.ndarray | None = None
 
@@ -212,7 +212,8 @@ class _Selection:
 def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     """Score, fit, select the top b and partition the rest of the pool. The
     partition runs before annotation: the model and centroids it needs are
-    the ones the batch was selected with."""
+    the ones the batch was selected with. The unlabeled arrays are then
+    narrowed to the remaining pool, so the round holds one view of it."""
     u_ids, u_X = pool.unlabeled_arrays()
     k = cfg.resolved_k()
     X_lab, y_lab = pool.labeled_arrays(include_source=cfg.sfda is None)
@@ -230,15 +231,11 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     order = np.argsort(u_ids)
     rows = order[np.searchsorted(u_ids, ids, sorter=order)]
     ui_post = component_posteriors(scores[rows], fit.params)[:, Category.UI - 1]
-    kept = np.ones(u_ids.size, dtype=bool)
-    kept[rows] = False
-    rem_X, rem_sim = u_X[kept], sim[kept]
-    part = partition_unlabeled(
-        u_ids[kept], rem_X, model, centroids, fit.params, k, scores=scores[kept]
-    )
-    cc = part.cats == Category.CC
-    uc = part.cats == Category.UC
-    return _Selection(ids, ui_post.tolist(), fit, part, (rem_X[cc], rem_sim[cc]), rem_X[uc])
+    rest = np.delete(np.arange(u_ids.size), rows)
+    u_ids, u_X, scores, sim = u_ids[rest], u_X[rest], scores[rest], sim[rest]
+    part = partition_unlabeled(u_ids, u_X, model, centroids, fit.params, k, scores=scores)
+    cc, uc = part.cats == Category.CC, part.cats == Category.UC
+    return _Selection(ids, ui_post.tolist(), fit, part.sizes, (u_X[cc], sim[cc]), u_X[uc])
 
 
 def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> _Selection:
@@ -286,9 +283,7 @@ def run_active_loop(
     model = Classifier.initialize(
         pool.d_in, cfg.d_feat, pool.C, np.random.default_rng([cfg.seed, 0])
     )
-    pretrain_source(
-        model, pool, cfg.train, cfg.pretrain_epochs, np.random.default_rng([cfg.train.seed, 1])
-    )
+    pretrain_source(model, pool, cfg.train, cfg.pretrain_epochs)
     if cfg.budget == 0:
         return [RoundReport(0, evaluate(model, pool), {}, None, [], None, None)]
 
@@ -325,7 +320,7 @@ def run_active_loop(
             RoundReport(
                 round_index=r,
                 accuracy=evaluate(model, pool),
-                partition_sizes=sel.partition.sizes if sel.partition else {},
+                partition_sizes=sel.sizes,
                 gmm=sel.gmm,
                 selected_ids=sel.ids,
                 selected_posteriors=sel.posteriors,
@@ -333,6 +328,7 @@ def run_active_loop(
                 losses=losses,
             )
         )
+        del sel  # its CC/UC pools must not outlive the round
         pool.check_invariants()
         if on_round_end is not None:
             on_round_end(model, pool, reports[-1])

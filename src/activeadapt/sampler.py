@@ -11,8 +11,9 @@ the next round.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 
@@ -50,10 +51,26 @@ class PartitionAssignment:
         return {c.name: int(counts[c]) for c in Category}
 
 
+# The most relaxations a bootstrap threshold may take to reach the end of its
+# schedule (t_v at or below 0, t_c at or above 1); SfdaConfig rejects more.
+MAX_RELAXATIONS = 10_000
+
+
+def _relaxations(t: float, step: float, done) -> int:
+    """How many times sfda_bootstrap's t += step runs before done(t), counted
+    up to MAX_RELAXATIONS + 1. A step below half the float spacing at t
+    leaves t where it is, so such a schedule runs out the count."""
+    n = 0
+    while not done(t) and n <= MAX_RELAXATIONS:
+        t, n = t + step, n + 1
+    return n
+
+
 @dataclass
 class SfdaConfig:
     """Adaptive thresholds for the source-free bootstrap. t_c_init defaults
-    to 1/C + 1e-5 at call time when left unset."""
+    to 1/C + 1e-5 at call time when left unset. Every value must be finite,
+    and each schedule must end within MAX_RELAXATIONS relaxations."""
 
     t_v_init: float = 0.95
     t_v_step: float = 0.1
@@ -61,8 +78,23 @@ class SfdaConfig:
     t_c_step: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.t_v_step <= 0 or self.t_c_step <= 0:
             raise ValueError("threshold steps must be positive")
+        # an unset t_c_init starts at 1/C + 1e-5; counting from 0 finds no fewer steps
+        t_c = 0.0 if self.t_c_init is None else self.t_c_init
+        for name, n in (
+            ("t_v_step", _relaxations(self.t_v_init, -self.t_v_step, lambda t: t <= 0)),
+            ("t_c_step", _relaxations(t_c, self.t_c_step, lambda t: t >= 1.0)),
+        ):
+            if n > MAX_RELAXATIONS:
+                raise ValueError(
+                    f"{name}={getattr(self, name)} needs more than {MAX_RELAXATIONS}"
+                    " relaxations to take its threshold to the end of its schedule"
+                )
 
 
 def select_active_batch(ids, scores, params: GmmParams, b: int) -> list[int]:

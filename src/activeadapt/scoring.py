@@ -97,14 +97,10 @@ def similarity_labels(
     if k > F.shape[1]:
         raise ValueError(f"k={k} exceeds feature dimension {F.shape[1]}")
     f_mask = _topk_mask(F, k)
-    c_mask = _topk_mask(centroids.A, k)
-    # exact integer intersection counts, one class at a time, on the mask itself
-    inter = np.stack(
-        [np.count_nonzero(f_mask[:, row], axis=1) for row in c_mask], axis=1
-    )
-    # both sets have exactly k members, so |union| = 2k - |intersection|
-    iou = inter / (2 * k - inter)
-    return np.argmax(iou, axis=1)
+    # intersection counts, exact in float64 (a bool product would be an OR);
+    # both sets have k members, so IoU = i / (2k - i) rises with the count i
+    inter = f_mask @ _topk_mask(centroids.A, k).T.astype(float)
+    return np.argmax(inter, axis=1)
 
 
 # -- informativeness scores ----------------------------------------------

@@ -743,3 +743,13 @@ class TestCheckpoint:
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected_at_construction(self, field, value):
+        """A NaN learning rate used to surface only as a
+        NonFiniteGradientError in the first training step."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})

@@ -140,6 +140,20 @@ def test_bad_k_exits_before_any_round(tmp_path, tiny_config, capsys):
     assert not (out / "round_001.json").exists()
 
 
+def test_nan_sfda_step_rejected_when_the_config_is_read(tmp_path, tiny_config, capsys):
+    """json.loads accepts NaN, and a NaN step would never end the bootstrap.
+    The config refuses it before anything runs, even with no rounds to run."""
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"].update(budget=0, sfda={"t_v_step": float("nan")})
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert "NaN" in path.read_text()
+    out = tmp_path / "n"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert "t_v_step must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compare", "diagnose-consistency"])
 @pytest.mark.parametrize("seeds", ["0", "-1"])
 def test_seeds_below_one_rejected(tmp_path, tiny_config, capsys, command, seeds):

@@ -4,6 +4,7 @@ determinism, and the clean-ablation property."""
 import dataclasses
 import importlib.util
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,48 @@ class TestRowBlockMemory:
             tracemalloc.stop()
         assert peaks["score"] <= 3.5 * block + (C + 2) * rows, peaks
         assert peaks["evaluate"] <= 1.5 * block + (d_in + C + 3) * rows, peaks
+
+
+class TestRoundMemory:
+    def test_diana_round_holds_one_remaining_pool_view(self, monkeypatch):
+        """A diana round narrows its unlabeled arrays to the remaining pool
+        once, and its selection, with the CC/UC copies it feeds training,
+        ends with the round. So round 2's selection starts with none of
+        round 1's pools alive and, above where it starts, peaks within two
+        (n, d_in) row copies: the whole pool's and the remaining pool's,
+        both live while the one is narrowed to the other. The allowance is
+        16 values per row for ids, scores, labels, indices and the (4, n)
+        posteriors. Keeping the whole-pool copy through the partition and
+        the CC/UC copies would add the remaining pool's CC and UC rows, here
+        three fifths of it. Wide rows over a narrow feature layer make the
+        row copies dominate; the seed is one whose mixture fits converge
+        well before the iteration cap, to keep the test short."""
+        n, d_in = 3 * ROW_BLOCK + 8, 64
+        pool = generate_shifted_dataset(
+            ShiftConfig(C=3, d_in=d_in, n_source=60, n_target=n, shift_magnitude=0.4, seed=3)
+        )
+        cfg = fast_loop(budget=8, rounds=2, d_feat=8, seed=3,
+                        train=fast_train(epochs_per_round=1, seed=3))
+        real, pools, alive, peaks = harness._select_diana, [], [], []
+
+        def spy(*args):
+            alive.append([ref() is not None for ref in pools])
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            sel = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            pools.extend(weakref.ref(a) for a in (*sel.cc, sel.uc) if a.size)
+            return sel
+
+        monkeypatch.setattr(harness, "_select_diana", spy)
+        tracemalloc.start()
+        try:
+            run_active_loop(cfg, pool)
+        finally:
+            tracemalloc.stop()
+        assert alive == [[], [False, False, False]]
+        n_u = n - cfg.per_round
+        assert peaks[1] <= 2 * n_u * d_in * 8 + 16 * n_u * 8, peaks
 
 
 def _perfbench_spans():

@@ -1,5 +1,6 @@
 """tools/report_digest.py: the digest that backs byte-identity claims."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -7,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from activeadapt import LoopConfig, ShiftConfig, TrainConfig, generate_shifted_dataset
+import activeadapt.harness as harness
+from activeadapt import (
+    LoopConfig,
+    SfdaConfig,
+    ShiftConfig,
+    Strategy,
+    TrainConfig,
+    generate_shifted_dataset,
+)
 from activeadapt.harness import RoundReport, run_active_loop
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
@@ -58,7 +67,13 @@ def _keep_blas_env(monkeypatch):
      ["desk 1", "desk 2", "pool-200k 1", "pool-200k 2"]),
     (["--workload", "pool-200k", "--workload", "desk", "--workload", "pool-200k", "--seed", "3"],
      ["pool-200k 3", "desk 3"]),
-    (["--workload", "desk", "--workload", "all", "--seed", "1"], ["desk 1", "pool-200k 1", "wide 1"]),
+    (["--workload", "desk", "--workload", "all", "--seed", "1"],
+     ["desk 1", "pool-200k 1", "wide 1", "desk-sfda 1", "desk-random 1", "desk-entropy 1",
+      "desk-least_confidence 1"]),
+    (["--workload", "desk-least_confidence", "--workload", "desk-sfda", "--seed", "4"],
+     ["desk-least_confidence 4", "desk-sfda 4"]),
+    (["--workload", "desk-random", "--workload", "desk-entropy", "--workload", "desk",
+      "--seed", "2"], ["desk-random 2", "desk-entropy 2", "desk 2"]),
 ])
 def test_every_workload_given_is_digested(argv, want, monkeypatch, capsys):
     """--workload repeats like --seed; each name is digested once, in the
@@ -68,6 +83,22 @@ def test_every_workload_given_is_digested(argv, want, monkeypatch, capsys):
     assert report_digest.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{pair} d-{pair.replace(' ', '-')}" for pair in want]
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("desk-sfda", {"sfda": SfdaConfig()}),
+    ("desk-random", {"strategy": Strategy.RANDOM}),
+    ("desk-entropy", {"strategy": Strategy.ENTROPY}),
+    ("desk-least_confidence", {"strategy": Strategy.LEAST_CONFIDENCE}),
+])
+def test_desk_variants_run_the_desk_jobs_with_one_change(name, changes, monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(harness, "run_active_loop", lambda cfg, pool: seen.append(cfg) or [])
+    report_digest.workload_digest(name, 5)
+    activeadapt, workloads = report_digest._engine()
+    desk = workloads.make("desk", activeadapt, 5, tmp_path)
+    assert seen == [dataclasses.replace(job.cfg, **changes) for job in desk.jobs]
+    assert len(seen) == 3 and seen != [job.cfg for job in desk.jobs]
 
 
 def test_unknown_workload_is_an_error(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from activeadapt.datapool import DataPool
 from activeadapt.gmm import GmmParams
 from activeadapt.harness import consistency_diagnostic
 from activeadapt.sampler import (
+    MAX_RELAXATIONS,
     SfdaConfig,
     loss_quantile_split,
     partition_unlabeled,
@@ -235,6 +236,31 @@ class TestSfdaBootstrap:
         assert res.t_c == pytest.approx(t_c)
         assert [i for i, _ in res.pseudo_labeled] == [int(ids[i]) for i in proxy_idx]
         assert res.active_ids == active
+
+
+class TestSfdaConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("t_v_step", 1e-17),
+        ("t_c_step", 1e-18),
+        ("t_v_init", float("inf")),
+        ("t_c_init", float("nan")),
+        ("t_v_step", float("nan")),
+        ("t_c_step", 0.5 / MAX_RELAXATIONS),  # ends, but only after 2 * MAX_RELAXATIONS
+    ])
+    def test_endless_schedule_rejected_at_construction(self, field, value):
+        """A step below the threshold's float spacing never moves it, and
+        inf or NaN never compare true, so the bootstrap would relax forever;
+        the config refuses them and names the field."""
+        with pytest.raises(ValueError, match=field):
+            SfdaConfig(**{field: value})
+
+    @pytest.mark.parametrize("kw", [
+        {"t_v_step": 2.0 / MAX_RELAXATIONS},
+        {"t_c_init": 0.0, "t_c_step": 2.0 / MAX_RELAXATIONS},
+        {"t_c_init": 2.0, "t_c_step": 1e-300},  # already past its end
+    ])
+    def test_schedules_within_the_bound_accepted(self, kw):
+        SfdaConfig(**kw)
 
 
 class TestConsistencyRate:

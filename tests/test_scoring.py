@@ -212,6 +212,19 @@ class TestSimilarityLabel:
             want = [sim_label(f.tolist(), A, k) for f in F]
             assert similarity_labels(F, cs, k).tolist() == want
 
+    @pytest.mark.parametrize("n, d, C, k", [(4096, 64, 5, 8), (2048, 256, 10, 32), (3000, 12, 7, 3)])
+    def test_largest_overlap_is_largest_iou(self, n, d, C, k):
+        """On pool-sized blocks, plain and tie-heavy, the label is the argmax
+        of IoU = i / (2k - i) over the exact per-class intersection counts i,
+        smallest class first among ties."""
+        rng = np.random.default_rng(n + d)
+        for F in (np.tanh(2.0 * rng.standard_normal((n, d))), tie_heavy(rng, "round", (n, d))):
+            cs = centroids_from_features(F[:C], np.arange(C), C=C)
+            f_mask, c_mask = _topk_mask(F, k), _topk_mask(cs.A, k)
+            inter = np.stack([np.count_nonzero(f_mask & c, axis=1) for c in c_mask], axis=1)
+            want = np.argmax(inter / (2 * k - inter), axis=1)
+            np.testing.assert_array_equal(similarity_labels(F, cs, k), want)
+
 
 class TestInfoScores:
     def test_perfect_prediction_zero(self):

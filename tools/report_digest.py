@@ -15,11 +15,17 @@ The runs are built by perfbench's own workload builders (perfbench/
 workloads.py, imported, never modified) from this checkout's sources, with
 BLAS on one thread as in the benchmark. The pool-200k feature dump is
 written to a temporary directory that is removed afterwards.
+
+Four more names run perfbench's desk jobs down the loop's other paths, each
+job's LoopConfig changed with dataclasses.replace: desk-sfda (source-free,
+the default SfdaConfig), desk-random, desk-entropy and
+desk-least_confidence (the baseline strategies). `all` covers them too.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -28,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
+VARIANTS = ("desk-sfda", "desk-random", "desk-entropy", "desk-least_confidence")
 
 
 def digest(runs) -> str:
@@ -53,13 +60,24 @@ def _engine():
 
 
 def workload_digest(name: str, seed: int) -> str:
-    """Digest of the reports of the runs perfbench makes for (name, seed)."""
+    """Digest of the reports of the runs perfbench makes for (name, seed),
+    or, for a VARIANTS name, of its desk jobs run with the variant's config."""
     activeadapt, workloads = _engine()
+    changes = {}
+    if name in VARIANTS:
+        kind = name.removeprefix("desk-")
+        if kind == "sfda":
+            changes = {"sfda": activeadapt.SfdaConfig()}
+        else:
+            changes = {"strategy": activeadapt.Strategy(kind)}
+        name = "desk"
     with tempfile.TemporaryDirectory() as tmp:
         plan = workloads.make(name, activeadapt, seed, Path(tmp))
         try:
             runs = [
-                activeadapt.harness.run_active_loop(job.cfg, job.build())
+                activeadapt.harness.run_active_loop(
+                    dataclasses.replace(job.cfg, **changes), job.build()
+                )
                 for job in plan.jobs
             ]
         finally:
@@ -71,11 +89,11 @@ def main(argv=None) -> int:
     # before numpy is first imported, as perfbench/run.py does
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    names = _engine()[1].NAMES
+    names = _engine()[1].NAMES + VARIANTS
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--workload", action="append", required=True, choices=names + ("all",),
-        help="a perfbench workload, or all; repeat for several",
+        help="a perfbench workload, a desk variant, or all; repeat for several",
     )
     ap.add_argument("--seed", type=int, action="append", required=True)
     args = ap.parse_args(argv)
