@@ -1,5 +1,5 @@
 """Four-component Gaussian mixture over scalar informativeness scores,
-fitted by semi-supervised EM.
+fitted by Anderson-accelerated semi-supervised EM.
 
 Labeled scores arrive with a hard component assignment (their observation
 label) and keep a one-hot responsibility through every iteration; unlabeled
@@ -237,12 +237,6 @@ class _EmKernel:
         self.resp, self.sq = self.sq, self.resp
         return float(total)
 
-    def undo_e_pass(self) -> None:
-        """Back to the responsibilities before the last e_pass, which that
-        pass left untouched in the other buffer. The squared residuals are
-        stale afterwards; m_step recomputes them before use."""
-        self.resp, self.sq = self.sq, self.resp
-
     def m_step(self, prev: GmmParams) -> GmmParams:
         """Parameters from self.resp (u) and the labeled responsibilities
         (g), leaving the squared residuals about the new means in place.
@@ -283,25 +277,30 @@ class EmFit:
     converged: bool
 
 
-def _extrapolate(p0: GmmParams, p1: GmmParams, p2: GmmParams) -> GmmParams | None:
-    """The SQUAREM (S3) point from two plain EM steps p0 -> p1 -> p2, over
-    the 12 scalars: r = p1 - p0, v = p2 - p1 - r, step length
-    alpha = min(-|r|/|v|, -1), point p0 - 2 alpha r + alpha^2 v with the
-    weights renormalized. None when there is nothing to gain (alpha = -1
-    gives p2 itself, as does v = 0) or the point is not a valid mixture
-    (non-finite, a negative weight, a variance below the floor)."""
-    t0, t1, t2 = (np.concatenate(p.as_tuple()) for p in (p0, p1, p2))
-    r = t1 - t0
-    v = t2 - t1 - r
-    norm_v = np.linalg.norm(v)
-    if norm_v == 0:
+ANDERSON_MEMORY = 2  # residual differences in each least-squares solve
+
+
+def _coordinates(params: GmmParams) -> np.ndarray:
+    """Log weights, means and log variances (-inf for a weight at 0). Here
+    weights and variances stay positive and keep their relative precision."""
+    with np.errstate(divide="ignore"):
+        return np.concatenate([np.log(params.pi), params.mu, np.log(params.sigma2)])
+
+
+def _anderson_point(xs: list[np.ndarray], gs: list[np.ndarray]) -> GmmParams | None:
+    """The type-II Anderson point of the pairs (theta, G(theta)) in _coordinates:
+    gamma minimises |f_last - dF gamma| for residuals f = G(theta) - theta, and
+    the point is G_last - dG gamma, dF and dG differencing consecutive pairs.
+    None for one pair, a coordinate not finite or a variance below the floor."""
+    x, g = np.array(xs), np.array(gs)
+    if len(x) < 2 or not np.isfinite([x, g]).all():
         return None
-    alpha = min(-np.linalg.norm(r) / norm_v, -1.0)
-    if alpha == -1.0:
-        return None
-    theta = t0 - 2 * alpha * r + alpha**2 * v
-    pi, mu, sigma2 = np.split(theta, 3)
-    if not np.isfinite(theta).all() or (pi < 0).any() or (sigma2 < VARIANCE_FLOOR).any():
+    f = g - x
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    log_pi, mu, log_sigma2 = np.split(g[-1] - gamma @ np.diff(g, axis=0), 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi, sigma2 = np.exp(log_pi - log_pi.max()), np.exp(log_sigma2)
+    if not np.isfinite([*log_pi, *mu, *sigma2]).all() or (sigma2 < VARIANCE_FLOOR).any():
         return None
     return GmmParams(pi=pi / pi.sum(), mu=mu, sigma2=sigma2)
 
@@ -309,46 +308,47 @@ def _extrapolate(p0: GmmParams, p1: GmmParams, p2: GmmParams) -> GmmParams | Non
 def run_em(
     trainset: GmmTrainSet, max_iter: int = 200, tol: float = 1e-6
 ) -> EmFit:
-    """EM accelerated by SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008),
-    with a fallback that keeps the objective non-decreasing.
+    """EM with type-II Anderson acceleration (Henderson & Varadhan, JCGS
+    2019) over the 12 mixture scalars, safeguarded so that the objective
+    never falls.
 
-    Each cycle takes two plain EM steps p0 -> p1 -> p2 and then tries the
-    extrapolated point of _extrapolate. That point is accepted when its
-    objective is at least the last one; otherwise, or when there is no
-    valid point, the fit carries on from p2. The fit stops when a plain
-    step changes no parameter by tol or more (converged), or after max_iter
-    updates. Deterministic: the labeled anchors fix the starting point, so
-    there is no random restart.
+    Every iteration takes the plain EM step G(theta). Every second one
+    first tries the Anderson point of the last ANDERSON_MEMORY + 1 pairs
+    (theta, G(theta)) and keeps it when it is a valid mixture whose
+    objective, from one E pass, is at least the last one (a rejected point
+    costs that pass, so one tried every iteration cost more in all);
+    otherwise the fit takes the plain step. The fit stops when a plain step
+    changes no parameter by tol or more (converged, the plain step taken),
+    or after max_iter updates. Deterministic: the labeled anchors fix the
+    starting point, so there is no random restart.
 
     objective_trace[t] is the objective after t accepted updates, plain
-    steps and accepted extrapolations alike; a rejected extrapolation adds
-    nothing. So the trace never decreases by construction (up to rounding
-    in the plain steps), n_iter = len(objective_trace) - 1 <= max_iter, and
-    objective = objective_trace[-1].
+    steps and Anderson points alike. So the trace never decreases (up to
+    rounding in the plain steps), n_iter = len(objective_trace) - 1 <=
+    max_iter, and objective = objective_trace[-1].
     """
     params = init_from_labeled(trainset.labeled_scores, trainset.labeled_components)
     kernel = _EmKernel(trainset)
     kernel.residuals(params.mu)
     trace = [kernel.e_pass(params)]
     converged = False
-    path = [params]  # plain EM steps since the last extrapolation attempt
+    xs, gs = [], []  # the last pairs (theta, G(theta)), in _coordinates
     while not converged and len(trace) <= max_iter:
         new = kernel.m_step(params)
-        trace.append(kernel.e_pass(new))
         converged = new.max_abs_diff(params) < tol
+        xs = xs[-ANDERSON_MEMORY:] + [_coordinates(params)]
+        gs = gs[-ANDERSON_MEMORY:] + [_coordinates(new)]
+        point = _anderson_point(xs, gs) if len(trace) % 2 and not converged else None
+        if point is not None:
+            kernel.residuals(point.mu)
+            objective = kernel.e_pass(point)
+            if objective >= trace[-1]:
+                trace.append(objective)
+                params = point
+                continue
+            kernel.residuals(new.mu)
+        trace.append(kernel.e_pass(new))
         params = new
-        path.append(params)
-        if len(path) == 3 and not converged and len(trace) <= max_iter:
-            point = _extrapolate(*path)
-            if point is not None:
-                kernel.residuals(point.mu)
-                objective = kernel.e_pass(point)
-                if objective >= trace[-1]:
-                    trace.append(objective)
-                    params = point
-                else:
-                    kernel.undo_e_pass()
-            path = [params]
     return EmFit(params, len(trace) - 1, trace[-1], trace, converged)
 
 

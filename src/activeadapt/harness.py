@@ -212,8 +212,9 @@ class _Selection:
 def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     """Score, fit, select the top b and partition the rest of the pool. The
     partition runs before annotation: the model and centroids it needs are
-    the ones the batch was selected with. The unlabeled arrays are then
-    narrowed to the remaining pool, so the round holds one view of it."""
+    the ones the batch was selected with. It reads only the remaining
+    pool's scores, and the CC/UC rows are taken from the whole pool's rows
+    by index, so the round holds one copy of the unlabeled rows."""
     u_ids, u_X = pool.unlabeled_arrays()
     k = cfg.resolved_k()
     X_lab, y_lab = pool.labeled_arrays(include_source=cfg.sfda is None)
@@ -232,9 +233,10 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     rows = order[np.searchsorted(u_ids, ids, sorter=order)]
     ui_post = component_posteriors(scores[rows], fit.params)[:, Category.UI - 1]
     rest = np.delete(np.arange(u_ids.size), rows)
-    u_ids, u_X, scores, sim = u_ids[rest], u_X[rest], scores[rest], sim[rest]
-    part = partition_unlabeled(u_ids, u_X, model, centroids, fit.params, k, scores=scores)
-    cc, uc = part.cats == Category.CC, part.cats == Category.UC
+    part = partition_unlabeled(
+        u_ids[rest], None, model, centroids, fit.params, k, scores=scores[rest]
+    )
+    cc, uc = rest[part.cats == Category.CC], rest[part.cats == Category.UC]
     return _Selection(ids, ui_post.tolist(), fit, part.sizes, (u_X[cc], sim[cc]), u_X[uc])
 
 

@@ -106,9 +106,14 @@ def select_active_batch(ids, scores, params: GmmParams, b: int) -> list[int]:
     scores = np.asarray(scores, dtype=float)
     if ids.size == 0 or b == 0:
         return []
-    post = component_posteriors(scores, params)[:, Category.UI - 1]
-    order = np.lexsort((ids, -post))
-    return [int(i) for i in ids[order[: min(b, ids.size)]]]
+    neg = -component_posteriors(scores, params)[:, Category.UI - 1]
+    b = min(b, ids.size)
+    # only rows at or above the b-th largest posterior can make the batch, so
+    # only they are ranked; rows with a NaN posterior are kept, as the full
+    # lexsort would rank them last
+    rows = np.flatnonzero(~(neg > np.partition(neg, b - 1)[b - 1]))
+    order = rows[np.lexsort((ids[rows], neg[rows]))]
+    return [int(i) for i in ids[order[:b]]]
 
 
 def partition_unlabeled(
@@ -125,8 +130,9 @@ def partition_unlabeled(
     (ids, X): the partition runs before that batch is annotated.
 
     scores, when given, are the informativeness scores of the rows of X
-    under this model and these centroids, and save scoring them again.
-    Given or computed, there must be one score per id (ValueError)."""
+    under this model and these centroids, and save scoring them again; X is
+    then not read and may be None. Given or computed, there must be one
+    score per id (ValueError)."""
     ids = np.asarray(ids, dtype=int)
     if scores is None:
         scores, _ = info_scores_unlabeled(model, centroids, X, k)

@@ -155,46 +155,78 @@ def oracle_em(ts: GmmTrainSet, max_iter: int, tol: float):
     return p, False
 
 
-def oracle_extrapolate(p0: GmmParams, p1: GmmParams, p2: GmmParams):
-    """The SQUAREM (S3) point over the 12 scalars with Python arithmetic:
-    (point, None), or (None, why) when there is no valid point."""
-    t0, t1, t2 = ([*p.pi, *p.mu, *p.sigma2] for p in (p0, p1, p2))
-    r = [b - a for a, b in zip(t0, t1)]
-    v = [c - b - d for b, c, d in zip(t1, t2, r)]
-    norm_r = math.sqrt(sum(x * x for x in r))
-    norm_v = math.sqrt(sum(x * x for x in v))
-    if norm_v == 0:
-        return None, "v = 0"
-    alpha = min(-norm_r / norm_v, -1.0)
-    if alpha == -1.0:
-        return None, "alpha = -1"
-    theta = [a - 2 * alpha * b + alpha**2 * c for a, b, c in zip(t0, r, v)]
-    pi, mu, s2 = theta[:4], theta[4:8], theta[8:]
+def oracle_least_squares(cols, rhs):
+    """gamma minimising |rhs - sum_i gamma_i cols[i]| in Python floats:
+    modified Gram-Schmidt on the columns with rhs carried along (Bjorck),
+    then back substitution."""
+    n = len(cols)
+    q, r = [list(c) for c in cols], list(rhs)
+    R, z = [[0.0] * n for _ in range(n)], [0.0] * n
+    for i in range(n):
+        R[i][i] = math.hypot(*q[i])
+        q[i] = [v / R[i][i] for v in q[i]]
+        for j in range(i + 1, n):
+            R[i][j] = sum(a * b for a, b in zip(q[i], q[j]))
+            q[j] = [b - R[i][j] * a for a, b in zip(q[i], q[j])]
+        z[i] = sum(a * b for a, b in zip(q[i], r))
+        r = [b - z[i] * a for a, b in zip(q[i], r)]
+    gamma = [0.0] * n
+    for i in reversed(range(n)):
+        gamma[i] = (z[i] - sum(R[i][j] * gamma[j] for j in range(i + 1, n))) / R[i][i]
+    return gamma
+
+
+def oracle_anderson_point(states, plain):
+    """The type-II Anderson point with Python arithmetic, from the last
+    parameters theta (oldest first) and the plain EM step G(theta) of each,
+    over log weights, means and log variances: (point, None), or (None,
+    why) when there is no valid one."""
+    if any(w == 0 for p in states + plain for w in p.pi):
+        return None, "weight at 0"
+    xs, gs = (
+        [[*map(math.log, p.pi), *map(float, p.mu), *map(math.log, p.sigma2)] for p in ps]
+        for ps in (states, plain)
+    )
+    f = [[b - a for a, b in zip(x, g)] for x, g in zip(xs, gs)]
+    d_f = [[b - a for a, b in zip(f0, f1)] for f0, f1 in zip(f, f[1:])]
+    d_g = [[b - a for a, b in zip(g0, g1)] for g0, g1 in zip(gs, gs[1:])]
+    gamma = oracle_least_squares(d_f, f[-1])
+    theta = [g - sum(c * d[i] for c, d in zip(gamma, d_g)) for i, g in enumerate(gs[-1])]
+    log_pi, mu, log_s2 = theta[:4], theta[4:8], theta[8:]
+    try:
+        s2 = [math.exp(t) for t in log_s2]
+    except OverflowError:
+        return None, "non-finite"
     if not all(math.isfinite(x) for x in theta):
         return None, "non-finite"
-    if min(pi) < 0:
-        return None, "negative weight"
     if min(s2) < VARIANCE_FLOOR:
         return None, "variance below floor"
-    total = sum(pi)
-    return params_for([x / total for x in pi], mu, s2), None
+    pi = [math.exp(t - max(log_pi)) for t in log_pi]
+    return params_for([w / sum(pi) for w in pi], mu, s2), None
 
 
-def oracle_squarem(ts: GmmTrainSet, max_iter: int):
-    """run_em's SQUAREM cycle with tol = 0, from the loop oracles: two plain
-    EM steps (oracle E step, oracle_m_step), then the extrapolated point,
-    kept only when its objective is not below the last one. Returns the
-    parameters, the objective after every accepted update, and why each
-    rejected point was rejected."""
+ORACLE_MEMORY = 2  # residual differences in each least-squares solve
+
+
+def oracle_anderson(ts: GmmTrainSet, max_iter: int, tol: float):
+    """run_em's Anderson EM from the loop oracles. Every update takes the
+    plain EM step (oracle E step, oracle_m_step); every second one first
+    tries the Anderson point of the last ORACLE_MEMORY + 1 pairs (theta,
+    G(theta)) (oracle_anderson_point) and keeps it when its objective is
+    not below the last one. Stops when a plain step moves no parameter by
+    tol or more, or after max_iter updates. Returns the parameters, the
+    objective after every accepted update, why each rejected point was
+    rejected, and whether the fit converged."""
     p = init_from_labeled(ts.labeled_scores, ts.labeled_components)
-    trace = [oracle_objective(ts, p)]
-    path, rejected = [p], []
-    while len(trace) <= max_iter:
-        p = oracle_m_step(ts, *oracle_responsibilities(ts, p), p)
-        trace.append(oracle_objective(ts, p))
-        path.append(p)
-        if len(path) == 3 and len(trace) <= max_iter:
-            point, why = oracle_extrapolate(*path)
+    trace, rejected, converged = [oracle_objective(ts, p)], [], False
+    states, plain = [], []
+    while not converged and len(trace) <= max_iter:
+        new = oracle_m_step(ts, *oracle_responsibilities(ts, p), p)
+        converged = new.max_abs_diff(p) < tol
+        states = (states + [p])[-ORACLE_MEMORY - 1 :]
+        plain = (plain + [new])[-ORACLE_MEMORY - 1 :]
+        if len(trace) % 2 and len(states) > 1 and not converged:
+            point, why = oracle_anderson_point(states, plain)
             if point is not None:
                 try:
                     objective = oracle_objective(ts, point)
@@ -203,12 +235,12 @@ def oracle_squarem(ts: GmmTrainSet, max_iter: int):
                 if objective >= trace[-1]:
                     trace.append(objective)
                     p = point
-                else:
-                    why = "objective fell"
-            if why is not None:
-                rejected.append(why)
-            path = [p]
-    return p, trace, rejected
+                    continue
+                why = "objective fell"
+            rejected.append(why)
+        trace.append(oracle_objective(ts, new))
+        p = new
+    return p, trace, rejected, converged
 
 
 class TestTrainSet:
@@ -530,24 +562,28 @@ def random_trainset(rng, n_l=10, n_u=30, alpha=None):
     return GmmTrainSet(labeled, comps, unlabeled, alpha=alpha)
 
 
-def assert_fit_matches_oracle(ts: GmmTrainSet, max_iter: int = 12):
-    """run_em and oracle_squarem agree on the parameters and the whole trace.
-    Returns the fit and the oracle's rejection reasons."""
-    fit = run_em(ts, max_iter=max_iter, tol=0.0)
-    want, trace, rejected = oracle_squarem(ts, max_iter)
+def assert_fit_matches_oracle(ts: GmmTrainSet, max_iter: int = 12, tol: float = 1e-6):
+    """run_em and oracle_anderson agree on the parameters and the whole
+    trace. Both stop at run_em's default tol: near the optimum a plain step
+    much below it moves the objective by less than its rounding, so a point
+    tried there could be ranked either way. Returns the fit and the
+    oracle's rejection reasons."""
+    fit = run_em(ts, max_iter=max_iter, tol=tol)
+    want, trace, rejected, converged = oracle_anderson(ts, max_iter, tol)
     for got_v, want_v in zip(fit.params.as_tuple(), want.as_tuple()):
         np.testing.assert_allclose(got_v, want_v, rtol=1e-10, atol=0)
     np.testing.assert_allclose(fit.objective_trace, trace, rtol=1e-10, atol=0)
-    assert fit.n_iter == max_iter == len(trace) - 1
+    assert fit.n_iter == len(trace) - 1
+    assert fit.converged == converged
     return fit, rejected
 
 
 class TestRunEmAgainstOracle:
-    """run_em against the SQUAREM cycle built from the loop oracles: same
-    parameters and the same objective trace, update by update. The plain EM
-    map itself is pinned by the _EmKernel tests: TestEStep (residuals plus
-    e_pass at given parameters) and TestMStep (m_step from responsibilities
-    the test sets)."""
+    """run_em against the Anderson EM built from the loop oracles: the same
+    parameters and the same objective trace, update by update. The plain EM map itself
+    is pinned by the _EmKernel tests: TestEStep (residuals plus e_pass at
+    given parameters) and TestMStep (m_step from responsibilities the test
+    sets)."""
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))
@@ -572,21 +608,35 @@ class TestRunEmAgainstOracle:
         comps = np.array([1, 1, 2, 2, 3, 3, 4, 4])
         ts = GmmTrainSet(labeled, comps, rng.uniform(0.0, 5.0, 40), alpha=0.0)
         start = init_from_labeled(labeled, comps)
-        fit, _ = assert_fit_matches_oracle(ts)
+        fit, rejected = assert_fit_matches_oracle(ts)
+        assert "weight at 0" in rejected  # no log weight: no Anderson point
         assert fit.params.pi[3] == 0.0
         assert fit.params.mu[3] == start.mu[3]
         assert fit.params.sigma2[3] == start.sigma2[3]
 
     def test_rejected_extrapolations_leave_the_trace_monotone(self):
-        """Points whose objective fell, or that are no valid mixture, are
-        rejected: they add nothing to the trace and the fit carries on from
-        the second plain step. On this train set one point has a negative
-        weight and variances above the floor, so only the weight check
-        rejects it."""
-        fit, rejected = assert_fit_matches_oracle(random_trainset(np.random.default_rng(109)))
-        assert {"objective fell", "alpha = -1", "variance below floor",
-                "negative weight"} <= set(rejected)
+        """Anderson points whose objective fell, or with a variance below the
+        floor, are rejected: they add nothing to the trace and the fit takes
+        the plain step. This train set shows both. (A weight cannot turn
+        negative: the point is taken in log weights.)"""
+        ts = random_trainset(np.random.default_rng(7), n_l=8, n_u=10)
+        fit, rejected = assert_fit_matches_oracle(ts)
+        assert {"objective fell", "variance below floor"} <= set(rejected)
         assert (np.diff(fit.objective_trace) >= -1e-9).all()
+
+    def test_non_finite_point_rejected(self):
+        """A point that overflows is no valid mixture. No train set whose
+        plain steps stay finite reaches one, since the least-squares cutoff
+        bounds gamma, so this history is set by hand: the first mean
+        converges at rate 1/2 towards 2e308, and its secant point overflows."""
+        def params(mu_1):
+            return params_for([0.25] * 4, [mu_1, 1.0, 2.0, 3.0], [1.0] * 4)
+
+        states, plain = [params(0.0), params(1e308)], [params(1e308), params(1.5e308)]
+        assert oracle_anderson_point(states, plain) == (None, "non-finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords = [[gmm._coordinates(p) for p in ps] for ps in (states, plain)]
+            assert gmm._anderson_point(*coords) is None
 
 
 def slow_overlapping_trainset():
@@ -598,6 +648,9 @@ def slow_overlapping_trainset():
 
 
 class TestSquarem:
+    """The accelerated fit against plain EM and against its cap. (The class
+    is named for SQUAREM, the scheme Anderson acceleration replaced.)"""
+
     def test_converges_within_the_cap_where_plain_em_does_not(self):
         ts = slow_overlapping_trainset()
         _, plain_converged = oracle_em(ts, 200, 1e-6)
@@ -609,13 +662,30 @@ class TestSquarem:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5])
     def test_updates_never_exceed_the_cap(self, max_iter):
-        """An accepted extrapolation counts as an update, so it is attempted
-        only while the cap leaves room for it."""
+        """Every iteration adds one update, an accepted Anderson point or
+        the plain step, so the fit stops at the cap exactly."""
         fit = run_em(slow_overlapping_trainset(), max_iter=max_iter)
         assert fit.n_iter == max_iter
         assert len(fit.objective_trace) == fit.n_iter + 1
         assert fit.objective == fit.objective_trace[-1]
         assert not fit.converged
+
+    def test_e_passes_stay_under_the_bound(self, monkeypatch):
+        """The E passes of the default fit, counted on the kernel: at most
+        75. Plain EM does not converge within 200 updates; SQUAREM took 104
+        passes; Anderson acceleration takes 64: one for the start, one per
+        update and one more per rejected point."""
+        passes = []
+        real = _EmKernel.e_pass
+
+        def counted(kernel, params):
+            passes.append(params)
+            return real(kernel, params)
+
+        monkeypatch.setattr(_EmKernel, "e_pass", counted)
+        fit = run_em(slow_overlapping_trainset())
+        assert fit.converged
+        assert fit.n_iter + 1 <= len(passes) <= 75
 
 
 class TestConverged:

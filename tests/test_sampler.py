@@ -71,6 +71,34 @@ class TestSelectActiveBatch:
             ]
             assert got == oracles.select_top_b(ids, post, b)
 
+    @pytest.mark.parametrize("case", ["saturated", "few_values", "all_equal", "nan"])
+    @pytest.mark.parametrize("b", [1, 7, 150, 400, 401, 1000])
+    def test_matches_ranking_the_whole_pool(self, case, b):
+        """Only rows at or above the b-th largest posterior are ranked; the
+        batch is still the first min(b, n) of the whole pool ranked by
+        posterior descending, then id ascending. Heavy ties: half the scores
+        sit at the UI mean, where the posterior is exactly 1.0; five
+        distinct scores; one score for every row. NaN: the saturated scores
+        with every tenth one NaN, whose posteriors are NaN and rank last."""
+        from activeadapt.gmm import component_posteriors
+
+        rng = np.random.default_rng(7)
+        n = 400
+        ids = rng.permutation(10 * n)[:n]
+        saturated = np.where(rng.random(n) < 0.5, rng.uniform(2.8, 3.2, n),
+                             rng.uniform(-1.0, 7.0, n))
+        scores = {
+            "saturated": saturated,
+            "few_values": rng.choice([0.0, 1.0, 2.5, 3.0, 4.5], n),
+            "all_equal": np.full(n, 4.2),
+            "nan": np.where(np.arange(n) % 10 == 0, np.nan, saturated),
+        }[case]
+        post = component_posteriors(scores, WELL_SEPARATED)[:, Category.UI - 1]
+        assert np.isnan(post).sum() == (40 if case == "nan" else 0)
+        assert len(np.unique(post)) <= 5 or (post == 1.0).sum() > 150
+        want = ids[np.lexsort((ids, -post))][:b].tolist()
+        assert select_active_batch(ids, scores, WELL_SEPARATED, b) == want
+
     def test_selected_have_maximal_posterior(self):
         rng = np.random.default_rng(1)
         ids = np.arange(30)
