@@ -172,13 +172,24 @@ class Classifier:
 # -- perturbation ------------------------------------------------------------
 
 
-def augment(x: np.ndarray, cfg: TrainConfig, rng) -> np.ndarray:
-    """Vector-space perturbation: additive Gaussian noise, then each
-    coordinate independently zeroed with probability aug_dropout_p."""
+def draw_perturbation(rng, shape, cfg: TrainConfig):
+    """The draws that perturb an array of this shape, one Generator call
+    each: (noise, keep), standard normal noise and, when aug_dropout_p > 0,
+    the mask of the coordinates that survive dropout (a uniform draw at or
+    above aug_dropout_p), else None."""
+    noise = rng.standard_normal(shape)
+    keep = rng.random(shape) >= cfg.aug_dropout_p if cfg.aug_dropout_p > 0 else None
+    return noise, keep
+
+
+def augment(x: np.ndarray, cfg: TrainConfig, noise: np.ndarray, keep) -> np.ndarray:
+    """Vector-space perturbation: additive Gaussian noise aug_noise_sigma *
+    noise, then the coordinates where keep is False zeroed (keep None zeroes
+    none); see draw_perturbation."""
     x = np.asarray(x, dtype=float)
-    out = x + cfg.aug_noise_sigma * rng.standard_normal(x.shape)
-    if cfg.aug_dropout_p > 0:
-        out *= rng.random(x.shape) >= cfg.aug_dropout_p
+    out = x + cfg.aug_noise_sigma * noise
+    if keep is not None:
+        out *= keep
     return out
 
 
@@ -332,17 +343,15 @@ def backward_and_step(
     cc_batch,
     uc_batch,
     cfg: TrainConfig,
-    rng,
 ) -> Classifier:
     """One SGD step on the full objective, mutating the model in place.
 
-    The perturbation is sampled once and held fixed for the step. A
-    non-finite gradient aborts before any parameter is touched.
+    The consistency rows come already perturbed (augment), and the step
+    draws nothing. A non-finite gradient aborts before any parameter is
+    touched.
     """
     X_l, y_l = labeled_batch
     X_cc, y_cc = cc_batch
-    if len(y_cc) > 0:
-        X_cc = augment(X_cc, cfg, rng)
     grads = combined_grads(
         model, X_l, y_l, X_cc, y_cc, uc_batch, cfg.lambda_c, cfg.lambda_e
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import _checked_labels
+from .classifier import _all_finite, _checked_labels
 from .numerics import logsumexp
 
 N_COMPONENTS = 4
@@ -64,7 +64,8 @@ class GmmTrainSet:
 
     labeled_components take values in 1..4. alpha defaults to the labeled
     fraction |D_L| / (|D_L| + |D_U|), a proper convex weight; pass an
-    explicit value to override.
+    explicit value to override. Every score must be finite (ValueError,
+    naming the side and the first bad index).
     """
 
     labeled_scores: np.ndarray
@@ -76,6 +77,11 @@ class GmmTrainSet:
         self.labeled_scores = np.asarray(self.labeled_scores, dtype=float).ravel()
         self.labeled_components = _checked_components(self.labeled_components)
         self.unlabeled_scores = np.asarray(self.unlabeled_scores, dtype=float).ravel()
+        for side in ("labeled", "unlabeled"):
+            scores = getattr(self, f"{side}_scores")
+            if not _all_finite(scores):
+                i = int(np.argmin(np.isfinite(scores)))
+                raise ValueError(f"{side} score {i} is not finite ({scores[i]})")
         if self.labeled_scores.size == 0:
             raise ValueError("EM initialization needs at least one labeled score")
         if self.labeled_scores.shape != self.labeled_components.shape:

@@ -22,8 +22,10 @@ from .classifier import (
     LossBreakdown,
     TrainConfig,
     _row_blocks,
+    augment,
     backward_and_step,
     combined_loss,
+    draw_perturbation,
 )
 from .datapool import DataPool, generate_shifted_dataset
 from .gmm import EmFit, GmmTrainSet, component_posteriors, run_em
@@ -138,34 +140,73 @@ class RoundReport:
 # -- training helpers --------------------------------------------------------
 
 
-def _train_epochs(model, X, y, cc, uc, cfg: TrainConfig, epochs: int, rng):
-    """SGD epochs over the labeled set; each step draws companion batches
-    from the consistency and entropy pools when they are active.
+# Purposes of a round's companion streams, [train.seed, 2, r, purpose]. The
+# round's labeled permutations are the only draws from [train.seed, 2, r].
+CC_WINDOWS, UC_WINDOWS, PERTURBATION = 1, 2, 3
 
-    Each epoch draws one permutation of the labeled rows; each step then
-    draws, in this order, the consistency batch, the entropy batch (both
-    without replacement) and, inside backward_and_step, the perturbation.
+
+def _windows(rng, n: int, size: int, count: int) -> np.ndarray:
+    """(count, take) row indices into range(n), take = min(size, n):
+    consecutive take-row windows of a permutation of range(n), and a fresh
+    permutation whenever fewer than take of its rows are left, so no window
+    repeats a row or spans two permutations. Only the windows used are
+    drawn: each permutation's are one sample without replacement, a uniform
+    permutation's prefix."""
+    take = min(size, n)
+    per = n // take
+    parts = [
+        rng.choice(n, min(per, count - i) * take, replace=False)
+        for i in range(0, count, per)
+    ]
+    return np.concatenate(parts).reshape(count, take)
+
+
+def _train_epochs(model, X, y, cc, uc, cfg: TrainConfig, epochs: int, key):
+    """SGD epochs over the labeled set; each step pairs its labeled batch
+    with companion batches from the consistency and entropy pools when they
+    are active.
+
+    Each purpose reads its own stream. key seeds the labeled one, which
+    draws one permutation of the labeled rows per epoch; without active
+    pools key may also be a Generator, used as it is. Purpose p reads
+    default_rng([*key, p]): the consistency windows (CC_WINDOWS), the
+    entropy windows (UC_WINDOWS) and the perturbation (PERTURBATION).
+
+    Every draw is made once per epoch, before its steps. The labeled rows
+    are gathered in permutation order; each active pool gives one window of
+    take = min(batch_size, pool size) rows per step (_windows); the epoch's
+    consistency rows are perturbed in one augment call, from one noise and
+    one dropout draw. A step only slices.
     """
     use_cc = cc is not None and len(cc[1]) > 0 and cfg.lambda_c != 0.0
     use_uc = uc is not None and uc.shape[0] > 0 and cfg.lambda_e != 0.0
     cc_batch = (np.zeros((0, model.d_in)), np.zeros(0, dtype=int))
     uc_batch = np.zeros((0, model.d_in))
-    n, size, choice = len(y), cfg.batch_size, rng.choice
+    rng = np.random.default_rng(key)
+    n, size = len(y), cfg.batch_size
+    starts = range(0, n, size)
     if use_cc:
         X_cc, y_cc = cc
-        n_cc, take_cc = len(y_cc), min(size, len(y_cc))
+        cc_rng = np.random.default_rng([*key, CC_WINDOWS])
+        perturb_rng = np.random.default_rng([*key, PERTURBATION])
     if use_uc:
-        n_uc, take_uc = uc.shape[0], min(size, uc.shape[0])
+        uc_rng = np.random.default_rng([*key, UC_WINDOWS])
     for _ in range(epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, size):
-            idx = perm[start : start + size]
+        X_perm, y_perm = X[perm], y[perm]
+        if use_cc:
+            pick = _windows(cc_rng, len(y_cc), size, len(starts))
+            cc_rows, cc_labels = X_cc[pick], y_cc[pick]
+            cc_rows = augment(cc_rows, cfg, *draw_perturbation(perturb_rng, cc_rows.shape, cfg))
+        if use_uc:
+            uc_rows = uc[_windows(uc_rng, uc.shape[0], size, len(starts))]
+        for step, start in enumerate(starts):
+            batch = slice(start, start + size)
             if use_cc:
-                pick = choice(n_cc, size=take_cc, replace=False)
-                cc_batch = (X_cc[pick], y_cc[pick])
+                cc_batch = (cc_rows[step], cc_labels[step])
             if use_uc:
-                uc_batch = uc[choice(n_uc, size=take_uc, replace=False)]
-            backward_and_step(model, (X[idx], y[idx]), cc_batch, uc_batch, cfg, rng)
+                uc_batch = uc_rows[step]
+            backward_and_step(model, (X_perm[batch], y_perm[batch]), cc_batch, uc_batch, cfg)
     return model
 
 
@@ -179,8 +220,8 @@ def pretrain_source(
     if len(np.unique(y)) != pool.C:
         raise ValueError("source pool must cover every class")
     epochs = cfg.epochs_per_round if epochs is None else epochs
-    rng = np.random.default_rng(rng if rng is not None else [cfg.seed, 1])
-    return _train_epochs(model, X, y, None, None, cfg, epochs, rng)
+    key = rng if rng is not None else [cfg.seed, 1]
+    return _train_epochs(model, X, y, None, None, cfg, epochs, key)
 
 
 def evaluate(model: Classifier, pool: DataPool) -> float:
@@ -272,9 +313,14 @@ def run_active_loop(
     alone, whatever lambda_c and lambda_e are.
 
     Randomness is derived from the config seeds so a run is reproducible:
-    model init uses [seed, 0], pretraining uses [train.seed, 1], round r
-    training uses [train.seed, 2, r], and random selection in round r uses
-    [seed, 3, r].
+    model init uses [seed, 0], pretraining uses [train.seed, 1], and random
+    selection in round r uses [seed, 3, r]. Round r's training gives each
+    purpose its own stream: the labeled permutations use [train.seed, 2, r],
+    and the consistency windows, the entropy windows and the perturbation
+    use [train.seed, 2, r, p] with p = CC_WINDOWS, UC_WINDOWS and
+    PERTURBATION (1, 2, 3). So a round without companion pools (a baseline
+    or source-free bootstrap round) draws only its labeled permutations,
+    and one purpose's draws never shift another's.
     """
     n_unlabeled = pool.sizes[2]
     if cfg.budget > n_unlabeled:
@@ -307,9 +353,9 @@ def run_active_loop(
             n = len(sel.ids)
             err_rate = float(np.mean(model.predict(X_l[-n:]) != y_l[-n:]))
 
-        train_rng = np.random.default_rng([cfg.train.seed, 2, r])
         _train_epochs(
-            model, X_l, y_l, sel.cc, sel.uc, cfg.train, cfg.train.epochs_per_round, train_rng
+            model, X_l, y_l, sel.cc, sel.uc, cfg.train, cfg.train.epochs_per_round,
+            [cfg.train.seed, 2, r],
         )
 
         losses = None

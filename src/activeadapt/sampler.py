@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .classifier import Classifier
-from .gmm import GmmParams, component_posteriors
+from .gmm import GmmParams, _column_blocks, component_posteriors
 from .scoring import (
     Category,
     CentroidSet,
@@ -132,14 +132,22 @@ def partition_unlabeled(
     scores, when given, are the informativeness scores of the rows of X
     under this model and these centroids, and save scoring them again; X is
     then not read and may be None. Given or computed, there must be one
-    score per id (ValueError)."""
+    score per id (ValueError).
+
+    The posteriors are computed one EM column block at a time, and only the
+    categories are kept: the first largest posterior of each row, so a NaN
+    row gets the first component, as a whole-matrix argmax would give it."""
     ids = np.asarray(ids, dtype=int)
     if scores is None:
         scores, _ = info_scores_unlabeled(model, centroids, X, k)
-    post = component_posteriors(scores, params)
-    if len(post) != ids.size:
-        raise ValueError(f"{len(post)} scores for {ids.size} ids: need one score per id")
-    return PartitionAssignment(ids, np.argmax(post, axis=1) + 1)
+    scores = np.asarray(scores, dtype=float).ravel()
+    if scores.size != ids.size:
+        raise ValueError(f"{scores.size} scores for {ids.size} ids: need one score per id")
+    cats = np.empty(ids.size, dtype=np.intp)
+    for cols in _column_blocks(ids.size):
+        cats[cols] = np.argmax(component_posteriors(scores[cols], params), axis=1)
+    cats += 1
+    return PartitionAssignment(ids, cats)
 
 
 # -- source-free bootstrap ---------------------------------------------------

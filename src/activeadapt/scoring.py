@@ -94,13 +94,32 @@ def similarity_labels(
     F = np.atleast_2d(F)
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
-    if k > F.shape[1]:
-        raise ValueError(f"k={k} exceeds feature dimension {F.shape[1]}")
-    f_mask = _topk_mask(F, k)
-    # intersection counts, exact in float64 (a bool product would be an OR);
-    # both sets have k members, so IoU = i / (2k - i) rises with the count i
-    inter = f_mask @ _topk_mask(centroids.A, k).T.astype(float)
-    return np.argmax(inter, axis=1)
+    d = F.shape[1]
+    if k > d:
+        raise ValueError(f"k={k} exceeds feature dimension {d}")
+    C = centroids.C
+    # the centroid masks and a ones row, whose product with a row's mask is
+    # the row's member count
+    c_mask = np.ones((C + 1, d))
+    c_mask[:C] = _topk_mask(centroids.A, k)
+    mag = np.abs(F)
+    kth = np.sort(mag, axis=1)[:, d - k, None]
+    mask = np.greater_equal(mag, kth, out=mag)  # in place, as floats
+    # intersection counts, exact in float64; both sets have k members, so
+    # IoU = i / (2k - i) rises with the count i
+    inter = c_mask @ mask.T
+    # a row with entries tied at its k-th magnitude has more than k members
+    over = np.flatnonzero(inter[C] > k)
+    if over.size:
+        inter[:, over] = c_mask @ _topk_mask(F[over], k).T
+    # the first largest count: only a strictly larger one moves the label
+    labels = np.zeros(F.shape[0], dtype=np.intp)
+    best = inter[0]  # the running maximum, over class 0's counts
+    for c in range(1, C):
+        better = inter[c] > best
+        labels[better] = c
+        np.maximum(best, inter[c], out=best)
+    return labels
 
 
 # -- informativeness scores ----------------------------------------------

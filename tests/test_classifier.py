@@ -21,6 +21,7 @@ from activeadapt.classifier import (
     backward_and_step,
     combined_grads,
     combined_loss,
+    draw_perturbation,
     load_checkpoint,
     loss_entropy,
     loss_supervised,
@@ -35,6 +36,11 @@ from step_reference import (
 )
 
 IDENTITY_AUG = TrainConfig(aug_noise_sigma=0.0, aug_dropout_p=0.0)
+
+
+def perturb(x, cfg, rng):
+    """x perturbed with draws from rng."""
+    return augment(x, cfg, *draw_perturbation(rng, np.shape(x), cfg))
 
 
 def two_class_model(scale=1.0):
@@ -247,20 +253,35 @@ class TestRowBlocks:
 class TestAugment:
     def test_identity(self):
         x = np.array([1.0, -2.0, 3.0])
-        out = augment(x, IDENTITY_AUG, np.random.default_rng(0))
+        out = perturb(x, IDENTITY_AUG, np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
     def test_full_dropout_zeroes_everything(self):
         cfg = TrainConfig(aug_noise_sigma=0.5, aug_dropout_p=1.0 - 1e-12)
-        out = augment(np.ones(200), cfg, np.random.default_rng(0))
+        out = perturb(np.ones(200), cfg, np.random.default_rng(0))
         assert np.count_nonzero(out) == 0
 
     def test_deterministic_given_seed(self):
         cfg = TrainConfig(aug_noise_sigma=0.3, aug_dropout_p=0.2)
         x = np.linspace(-1, 1, 9)
-        a = augment(x, cfg, np.random.default_rng(42))
-        b = augment(x, cfg, np.random.default_rng(42))
+        a = perturb(x, cfg, np.random.default_rng(42))
+        b = perturb(x, cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    def test_one_noise_call_then_one_dropout_call(self, p):
+        """The noise is one standard-normal draw of the whole shape and the
+        mask one uniform draw after it, compared with aug_dropout_p; without
+        dropout there is no mask and no second draw."""
+        cfg = TrainConfig(aug_dropout_p=p)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        noise, keep = draw_perturbation(rng, (7, 3), cfg)
+        np.testing.assert_array_equal(noise, ref.standard_normal((7, 3)))
+        if p:
+            np.testing.assert_array_equal(keep, ref.random((7, 3)) >= p)
+        else:
+            assert keep is None
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestConsistencyLoss:
@@ -272,7 +293,7 @@ class TestConsistencyLoss:
         model = random_model(rng)
         X = rng.standard_normal((8, 3))
         y = rng.integers(0, 3, 8)
-        X_cc = augment(X, IDENTITY_AUG, np.random.default_rng(0))
+        X_cc = perturb(X, IDENTITY_AUG, np.random.default_rng(0))
         bd = combined_loss(model, X, y, X_cc, y, np.zeros((0, 3)), 0.5, 0.1)
         assert bd.consistency == loss_supervised(model, X, y)
 
@@ -496,9 +517,7 @@ class TestStep:
         cfg = TrainConfig(learning_rate=0.0, aug_noise_sigma=0.0, aug_dropout_p=0.0)
         X = rng.standard_normal((4, 3))
         y = rng.integers(0, 3, 4)
-        backward_and_step(
-            model, (X, y), (np.zeros((0, 3)), []), np.zeros((0, 3)), cfg, rng
-        )
+        backward_and_step(model, (X, y), (np.zeros((0, 3)), []), np.zeros((0, 3)), cfg)
         np.testing.assert_array_equal(flat_params(model), before)
 
     def test_single_sample_descent(self):
@@ -509,7 +528,7 @@ class TestStep:
         y = np.array([1])
         before = loss_supervised(model, x, y)
         cfg = TrainConfig(learning_rate=1e-2, aug_noise_sigma=0.0, aug_dropout_p=0.0)
-        backward_and_step(model, (x, y), (np.zeros((0, 3)), []), np.zeros((0, 3)), cfg, rng)
+        backward_and_step(model, (x, y), (np.zeros((0, 3)), []), np.zeros((0, 3)), cfg)
         assert loss_supervised(model, x, y) < before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -527,7 +546,6 @@ class TestStep:
                 (np.zeros((0, 1)), []),
                 np.zeros((0, 1)),
                 cfg,
-                np.random.default_rng(0),
             )
         np.testing.assert_array_equal(flat_params(model), before)
 
@@ -538,20 +556,21 @@ class TestStep:
         return X_l, y_l, X_cc, y_cc, rng.standard_normal((2, 3))
 
     @pytest.mark.parametrize("lambda_c", [0.0, 0.5])
-    def test_augment_draws_whenever_cc_batch_is_non_empty(self, lambda_c):
-        """The perturbation is drawn for a non-empty consistency batch even
-        when its weight is 0, so the generator ends where augment leaves a
-        fresh copy of it; an empty batch draws nothing."""
+    def test_step_trains_on_the_consistency_rows_as_given(self, lambda_c):
+        """The step perturbs nothing itself: it moves the parameters by the
+        learning rate times combined_grads at the rows it is given, which the
+        caller has already perturbed, with or without a weight on them."""
         rng = np.random.default_rng(8)
         model = random_model(rng)
         X_l, y_l, X_cc, y_cc, X_uc = self._batches(rng)
         cfg = TrainConfig(lambda_c=lambda_c)
-        step_rng, ref = np.random.default_rng(21), np.random.default_rng(21)
-        backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, cfg, step_rng)
-        augment(X_cc, cfg, ref)
-        assert step_rng.bit_generator.state == ref.bit_generator.state
-        backward_and_step(model, (X_l, y_l), (X_cc[:0], y_cc[:0]), X_uc, cfg, step_rng)
-        assert step_rng.bit_generator.state == ref.bit_generator.state
+        X_cc = perturb(X_cc, cfg, np.random.default_rng(21))
+        want = {k: v - cfg.learning_rate * g for (k, v), g in zip(
+            model.params().items(),
+            combined_grads(model, X_l, y_l, X_cc, y_cc, X_uc, lambda_c, cfg.lambda_e).values(),
+        )}
+        backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, cfg)
+        assert _bits(model.params()) == _bits(want)
 
     @pytest.mark.parametrize("part", ["X_l", "X_cc", "X_uc"])
     def test_non_finite_input_rejected_before_any_change(self, part):
@@ -561,9 +580,7 @@ class TestStep:
         {"X_l": X_l, "X_cc": X_cc, "X_uc": X_uc}[part][1, 2] = np.nan
         before = flat_params(model).copy()
         with pytest.raises(ValueError, match="non-finite input"):
-            backward_and_step(
-                model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig(), np.random.default_rng(0)
-            )
+            backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig())
         np.testing.assert_array_equal(flat_params(model), before)
 
     @pytest.mark.parametrize("part", ["y_l", "y_cc"])
@@ -580,9 +597,7 @@ class TestStep:
         with pytest.raises(ValueError, match="label outside"):
             combined_grads(model, X_l, y_l, X_cc, y_cc, X_uc, 0.5, 0.1)
         with pytest.raises(ValueError, match="label outside"):
-            backward_and_step(
-                model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig(), np.random.default_rng(0)
-            )
+            backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig())
         np.testing.assert_array_equal(flat_params(model), before)
 
     @pytest.mark.parametrize("part,weights", [
@@ -596,9 +611,7 @@ class TestStep:
         X_l, y_l, X_cc, y_cc, X_uc = self._batches(rng)
         {"X_cc": X_cc, "X_uc": X_uc}[part][0, 0] = np.nan
         before = flat_params(model).copy()
-        backward_and_step(
-            model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig(**weights), rng
-        )
+        backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig(**weights))
         assert np.isfinite(flat_params(model)).all()
         assert (flat_params(model) != before).any()
 
@@ -646,8 +659,9 @@ class TestStepMatchesReference:
 
     def test_trajectory_bit_identical(self):
         """200 steps at desk shapes, with labeled batches of 1 to 32 rows,
-        full companion batches and the perturbation on: the parameters end equal bit for bit, and
-        both generators end in the same state."""
+        full companion batches and the perturbation on: given the same noise
+        and dropout mask, the engine's augment-then-step and the reference
+        step end with equal parameters bit for bit."""
         rng = np.random.default_rng(31)
         model = Classifier.initialize(8, 64, 5, rng)
         ref = _clone(model)
@@ -656,16 +670,15 @@ class TestStepMatchesReference:
         X_uc = rng.standard_normal((60, 8))
         cfg = TrainConfig()
         draw = np.random.default_rng(32)
-        got_rng, want_rng = np.random.default_rng(33), np.random.default_rng(33)
         for _ in range(200):
             idx = draw.choice(300, draw.integers(1, 33), replace=False)
             pick = draw.choice(80, 32, replace=False)
             uc = X_uc[draw.choice(60, 32, replace=False)]
-            batches = ((X[idx], y[idx]), (X_cc[pick], y_cc[pick]), uc)
-            backward_and_step(model, *batches, cfg, got_rng)
-            backward_and_step_ref(ref, *batches, cfg, want_rng)
+            noise, keep = draw_perturbation(draw, (32, 8), cfg)
+            labeled, cc = (X[idx], y[idx]), (X_cc[pick], y_cc[pick])
+            backward_and_step(model, labeled, (augment(cc[0], cfg, noise, keep), cc[1]), uc, cfg)
+            backward_and_step_ref(ref, labeled, cc, uc, cfg, noise, keep)
         assert _bits(model.params()) == _bits(ref.params())
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @staticmethod
     def _overflow_model(a, d_feat=4):
@@ -692,8 +705,8 @@ class TestStepMatchesReference:
         flat = np.concatenate([v.ravel() for v in g.values()])
         assert np.isfinite(flat).all() and not np.isfinite(flat.sum())
         cfg = TrainConfig(learning_rate=1e-310)
-        backward_and_step(model, (X, y), empty, np.zeros((0, 1)), cfg, np.random.default_rng(0))
-        backward_and_step_ref(ref, (X, y), empty, np.zeros((0, 1)), cfg, np.random.default_rng(0))
+        backward_and_step(model, (X, y), empty, np.zeros((0, 1)), cfg)
+        backward_and_step_ref(ref, (X, y), empty, np.zeros((0, 1)), cfg)
         assert _bits(model.params()) == _bits(ref.params())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -716,14 +729,15 @@ class TestStepMatchesReference:
         empty = (np.zeros((0, 1)), np.zeros(0, dtype=int))
         for step in (backward_and_step, backward_and_step_ref):
             with pytest.raises(error):
-                step(model, (X, y), empty, np.zeros((0, 1)), TrainConfig(), np.random.default_rng(0))
+                step(model, (X, y), empty, np.zeros((0, 1)), TrainConfig())
             np.testing.assert_array_equal(flat_params(model), before)
 
     def test_augment_bit_identical(self):
+        cfg = TrainConfig()
         x = np.random.default_rng(3).standard_normal((32, 8))
-        got = augment(x, TrainConfig(), np.random.default_rng(4))
-        want = augment_ref(x, TrainConfig(), np.random.default_rng(4))
-        assert got.tobytes() == want.tobytes()
+        noise, keep = draw_perturbation(np.random.default_rng(4), x.shape, cfg)
+        got = augment(x, cfg, noise, keep)
+        assert got.tobytes() == augment_ref(x, cfg, noise, keep).tobytes()
 
 
 class TestCheckpoint:

@@ -8,6 +8,7 @@ given parameters, and its M step from responsibilities the test sets.
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,26 @@ class TestTrainSet:
     def test_alpha_override(self):
         ts = GmmTrainSet([1.0], [1], [2.0], alpha=0.9)
         assert ts.alpha == 0.9
+
+    @pytest.mark.parametrize("labeled, unlabeled, message", [
+        ([0.1, np.nan, 0.3, 0.4], [0.2, 0.5], "labeled score 1 is not finite (nan)"),
+        ([0.1, 0.2, 0.3, 0.4], [0.2, np.inf, np.nan], "unlabeled score 1 is not finite (inf)"),
+        ([0.1, 0.2, 0.3, 0.4], [0.2, 0.5, -np.inf], "unlabeled score 2 is not finite (-inf)"),
+        ([-np.inf, 0.2, 0.3, 0.4], [np.nan], "labeled score 0 is not finite (-inf)"),
+    ])
+    def test_non_finite_score_rejected(self, labeled, unlabeled, message):
+        """A NaN or infinite score used to build, and run_em then ran all 200
+        updates to a NaN mean."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GmmTrainSet(labeled, [1, 2, 3, 4], unlabeled)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_scores_whose_sum_overflows_build(self):
+        """The one-sum finiteness test falls back to a per-score test when
+        the sum overflows: finite scores build, a NaN among them is found."""
+        GmmTrainSet([1e308, 1e308, 0.3, 0.4], [1, 2, 3, 4], [1e308, 1e308])
+        with pytest.raises(ValueError, match=re.escape("unlabeled score 2 is not finite (nan)")):
+            GmmTrainSet([1e308, 1e308, 0.3, 0.4], [1, 2, 3, 4], [1e308, 1e308, np.nan])
 
 
 class TestInit:

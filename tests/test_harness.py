@@ -27,7 +27,8 @@ from activeadapt.harness import (
 from activeadapt.sampler import SfdaConfig
 from activeadapt.scoring import Category, compute_centroids, info_scores_unlabeled
 
-from test_classifier import block_sizes
+from step_reference import train_epochs_ref, windows_ref
+from test_classifier import _bits, _clone, block_sizes
 
 
 def fast_train(**kw):
@@ -163,9 +164,9 @@ class TestPretrain:
         seen = []
         real_step = harness.backward_and_step
 
-        def step_spy(model, labeled, cc_batch, uc_batch, cfg, rng):
+        def step_spy(model, labeled, cc_batch, uc_batch, cfg):
             seen.append((cc_batch, uc_batch))
-            return real_step(model, labeled, cc_batch, uc_batch, cfg, rng)
+            return real_step(model, labeled, cc_batch, uc_batch, cfg)
 
         monkeypatch.setattr(harness, "backward_and_step", step_spy)
         model = Classifier.initialize(4, 16, 3, np.random.default_rng(0))
@@ -175,6 +176,134 @@ class TestPretrain:
             assert cc_batch[0].shape == (0, 4) and cc_batch[1].shape == (0,)
             assert uc_batch.shape == (0, 4)
             assert cc_batch is seen[0][0] and uc_batch is seen[0][1]
+
+
+class TestTrainingStreams:
+    """Each training purpose reads its own stream, every draw of an epoch is
+    made before its steps, and a step only slices: the labeled permutation
+    from key, the consistency windows, the entropy windows and the
+    perturbation from [*key, 1], [*key, 2] and [*key, 3]."""
+
+    @staticmethod
+    def _data(n_l, n_cc, n_uc, d_in=4, C=3, seed=0):
+        rng = np.random.default_rng(seed)
+        X, y = rng.standard_normal((n_l, d_in)), rng.integers(0, C, n_l)
+        cc = (rng.standard_normal((n_cc, d_in)), rng.integers(0, C, n_cc))
+        return X, y, cc, rng.standard_normal((n_uc, d_in))
+
+    @staticmethod
+    def _batches(monkeypatch, model, X, y, cc, uc, cfg, epochs, key):
+        """Every step's (labeled, cc, uc) batch, copied."""
+        seen, real_step = [], harness.backward_and_step
+
+        def step_spy(model, labeled, cc_batch, uc_batch, cfg):
+            seen.append([a.copy() for a in (*labeled, *cc_batch, uc_batch)])
+            return real_step(model, labeled, cc_batch, uc_batch, cfg)
+
+        monkeypatch.setattr(harness, "backward_and_step", step_spy)
+        harness._train_epochs(model, X, y, cc, uc, cfg, epochs, key)
+        monkeypatch.undo()
+        return seen
+
+    @pytest.mark.parametrize("n_l, n_cc, n_uc, kw", [
+        (70, 90, 50, {}),  # pools of several windows, a short last labeled batch
+        (64, 7, 16, {}),  # pools no larger than a batch: every batch is the whole pool
+        (40, 33, 17, dict(aug_dropout_p=0.0)),  # one window a permutation, no mask
+        (50, 90, 50, dict(lambda_e=0.0)),  # consistency only
+        (50, 90, 50, dict(lambda_c=0.0)),  # entropy only
+    ])
+    def test_epochs_match_the_stream_contract_reference(self, n_l, n_cc, n_uc, kw):
+        """_train_epochs ends bit for bit where step_reference's one-draw-at-
+        a-time form of the same contract ends."""
+        X, y, cc, uc = self._data(n_l, n_cc, n_uc)
+        cfg = fast_train(**kw)
+        model = Classifier.initialize(4, 16, 3, np.random.default_rng(1))
+        ref = _clone(model)
+        harness._train_epochs(model, X, y, cc, uc, cfg, 3, [7, 2, 4])
+        train_epochs_ref(ref, X, y, cc, uc, cfg, 3, [7, 2, 4])
+        assert _bits(model.params()) == _bits(ref.params())
+
+    def test_each_purpose_reads_only_its_own_stream(self, monkeypatch):
+        """The labeled batches come from permutations of default_rng(key)
+        alone. Switching the consistency or the entropy part off, or changing
+        a pool's size, leaves every other purpose's batches as they were, and
+        each part's draws replay from its own [*key, p] stream."""
+        X, y, cc, uc = self._data(70, 90, 50)
+        key, size, epochs = [7, 2, 4], 16, 2
+        cfg = fast_train(aug_noise_sigma=0.0, aug_dropout_p=0.0)
+        model = Classifier.initialize(4, 16, 3, np.random.default_rng(1))
+
+        def run(cfg=cfg, cc=cc, uc=uc):
+            return self._batches(monkeypatch, _clone(model), X, y, cc, uc, cfg, epochs, key)
+
+        both = run()
+        labeled = np.random.default_rng(key)
+        perms = [labeled.permutation(70) for _ in range(epochs)]
+        want = [perm[s : s + size] for perm in perms for s in range(0, 70, size)]
+        assert len(both) == len(want) == 10
+        for step, idx in zip(both, want):
+            np.testing.assert_array_equal(step[0], X[idx])
+            np.testing.assert_array_equal(step[1], y[idx])
+        cc_rng, uc_rng = np.random.default_rng([*key, 1]), np.random.default_rng([*key, 2])
+        cc_win = [w for _ in range(epochs) for w in windows_ref(cc_rng, 90, size, 5)]
+        uc_win = [w for _ in range(epochs) for w in windows_ref(uc_rng, 50, size, 5)]
+        for step, cc_rows, uc_rows in zip(both, cc_win, uc_win):
+            np.testing.assert_array_equal(step[2], cc[0][cc_rows])
+            np.testing.assert_array_equal(step[4], uc[uc_rows])
+
+        cc_only = run(dataclasses.replace(cfg, lambda_e=0.0))
+        uc_only = run(dataclasses.replace(cfg, lambda_c=0.0))
+        smaller_uc = run(uc=uc[:20])
+        for a, b, c, d in zip(both, cc_only, uc_only, smaller_uc):
+            for i in (0, 1):
+                np.testing.assert_array_equal(a[i], b[i])
+                np.testing.assert_array_equal(a[i], c[i])
+            for i in (2, 3):
+                np.testing.assert_array_equal(a[i], b[i])
+                np.testing.assert_array_equal(a[i], d[i])
+            np.testing.assert_array_equal(a[4], c[4])
+            assert b[4].shape == (0, 4) and c[2].shape == (0, 4)
+
+    @pytest.mark.parametrize("n, size, count", [
+        (90, 16, 13), (16, 16, 5), (7, 16, 4), (33, 16, 9), (47, 16, 2), (1, 32, 3), (5000, 32, 19),
+    ])
+    def test_no_window_repeats_a_row_or_spans_two_permutations(self, n, size, count):
+        """Windows of take = min(size, n) rows come in runs of n // take from
+        one permutation each: no row repeats within a run, and every run
+        starts a fresh permutation, so a pool no larger than a batch gives
+        the whole pool every time."""
+        windows = harness._windows(np.random.default_rng([n, size]), n, size, count)
+        take = min(size, n)
+        assert windows.shape == (count, take)
+        per = n // take
+        for first in range(0, count, per):
+            run = windows[first : first + per].ravel()
+            assert len(set(run.tolist())) == run.size
+            assert run.min() >= 0 and run.max() < n
+        if take == n:
+            assert all(sorted(w) == list(range(n)) for w in windows.tolist())
+
+    def test_pretraining_and_baseline_rounds_train_as_the_plain_loop(self, monkeypatch):
+        """Supervised-only training is the plain loop: per epoch one
+        permutation of the labeled rows, drawn from the run's stream, then
+        one step per batch in order. Pretraining reads [train.seed, 1] and
+        baseline round r reads [train.seed, 2, r], and nothing else is drawn
+        from either, so neither depends on the companion streams."""
+        cfg = fast_loop(strategy=Strategy.RANDOM)
+        real, keys = harness._train_epochs, []
+
+        def train_spy(model, X, y, cc, uc, tcfg, epochs, key):
+            assert cc is None and uc is None
+            ref = train_epochs_ref(_clone(model), X, y, None, None, tcfg, epochs, key)
+            real(model, X, y, cc, uc, tcfg, epochs, key)
+            assert _bits(model.params()) == _bits(ref.params())
+            keys.append(key)
+            return model
+
+        monkeypatch.setattr(harness, "_train_epochs", train_spy)
+        run_active_loop(cfg, small_pool())
+        seed = cfg.train.seed
+        assert keys == [[seed, 1], [seed, 2, 1], [seed, 2, 2], [seed, 2, 3]]
 
 
 class TestBudgetAccounting:

@@ -62,6 +62,11 @@ def _keep_blas_env(monkeypatch):
         monkeypatch.setenv(var, "1")
 
 
+def _fake_runs(name, seed):
+    """Two runs whose reports name the workload and seed."""
+    return [[_report(1, 0.5), _report(2, 0.25 + seed)], [_report(len(name), 0.125)]]
+
+
 @pytest.mark.parametrize("argv, want", [
     (["--workload", "desk", "--workload", "pool-200k", "--seed", "1", "--seed", "2"],
      ["desk 1", "desk 2", "pool-200k 1", "pool-200k 2"]),
@@ -79,10 +84,44 @@ def test_every_workload_given_is_digested(argv, want, monkeypatch, capsys):
     """--workload repeats like --seed; each name is digested once, in the
     order first given, and all means every workload."""
     _keep_blas_env(monkeypatch)
-    monkeypatch.setattr(report_digest, "workload_digest", lambda name, seed: f"d-{name}-{seed}")
+    monkeypatch.setattr(report_digest, "workload_runs", _fake_runs)
     assert report_digest.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"{pair} d-{pair.replace(' ', '-')}" for pair in want]
+    expect = []
+    for pair in want:
+        name, seed = pair.split()
+        expect.append(f"{pair} {report_digest.digest(_fake_runs(name, int(seed)))}")
+    assert lines == expect
+
+
+def test_accuracy_appends_each_runs_final_accuracy(monkeypatch, capsys):
+    """--accuracy puts every run's last-round accuracy after the digest, in
+    run order, exactly as repr prints it."""
+    _keep_blas_env(monkeypatch)
+    monkeypatch.setattr(report_digest, "workload_runs", _fake_runs)
+    argv = ["--workload", "desk", "--workload", "desk-sfda", "--seed", "3", "--seed", "1"]
+    assert report_digest.main(argv + ["--accuracy"]) == 0
+    with_acc = capsys.readouterr().out.splitlines()
+    assert report_digest.main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert with_acc == [
+        f"{plain[0]} 3.25 0.125", f"{plain[1]} 1.25 0.125",
+        f"{plain[2]} 3.25 0.125", f"{plain[3]} 1.25 0.125",
+    ]
+
+
+def test_accuracy_of_a_real_run_is_its_last_report(monkeypatch, capsys):
+    """On a real (tiny) loop the appended figure is the last round's
+    accuracy of each run."""
+    _keep_blas_env(monkeypatch)
+    shift = ShiftConfig(C=3, d_in=4, n_source=40, n_target=60, seed=7)
+    cfg = LoopConfig(budget=6, rounds=2, d_feat=16, pretrain_epochs=3,
+                     train=TrainConfig(epochs_per_round=2, batch_size=16, seed=1), seed=1)
+    runs = [run_active_loop(cfg, generate_shifted_dataset(shift))]
+    monkeypatch.setattr(report_digest, "workload_runs", lambda name, seed: runs)
+    assert report_digest.main(["--workload", "desk", "--seed", "1", "--accuracy"]) == 0
+    line = capsys.readouterr().out.split()
+    assert line == ["desk", "1", report_digest.digest(runs), repr(runs[0][-1].accuracy)]
 
 
 @pytest.mark.parametrize("name, changes", [
@@ -94,7 +133,7 @@ def test_every_workload_given_is_digested(argv, want, monkeypatch, capsys):
 def test_desk_variants_run_the_desk_jobs_with_one_change(name, changes, monkeypatch, tmp_path):
     seen = []
     monkeypatch.setattr(harness, "run_active_loop", lambda cfg, pool: seen.append(cfg) or [])
-    report_digest.workload_digest(name, 5)
+    report_digest.workload_runs(name, 5)
     activeadapt, workloads = report_digest._engine()
     desk = workloads.make("desk", activeadapt, 5, tmp_path)
     assert seen == [dataclasses.replace(job.cfg, **changes) for job in desk.jobs]
@@ -103,7 +142,7 @@ def test_desk_variants_run_the_desk_jobs_with_one_change(name, changes, monkeypa
 
 def test_unknown_workload_is_an_error(monkeypatch, capsys):
     _keep_blas_env(monkeypatch)
-    monkeypatch.setattr(report_digest, "workload_digest", lambda name, seed: "never")
+    monkeypatch.setattr(report_digest, "workload_runs", lambda name, seed: [])
     with pytest.raises(SystemExit) as err:
         report_digest.main(["--workload", "desk", "--workload", "nope", "--seed", "1"])
     assert err.value.code == 2

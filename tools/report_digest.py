@@ -4,8 +4,11 @@ from the root of a checkout:
     python3 tools/report_digest.py --workload desk --seed 1 --seed 2
     python3 tools/report_digest.py --workload desk --workload pool-200k --seed 1
     python3 tools/report_digest.py --workload all --seed 1
+    python3 tools/report_digest.py --workload desk --seed 11 --seed 12 --accuracy
 
-prints one line `<workload> <seed> <sha256>` per (workload, seed). The
+prints one line `<workload> <seed> <sha256>` per (workload, seed); with
+--accuracy the line goes on with each run's final accuracy, in run order,
+so one command per checkout gives a before/after accuracy table. The
 digest covers `json.dumps(report.to_dict(), sort_keys=True)` for every
 round of every adaptation run the workload makes, in run order, so two
 checkouts print the same line exactly when their reports are byte-identical
@@ -59,9 +62,9 @@ def _engine():
     return activeadapt, workloads
 
 
-def workload_digest(name: str, seed: int) -> str:
-    """Digest of the reports of the runs perfbench makes for (name, seed),
-    or, for a VARIANTS name, of its desk jobs run with the variant's config."""
+def workload_runs(name: str, seed: int) -> list:
+    """The reports of every run perfbench makes for (name, seed), or, for a
+    VARIANTS name, of its desk jobs run with the variant's config."""
     activeadapt, workloads = _engine()
     changes = {}
     if name in VARIANTS:
@@ -82,7 +85,7 @@ def workload_digest(name: str, seed: int) -> str:
             ]
         finally:
             plan.cleanup()
-    return digest(runs)
+    return runs
 
 
 def main(argv=None) -> int:
@@ -96,12 +99,20 @@ def main(argv=None) -> int:
         help="a perfbench workload, a desk variant, or all; repeat for several",
     )
     ap.add_argument("--seed", type=int, action="append", required=True)
+    ap.add_argument(
+        "--accuracy", action="store_true",
+        help="append each run's final accuracy to its workload's line",
+    )
     args = ap.parse_args(argv)
     if "all" not in args.workload:
         names = tuple(dict.fromkeys(args.workload))
     for name in names:
         for seed in args.seed:
-            print(f"{name} {seed} {workload_digest(name, seed)}", flush=True)
+            runs = workload_runs(name, seed)
+            line = f"{name} {seed} {digest(runs)}"
+            if args.accuracy:
+                line += "".join(f" {reports[-1].accuracy!r}" for reports in runs)
+            print(line, flush=True)
     return 0
 
 
