@@ -9,6 +9,8 @@ consistent/inconsistent) then become visible as separated score ranges.
 Run:  python3 demos/02_informativeness_scoring.py
 """
 
+import csv
+
 import numpy as np
 
 from activeadapt import (
@@ -22,7 +24,7 @@ from activeadapt import (
     observation_labels,
     pretrain_source,
 )
-from activeadapt.scoring import Category, write_score_dump
+from activeadapt.scoring import Category
 
 K = 8
 TAU = 0.95
@@ -70,7 +72,7 @@ print(
     "\ncandidates."
 )
 
-# the debug dump other tooling reads
+# a per-sample CSV of the scoring detail
 max_prob = model.predict_proba(u_X).max(axis=1)
 rows = [
     {
@@ -83,5 +85,8 @@ rows = [
     }
     for i, s, sl, p, mp, c in zip(u_ids, u_scores, sim, pred, max_prob, consistent)
 ]
-write_score_dump("demo_scores.csv", rows[:200])
+with open("demo_scores.csv", "w", newline="") as fh:
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows[:200])
 print("\nwrote the first 200 rows to demo_scores.csv")

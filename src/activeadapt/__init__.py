@@ -15,10 +15,8 @@ from .classifier import (
     backward_and_step,
     combined_grads,
     combined_loss,
-    load_checkpoint,
     loss_entropy,
     loss_supervised,
-    save_checkpoint,
 )
 from .datapool import (
     DataPool,
@@ -26,7 +24,6 @@ from .datapool import (
     ShiftKind,
     generate_shifted_dataset,
     load_pool,
-    save_pool,
 )
 from .gmm import (
     EmFit,

@@ -7,16 +7,12 @@ difference oracle in the test suite keeps them honest.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import logsumexp
-
-CHECKPOINT_VERSION = 1
 
 # Rows per block of a pool-sized pass: a (ROW_BLOCK, d_feat) feature block
 # is 4 MB at d_feat 64, where a whole 200k-row pool would be 102 MB.
@@ -364,37 +360,3 @@ def backward_and_step(
     model.W_out -= grads["W_out"]
     model.b_out -= grads["b_out"]
     return model
-
-
-# -- checkpointing -----------------------------------------------------------
-
-
-def save_checkpoint(path, model: Classifier, cfg: TrainConfig) -> None:
-    """JSON dump of all parameters plus the training config. Full decimal
-    precision, so load_checkpoint restores bit-identical float64 values."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "d_in": model.d_in,
-        "d_feat": model.d_feat,
-        "C": model.C,
-        "params": {k: v.tolist() for k, v in model.params().items()},
-        "train_config": asdict(cfg),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_checkpoint(path) -> tuple[Classifier, TrainConfig]:
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {version}")
-    p = payload["params"]
-    model = Classifier(
-        W_hidden=np.array(p["W_hidden"], dtype=float),
-        b_hidden=np.array(p["b_hidden"], dtype=float),
-        W_out=np.array(p["W_out"], dtype=float),
-        b_out=np.array(p["b_out"], dtype=float),
-    )
-    if model.d_in != payload["d_in"] or model.d_feat != payload["d_feat"] or model.C != payload["C"]:
-        raise ValueError("checkpoint shape metadata disagrees with stored arrays")
-    return model, TrainConfig(**payload["train_config"])

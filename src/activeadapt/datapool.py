@@ -8,9 +8,9 @@ to read them during a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -29,7 +29,8 @@ class ShiftConfig:
     configurable source-to-target transform.
 
     shift_magnitude is a continuous domain-gap knob: 0 means the target
-    distribution equals the source distribution exactly.
+    distribution equals the source distribution exactly. shift_magnitude,
+    class_separation and class_std must be finite.
     """
 
     C: int
@@ -45,6 +46,9 @@ class ShiftConfig:
     def __post_init__(self):
         if isinstance(self.shift_kind, str):
             self.shift_kind = ShiftKind(self.shift_kind)
+        for name in ("shift_magnitude", "class_separation", "class_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.C < 2:
             raise ValueError(f"need at least 2 classes, got C={self.C}")
         if self.d_in < self.C - 1:
@@ -76,7 +80,9 @@ class DataPool:
 
     Invariants: ids are unique, every label lies in [0, C), every class
     appears among the source rows, and the T rows are exactly the annotated
-    ones. The constructor copies its inputs and checks them.
+    ones. The constructor copies its inputs and checks them; it also checks
+    once that there is at least one feature and that every feature is
+    finite, since X never changes.
     """
 
     def __init__(self, C: int, ids, X, labels, source):
@@ -95,6 +101,12 @@ class DataPool:
                 f"the same rows"
             )
         self.d_in = self._X.shape[1]
+        if self.d_in < 1:
+            raise ValueError(f"need at least one feature, got d_in={self.d_in}")
+        finite = np.isfinite(self._X)
+        if not finite.all():
+            row = np.flatnonzero(~finite.all(axis=1))[0]
+            raise ValueError(f"sample {self._ids[row]}: non-finite feature value")
         self._status = np.where(source, _SOURCE, _UNLABELED).astype(np.int8)
         self._source_rows = np.flatnonzero(source)
         self._annotated = np.zeros(0, dtype=np.intp)  # T rows, in annotation order
@@ -321,28 +333,13 @@ def generate_shifted_dataset(cfg: ShiftConfig) -> DataPool:
 # Target labels are loaded into the hidden table only.
 
 
-def save_pool(pool: DataPool, path) -> None:
-    """Write a pool to the delimited dataset format.
-
-    Intended for fresh pools; labeled-target membership is not encoded, so
-    loading a saved pool puts every target sample back into U.
-    """
-    rows = np.concatenate([pool._source_rows, pool._target_rows()])
-    dom = np.where(pool._status[rows] == _SOURCE, "S", "T").tolist()
-    lines = [f"{pool.d_in},{pool.C}"]
-    for sid, d, lab, x in zip(
-        pool._ids[rows].tolist(), dom, pool._labels[rows].tolist(), pool._X[rows].tolist()
-    ):
-        lines.append(f"{sid},{d},{lab}," + ",".join(map(repr, x)))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_pool(path) -> DataPool:
     """Read a pool from the delimited dataset format.
 
     The rows are parsed in one vectorized pass. Field counts and field
-    types are checked by the parser, the domain here, and ids, labels and
-    class coverage by the pool itself; any violation raises ValueError.
+    types are checked by the parser, the header's d_in and the domain here,
+    and ids, labels, finite features and class coverage by the pool itself;
+    any violation raises ValueError.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -351,7 +348,9 @@ def load_pool(path) -> DataPool:
         try:
             d_in, C = (int(v) for v in header.split(","))
         except ValueError as exc:
-            raise ValueError(f"bad header line {header.strip()!r}") from exc
+            raise ValueError(f"bad header line {header.strip()!r} in {path}") from exc
+        if d_in < 1:
+            raise ValueError(f"bad header line {header.strip()!r} in {path}: need d_in >= 1")
         # U2 keeps a longer domain such as "SX" from being cut to a valid "S"
         fields = np.dtype([("id", "i8"), ("dom", "U2"), ("lab", "i8"), ("x", "f8", (d_in,))])
         try:

@@ -358,6 +358,6 @@ def run_em(
     return EmFit(params, len(trace) - 1, trace[-1], trace, converged)
 
 
-def fit_gmm(trainset: GmmTrainSet, max_iter: int = 200, tol: float = 1e-6) -> GmmParams:
-    return run_em(trainset, max_iter=max_iter, tol=tol).params
+def fit_gmm(trainset: GmmTrainSet) -> GmmParams:
+    return run_em(trainset).params
 

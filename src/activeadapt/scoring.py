@@ -9,7 +9,6 @@ with the sample, ranking feature entries by absolute magnitude.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -181,17 +180,3 @@ def observation_labels(
         np.where(confident, Category.CI, Category.UI),
     )
     return q.astype(int)
-
-
-# -- debug dump --------------------------------------------------------------
-
-SCORE_DUMP_FIELDS = ["id", "info_score", "sim_label", "pred_label", "max_prob", "obs_or_component"]
-
-
-def write_score_dump(path, rows) -> None:
-    """CSV of per-sample scoring detail; rows are dicts keyed by
-    SCORE_DUMP_FIELDS."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SCORE_DUMP_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)

@@ -22,10 +22,8 @@ from activeadapt.classifier import (
     combined_grads,
     combined_loss,
     draw_perturbation,
-    load_checkpoint,
     loss_entropy,
     loss_supervised,
-    save_checkpoint,
 )
 from activeadapt.numerics import logsumexp
 from oracles import forward_probs
@@ -738,25 +736,6 @@ class TestStepMatchesReference:
         noise, keep = draw_perturbation(np.random.default_rng(4), x.shape, cfg)
         got = augment(x, cfg, noise, keep)
         assert got.tobytes() == augment_ref(x, cfg, noise, keep).tobytes()
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        model = random_model(rng)
-        cfg = TrainConfig(learning_rate=0.037, lambda_c=0.5, lambda_e=0.1, seed=4)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model, cfg)
-        loaded, cfg2 = load_checkpoint(path)
-        for k in model.params():
-            np.testing.assert_array_equal(loaded.params()[k], model.params()[k])
-        assert cfg2 == cfg
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text('{"format_version": 99}')
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
 
 
 class TestTrainConfig:

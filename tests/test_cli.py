@@ -52,14 +52,15 @@ def test_run_writes_reports(tmp_path, tiny_config, capsys):
 
 
 def test_run_from_dataset_file(tmp_path, tiny_config):
-    # build a dataset file, then point the run at it
-    from activeadapt.datapool import ShiftConfig, generate_shifted_dataset, save_pool
+    # build a dataset file with the benchmark's writer, then point the run at it
+    from activeadapt.datapool import ShiftConfig, generate_shifted_dataset
+    from test_datapool import write_dump
 
     pool = generate_shifted_dataset(
         ShiftConfig(C=3, d_in=4, n_source=40, n_target=60, seed=7)
     )
     data_file = tmp_path / "pool.csv"
-    save_pool(pool, data_file)
+    write_dump(pool, data_file)
     cfg = json.loads(tiny_config.read_text())
     cfg["data"] = {"file": str(data_file)}
     cfg_path = tmp_path / "file_config.json"
@@ -151,6 +152,18 @@ def test_nan_sfda_step_rejected_when_the_config_is_read(tmp_path, tiny_config, c
     out = tmp_path / "n"
     assert main(["run", "--config", str(path), "--output", str(out)]) == 1
     assert "t_v_step must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_shift_magnitude_rejected_when_the_config_is_read(tmp_path, tiny_config, capsys):
+    """A NaN magnitude would draw an unshifted rotation target with no error."""
+    cfg = json.loads(tiny_config.read_text())
+    cfg["data"]["shift_magnitude"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "n"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert "shift_magnitude must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

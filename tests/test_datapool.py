@@ -1,5 +1,8 @@
 """Pool bookkeeping: generation, the oracle, annotation, and file I/O."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,20 @@ from activeadapt.datapool import (
     ShiftKind,
     generate_shifted_dataset,
     load_pool,
-    save_pool,
     shift_transform,
     simplex_means,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402  perfbench's writer of the pool-200k dump
+
+
+def write_dump(pool, path):
+    """Write a fresh pool in the load_pool format with the benchmark's own
+    writer, so these tests read exactly what the pool-200k workload reads."""
+    workloads.write_dump(path, workloads.reference_from_pool(pool), pool.C)
 
 
 def small_cfg(**kw):
@@ -86,6 +99,15 @@ class TestGenerator:
             small_cfg(shift_magnitude=-0.1)
         with pytest.raises(ValueError):
             small_cfg(n_source=2)  # cannot cover 3 classes
+
+    @pytest.mark.parametrize("field", ["shift_magnitude", "class_separation", "class_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected_at_construction(self, field, value):
+        """A NaN shift_magnitude used to fail every `m > 0` test, so rotation
+        and translation runs silently drew an unshifted target; a NaN or inf
+        class_std or class_separation built a pool that failed only later."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_cfg(**{field: value})
 
 
 class TestOracle:
@@ -173,49 +195,27 @@ class TestFileFormat:
     def test_round_trip(self, tmp_path):
         pool = generate_shifted_dataset(small_cfg())
         path = tmp_path / "pool.csv"
-        save_pool(pool, path)
+        write_dump(pool, path)
         assert_same_pool(load_pool(path), pool)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        """Features with full-precision mantissas survive save and load
-        bit for bit."""
+        """Features with full-precision mantissas survive the dump and the
+        load bit for bit."""
         pool = generate_shifted_dataset(
             small_cfg(C=4, d_in=6, n_source=40, n_target=300, shift_kind="mixed", seed=11)
         )
         path = tmp_path / "pool.csv"
-        save_pool(pool, path)
+        write_dump(pool, path)
         loaded = load_pool(path)
         assert_same_pool(loaded, pool)
         _, X = pool.target_arrays()
         _, X_loaded = loaded.target_arrays()
         assert X.tobytes() == X_loaded.tobytes()
 
-    def test_saved_annotations_come_back_unlabeled(self, tmp_path):
-        pool = generate_shifted_dataset(small_cfg())
-        pool.annotate_batch([45, 31])
-        path = tmp_path / "pool.csv"
-        save_pool(pool, path)
-        loaded = load_pool(path)
-        assert loaded.sizes == (30, 0, 50)
-        ids, X = pool.target_arrays()
-        loaded_ids, loaded_X = loaded.unlabeled_arrays()
-        np.testing.assert_array_equal(loaded_ids, ids)
-        np.testing.assert_array_equal(loaded_X, X)
-
-    def test_header_and_layout(self, tmp_path):
-        pool = generate_shifted_dataset(small_cfg())
-        path = tmp_path / "pool.csv"
-        save_pool(pool, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"{pool.d_in},{pool.C}"
-        first = lines[1].split(",")
-        assert first[1] in ("S", "T")
-        assert len(first) == 3 + pool.d_in
-
     def test_target_labels_hidden_after_load(self, tmp_path):
         pool = generate_shifted_dataset(small_cfg())
         path = tmp_path / "pool.csv"
-        save_pool(pool, path)
+        write_dump(pool, path)
         loaded = load_pool(path)
         assert len(loaded.target_labeled) == 0
         sid = int(loaded.target_unlabeled[0])
@@ -232,6 +232,10 @@ class TestFileFormat:
         bad.write_text("4,0\n0,S,0,0.0,0.0,0.0,0.0\n")
         with pytest.raises(ValueError, match="at least one class"):
             load_pool(bad)
+        for header in ("0,2", "-1,2"):  # no feature columns, or fewer than none
+            bad.write_text(f"{header}\n0,S,0\n1,S,1\n")
+            with pytest.raises(ValueError, match=f"bad header line '{header}'"):
+                load_pool(bad)
 
     @pytest.mark.parametrize(
         "body",
@@ -248,6 +252,9 @@ class TestFileFormat:
             "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,T,2,0.0,0.0\n",  # source misses class 2
             "1.0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n",  # non-integer id
             "",  # header only
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n3,T,1,nan,0.0\n",
+            "0,S,0,0.0,0.0\n1,S,1,0.0,0.0\n2,S,2,0.0,0.0\n3,T,1,0.0,-inf\n",
+            "0,S,0,0.0,0.0\n1,S,1,inf,0.0\n2,S,2,0.0,0.0\n3,T,1,0.0,0.0\n",
         ],
     )
     @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
@@ -287,6 +294,17 @@ class TestArrayPool:
             DataPool(2, [0, 1, 2], [[0.0], [1.0]], [0, 1, 1], [True, True, False])
         with pytest.raises(ValueError):
             DataPool(2, [0, 1], [[0.0], [1.0]], [0, 1], [True])
+
+    def test_rejects_zero_features(self):
+        with pytest.raises(ValueError, match="at least one feature"):
+            DataPool(2, [0, 1], np.zeros((2, 0)), [0, 1], [True, True])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features_naming_the_first_sample(self, value):
+        X = np.zeros((4, 2))
+        X[2, 1] = X[3, 0] = value
+        with pytest.raises(ValueError, match="sample 12: non-finite feature"):
+            DataPool(2, [10, 11, 12, 13], X, [0, 1, 0, 1], [True, True, False, False])
 
     def test_views_and_inputs_do_not_alias_storage(self):
         X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])

@@ -1,7 +1,6 @@
 """Centroids, top-k IoU similarity labels, informativeness scores, and
 observation labels, checked against hand-enumerated oracles."""
 
-import csv
 import math
 
 import numpy as np
@@ -19,8 +18,6 @@ from activeadapt.scoring import (
     info_scores_unlabeled,
     observation_labels,
     similarity_labels,
-    write_score_dump,
-    SCORE_DUMP_FIELDS,
     LOG_PROB_FLOOR,
 )
 
@@ -376,25 +373,3 @@ class TestObservationLabel:
         y = rng.integers(0, 3, n)
         want = [obs_label(forward_probs(model, x.tolist())[1], int(c), tau) for x, c in zip(X, y)]
         assert observation_labels(model, X, y, tau).tolist() == want
-
-
-class TestScoreDump:
-    def test_csv_layout(self, tmp_path):
-        rows = [
-            {
-                "id": 7,
-                "info_score": 1.25,
-                "sim_label": 2,
-                "pred_label": 1,
-                "max_prob": 0.61,
-                "obs_or_component": "UI",
-            }
-        ]
-        path = tmp_path / "scores.csv"
-        write_score_dump(path, rows)
-        with open(path) as fh:
-            reader = csv.DictReader(fh)
-            assert reader.fieldnames == SCORE_DUMP_FIELDS
-            back = list(reader)
-        assert back[0]["id"] == "7"
-        assert back[0]["obs_or_component"] == "UI"
