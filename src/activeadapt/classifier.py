@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import logsumexp
+from .numerics import check_fields, logsumexp
 
 # Rows per block of a pool-sized pass: a (ROW_BLOCK, d_feat) feature block
 # is 4 MB at d_feat 64, where a whole 200k-row pool would be 102 MB.
@@ -62,15 +62,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_fields(
+            self,
+            finite=("learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma"),
+            integers={"epochs_per_round": 0, "batch_size": 1, "seed": 0},
+        )
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
-        if self.epochs_per_round < 0:
-            raise ValueError("epochs_per_round must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if not 0.0 <= self.aug_dropout_p < 1.0 + 1e-12:
             raise ValueError("aug_dropout_p must lie in [0, 1]")
         if self.aug_noise_sigma < 0:
@@ -246,8 +244,10 @@ def combined_loss(
     lambda_c: float,
     lambda_e: float,
 ) -> LossBreakdown:
-    """The three-part objective on already-perturbed consistency inputs:
-    L_sup + lambda_c * L_con + lambda_e * L_ent."""
+    """The three-part objective L_sup + lambda_c * L_con + lambda_e * L_ent.
+    It perturbs nothing: X_cc is scored as given. On a step's perturbed
+    consistency batch it is the loss that backward_and_step descends; the
+    loop's loss report passes the clean consistency rows."""
     sup = loss_supervised(model, X_l, y_l)
     empty_cc = len(y_cc) == 0
     empty_uc = np.size(X_uc) == 0

@@ -4,7 +4,6 @@ consistency-rate diagnostic. Exits nonzero on any invariant violation."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from .harness import (
     aggregate_rows,
     compare_strategies,
     consistency_diagnostic,
+    offset_seeds,
     pretrain_source,
     run_active_loop,
     write_aggregate_csv,
@@ -134,12 +134,12 @@ def cmd_diagnose(args) -> int:
 
     results = []
     for seed_i in range(args.seeds):
-        data_cfg = dataclasses.replace(shift, seed=shift.seed + seed_i)
+        data_cfg, seeded = offset_seeds(shift, loop, seed_i)
         pool = generate_shifted_dataset(data_cfg)
         model = Classifier.initialize(
-            pool.d_in, loop.d_feat, pool.C, np.random.default_rng([loop.seed + seed_i, 0])
+            pool.d_in, seeded.d_feat, pool.C, np.random.default_rng([seeded.seed, 0])
         )
-        pretrain_source(model, pool, loop.train, loop.pretrain_epochs)
+        pretrain_source(model, pool, seeded.train, seeded.pretrain_epochs)
         diag = consistency_diagnostic(model, pool, ks)
         results.append(
             {

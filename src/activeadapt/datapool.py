@@ -8,12 +8,13 @@ to read them during a run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.linalg import expm
+
+from .numerics import check_fields
 
 
 class ShiftKind(Enum):
@@ -30,7 +31,8 @@ class ShiftConfig:
 
     shift_magnitude is a continuous domain-gap knob: 0 means the target
     distribution equals the source distribution exactly. shift_magnitude,
-    class_separation and class_std must be finite.
+    class_separation and class_std must be finite, and the count and seed
+    fields integers.
     """
 
     C: int
@@ -46,18 +48,16 @@ class ShiftConfig:
     def __post_init__(self):
         if isinstance(self.shift_kind, str):
             self.shift_kind = ShiftKind(self.shift_kind)
-        for name in ("shift_magnitude", "class_separation", "class_std"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.C < 2:
-            raise ValueError(f"need at least 2 classes, got C={self.C}")
+        check_fields(
+            self,
+            finite=("shift_magnitude", "class_separation", "class_std"),
+            integers={"C": 2, "d_in": 1, "n_source": 1, "n_target": 1, "seed": 0},
+        )
         if self.d_in < self.C - 1:
             raise ValueError(
                 f"d_in={self.d_in} cannot hold a {self.C}-vertex simplex "
                 f"(need d_in >= C-1)"
             )
-        if self.n_source <= 0 or self.n_target <= 0:
-            raise ValueError("n_source and n_target must be positive")
         if self.n_source < self.C:
             raise ValueError("n_source must cover every class at least once")
         if self.shift_magnitude < 0:

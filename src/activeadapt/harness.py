@@ -29,11 +29,13 @@ from .classifier import (
 )
 from .datapool import DataPool, generate_shifted_dataset
 from .gmm import EmFit, GmmTrainSet, component_posteriors, run_em
+from .numerics import check_fields
 from .sampler import (
     SfdaConfig,
     partition_unlabeled,
     select_active_batch,
     sfda_bootstrap,
+    smallest_first,
     loss_quantile_split,
 )
 from .scoring import (
@@ -59,7 +61,7 @@ class LoopConfig:
     """Knobs for one adaptation run.
 
     budget is split evenly over rounds (rounds must divide budget); k
-    defaults to d_feat // 8.
+    defaults to d_feat // 8. The count and seed fields must be integers.
     """
 
     budget: int
@@ -76,10 +78,9 @@ class LoopConfig:
     def __post_init__(self):
         if isinstance(self.strategy, str):
             self.strategy = Strategy(self.strategy)
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.rounds < 1:
-            raise ValueError("rounds must be positive")
+        check_fields(self, integers={
+            "budget": 0, "rounds": 1, "k": 1, "d_feat": 1, "pretrain_epochs": 0, "seed": 0,
+        })
         if self.budget > 0 and self.budget % self.rounds != 0:
             raise ValueError(
                 f"rounds ({self.rounds}) must divide budget ({self.budget})"
@@ -87,16 +88,14 @@ class LoopConfig:
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         k = self.resolved_k()
-        if not 1 <= k <= self.d_feat:
+        if k > self.d_feat:
             raise ValueError(f"k={k} must lie in [1, d_feat={self.d_feat}]")
-        if self.pretrain_epochs < 0:
-            raise ValueError("pretrain_epochs must be nonnegative")
         if self.sfda is not None and self.strategy is not Strategy.DIANA:
             raise ValueError("the source-free variant only applies to the diana strategy")
 
     @property
     def per_round(self) -> int:
-        return self.budget // self.rounds if self.budget else 0
+        return self.budget // self.rounds
 
     def resolved_k(self) -> int:
         return self.k if self.k is not None else max(1, self.d_feat // 8)
@@ -292,8 +291,7 @@ def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> 
         key = np.sum(np.exp(logp) * logp, axis=1)  # ascending = max entropy first
     else:  # least confidence: smallest max-probability first
         key = logp.max(axis=1)
-    order = np.lexsort((u_ids, key))
-    return _Selection([int(i) for i in u_ids[order[: min(b, u_ids.size)]]])
+    return _Selection([int(i) for i in u_ids[smallest_first(key, u_ids, b)]])
 
 
 # -- the loop ----------------------------------------------------------------
@@ -402,18 +400,26 @@ def aggregate_rows(strategy: Strategy, seed: int, reports) -> list[dict]:
     ]
 
 
+def offset_seeds(shift_cfg, loop_cfg: LoopConfig, i: int):
+    """Seed i of a multi-seed run: the data, loop and training configs with
+    each of their seeds offset by i. Returns (shift_cfg, loop_cfg)."""
+    train = dataclasses.replace(loop_cfg.train, seed=loop_cfg.train.seed + i)
+    return (
+        dataclasses.replace(shift_cfg, seed=shift_cfg.seed + i),
+        dataclasses.replace(loop_cfg, seed=loop_cfg.seed + i, train=train),
+    )
+
+
 def compare_strategies(shift_cfg, loop_cfg: LoopConfig, strategies, n_seeds: int):
     """Run each strategy on freshly generated pools over n_seeds paired
-    seeds. Returns aggregate rows (one per strategy/seed/round)."""
+    seeds (offset_seeds). Returns aggregate rows (one per
+    strategy/seed/round)."""
     rows = []
     for seed_i in range(n_seeds):
-        data_cfg = dataclasses.replace(shift_cfg, seed=shift_cfg.seed + seed_i)
+        data_cfg, seeded = offset_seeds(shift_cfg, loop_cfg, seed_i)
         for strat in strategies:
             strat = Strategy(strat)
-            train = dataclasses.replace(loop_cfg.train, seed=loop_cfg.train.seed + seed_i)
-            cfg = dataclasses.replace(
-                loop_cfg, strategy=strat, seed=loop_cfg.seed + seed_i, train=train
-            )
+            cfg = dataclasses.replace(seeded, strategy=strat)
             reports = run_active_loop(cfg, generate_shifted_dataset(data_cfg))
             rows += aggregate_rows(strat, seed_i, reports)
     return rows

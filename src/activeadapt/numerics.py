@@ -1,8 +1,9 @@
-"""The package's one stable log-sum-exp.
+"""The package's one stable log-sum-exp, and its one config-field check.
 
 The classifier's log-softmax head (which the score computation also runs)
 and the mixture E step normalize through it, so they share one formula and
-one rounding.
+one rounding. Every config dataclass validates its number fields through
+check_fields.
 """
 
 from __future__ import annotations
@@ -48,3 +49,22 @@ def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False, softmax_out
     out = np.log(s, out=s)
     out += m
     return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def check_fields(cfg, finite=(), integers=None) -> None:
+    """Reject a config whose named fields are out of range, naming the field.
+    Each field in finite must be finite. Each field in integers, a mapping
+    name -> least value, must be an int or np.integer (not a bool) and at
+    least that value. A field that is None is left unchecked."""
+    for name in finite:
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, least in (integers or {}).items():
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name}={value!r} must be an integer")
+        if value < least:
+            raise ValueError(f"{name}={value} must be at least {least}")

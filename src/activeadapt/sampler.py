@@ -11,16 +11,17 @@ the next round.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
 
 from .classifier import Classifier
 from .gmm import GmmParams, _column_blocks, component_posteriors
+from .numerics import check_fields
 from .scoring import (
     Category,
     CentroidSet,
@@ -56,14 +57,16 @@ class PartitionAssignment:
 MAX_RELAXATIONS = 10_000
 
 
-def _relaxations(t: float, step: float, done) -> int:
-    """How many times sfda_bootstrap's t += step runs before done(t), counted
-    up to MAX_RELAXATIONS + 1. A step below half the float spacing at t
-    leaves t where it is, so such a schedule runs out the count."""
-    n = 0
-    while not done(t) and n <= MAX_RELAXATIONS:
-        t, n = t + step, n + 1
-    return n
+def _schedule(t: float, step: float):
+    """A bootstrap threshold's values: t, then t += step, up to the first at
+    the end of its schedule, at or below 0 for a falling step (t_v) and at
+    or above 1 for a rising one (t_c). A step below half the float spacing
+    at t leaves t where it is, so such a schedule never ends."""
+    while True:
+        yield t
+        if t <= 0 if step < 0 else t >= 1.0:
+            return
+        t += step
 
 
 @dataclass
@@ -78,42 +81,42 @@ class SfdaConfig:
     t_c_step: float = 0.1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_fields(self, finite=[f.name for f in fields(self)])
         if self.t_v_step <= 0 or self.t_c_step <= 0:
             raise ValueError("threshold steps must be positive")
         # an unset t_c_init starts at 1/C + 1e-5; counting from 0 finds no fewer steps
-        t_c = 0.0 if self.t_c_init is None else self.t_c_init
-        for name, n in (
-            ("t_v_step", _relaxations(self.t_v_init, -self.t_v_step, lambda t: t <= 0)),
-            ("t_c_step", _relaxations(t_c, self.t_c_step, lambda t: t >= 1.0)),
+        for name, schedule in (
+            ("t_v_step", _schedule(self.t_v_init, -self.t_v_step)),
+            ("t_c_step", _schedule(self.t_c_init or 0.0, self.t_c_step)),
         ):
-            if n > MAX_RELAXATIONS:
+            if len(list(islice(schedule, MAX_RELAXATIONS + 2))) > MAX_RELAXATIONS + 1:
                 raise ValueError(
                     f"{name}={getattr(self, name)} needs more than {MAX_RELAXATIONS}"
                     " relaxations to take its threshold to the end of its schedule"
                 )
 
 
+def smallest_first(key, ids, b: int) -> np.ndarray:
+    """Positions of the min(b, n) smallest keys, smallest first, ties to the
+    smaller id and NaN keys last, as a sort of every row by key, then id,
+    ranks them. Only the rows at or below the b-th smallest key are sorted."""
+    if b < 0:
+        raise ValueError("batch size must be nonnegative")
+    key, ids = np.asarray(key, dtype=float), np.asarray(ids)
+    b = min(b, key.size)
+    if b == 0:
+        return np.zeros(0, dtype=np.intp)
+    # a NaN b-th key keeps every row, and NaN rows are always kept
+    rows = np.flatnonzero(~(key > np.partition(key, b - 1)[b - 1]))
+    return rows[np.lexsort((ids[rows], key[rows]))][:b]
+
+
 def select_active_batch(ids, scores, params: GmmParams, b: int) -> list[int]:
     """The min(b, |U|) sample ids with the highest uncertain-inconsistent
     component posterior, in descending order; ties go to the smaller id."""
-    if b < 0:
-        raise ValueError("batch size must be nonnegative")
     ids = np.asarray(ids, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    if ids.size == 0 or b == 0:
-        return []
-    neg = -component_posteriors(scores, params)[:, Category.UI - 1]
-    b = min(b, ids.size)
-    # only rows at or above the b-th largest posterior can make the batch, so
-    # only they are ranked; rows with a NaN posterior are kept, as the full
-    # lexsort would rank them last
-    rows = np.flatnonzero(~(neg > np.partition(neg, b - 1)[b - 1]))
-    order = rows[np.lexsort((ids[rows], neg[rows]))]
-    return [int(i) for i in ids[order[:b]]]
+    neg = -component_posteriors(np.asarray(scores, dtype=float), params)[:, Category.UI - 1]
+    return [int(i) for i in ids[smallest_first(neg, ids, b)]]
 
 
 def partition_unlabeled(
@@ -186,31 +189,25 @@ def sfda_bootstrap(
     pred = np.argmax(P, axis=1)
     maxp = P.max(axis=1)
 
-    t_v = cfg.t_v_init
-    while True:
+    for t_v in _schedule(cfg.t_v_init, -cfg.t_v_step):
         proxy = maxp >= t_v
         if len(np.unique(pred[proxy])) == C:
             break
-        if t_v <= 0:
-            raise ValueError(
-                "predictions never cover every class; cannot bootstrap a proxy labeled set"
-            )
-        t_v -= cfg.t_v_step
+    else:
+        raise ValueError(
+            "predictions never cover every class; cannot bootstrap a proxy labeled set"
+        )
 
     centroids = centroids_from_features(F[proxy], pred[proxy], C)
     sim = similarity_labels(F, centroids, k)
     inconsistent = pred != sim
 
     t_c = cfg.t_c_init if cfg.t_c_init is not None else 1.0 / C + 1e-5
-    while True:
-        candidates = inconsistent & (maxp <= t_c)
-        if candidates.sum() >= b or t_c >= 1.0:
+    for t_c in _schedule(t_c, cfg.t_c_step):
+        candidates = np.flatnonzero(inconsistent & (maxp <= t_c))
+        if candidates.size >= b:
             break
-        t_c += cfg.t_c_step
-
-    cand_idx = np.flatnonzero(candidates)
-    order = np.lexsort((ids[cand_idx], maxp[cand_idx]))
-    take = cand_idx[order[: min(b, cand_idx.size)]]
+    take = candidates[smallest_first(maxp[candidates], ids[candidates], b)]
 
     return SfdaResult(
         pseudo_labeled=[(int(i), int(p)) for i, p in zip(ids[proxy], pred[proxy])],

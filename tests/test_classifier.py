@@ -746,3 +746,16 @@ class TestTrainConfig:
         NonFiniteGradientError in the first training step."""
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", 8.0, "must be an integer"),
+        ("epochs_per_round", 1.0, "must be an integer"),
+        ("batch_size", True, "must be an integer"),
+        ("seed", -1, "must be at least 0"),
+        ("batch_size", 0, "must be at least 1"),
+    ])
+    def test_bad_count_or_seed_names_its_field(self, field, value, message):
+        """A float batch size used to fail inside numpy without the field's
+        name, and a negative seed at the first generator."""
+        with pytest.raises(ValueError, match=f"{field}={value!r} {message}"):
+            TrainConfig(**{field: value})

@@ -176,3 +176,46 @@ def test_seeds_below_one_rejected(tmp_path, tiny_config, capsys, command, seeds)
     assert exc.value.code != 0
     assert "--seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diagnose_offsets_every_seed_as_compare_does(tmp_path, tiny_config, monkeypatch):
+    """Seed i pretrains on training stream train.seed + i, from model init
+    [seed + i, 0] on data seed + i, as compare_strategies runs it."""
+    import activeadapt.cli as cli
+    from activeadapt.harness import pretrain_source
+
+    seen = []
+
+    def spy(model, pool, cfg, epochs=None, rng=None):
+        seen.append(cfg.seed)
+        return pretrain_source(model, pool, cfg, epochs, rng)
+
+    monkeypatch.setattr(cli, "pretrain_source", spy)
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"]["train"]["seed"] = 7
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(cfg))
+    args = ["diagnose-consistency", "--k-sweep", "2", "--seeds", "3"]
+    assert main([*args, "--config", str(path), "--output", str(tmp_path / "d")]) == 0
+    assert seen == [7, 8, 9]
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("loop", "budget", 6.0),
+    ("loop", "k", True),
+    ("loop", "seed", -1),
+    ("train", "batch_size", 16.0),
+    ("data", "n_target", 60.0),
+])
+def test_non_integer_count_rejected_when_the_config_is_read(
+    tmp_path, tiny_config, capsys, section, field, value
+):
+    """A float count would only fail inside numpy, without the field's name."""
+    cfg = json.loads(tiny_config.read_text())
+    (cfg["loop"]["train"] if section == "train" else cfg[section])[field] = value
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "f"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert f"{field}=" in capsys.readouterr().err
+    assert not out.exists()

@@ -109,6 +109,18 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("C", 3.0, "must be an integer"),
+        ("n_target", 300.0, "must be an integer"),
+        ("d_in", True, "must be an integer"),
+        ("seed", -1, "must be at least 0"),
+    ])
+    def test_bad_count_or_seed_names_its_field(self, field, value, message):
+        """A float count used to fail inside numpy without the field's name,
+        and a negative seed at the first generator."""
+        with pytest.raises(ValueError, match=f"{field}={value!r} {message}"):
+            small_cfg(**{field: value})
+
 
 class TestOracle:
     def test_returns_generator_label(self):

@@ -99,6 +99,28 @@ class TestConfigValidation:
         assert fast_loop(k=16).resolved_k() == 16
         assert fast_loop(pretrain_epochs=0).pretrain_epochs == 0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("budget", 12.0, "must be an integer"),
+        ("rounds", 3.0, "must be an integer"),
+        ("k", 2.5, "must be an integer"),
+        ("k", True, "must be an integer"),
+        ("d_feat", 16.0, "must be an integer"),
+        ("pretrain_epochs", 2.5, "must be an integer"),
+        ("seed", -1, "must be at least 0"),
+        ("d_feat", 0, "must be at least 1"),
+    ])
+    def test_bad_count_or_seed_names_its_field(self, field, value, message):
+        """A float count used to fail inside numpy without the field's name, a
+        bool k ran as k = 1, a negative seed failed at the first generator,
+        and d_feat=0 was blamed on k."""
+        with pytest.raises(ValueError, match=f"{field}={value!r} {message}"):
+            fast_loop(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = fast_loop(budget=np.int64(12), rounds=np.int32(3), k=np.int64(2))
+        assert cfg.per_round == 4
+        assert fast_loop(budget=0).per_round == 0
+
 
 class TestEvaluate:
     def test_all_correct(self):
@@ -468,6 +490,24 @@ class TestBaselines:
         maxp = model.predict_proba(u_X).max(axis=1)
         want = sorted(zip(u_ids, maxp), key=lambda t: (t[1], t[0]))[:4]
         assert reports[0].selected_ids == [int(i) for i, _ in want]
+
+    @pytest.mark.parametrize("strategy", [Strategy.ENTROPY, Strategy.LEAST_CONFIDENCE])
+    def test_tied_keys_take_the_smallest_ids(self, strategy):
+        """A model with zero weights predicts every row alike, so every
+        row's key ties; the batch is then the smallest ids, whatever order
+        the pool keeps its rows in."""
+        rng = np.random.default_rng(0)
+        ids = rng.permutation(1000)[:40]
+        X = rng.standard_normal((40, 3))
+        y = np.arange(40) % 3
+        pool = DataPool(3, ids, X, y, np.arange(40) < 10)
+        model = Classifier(np.zeros((3, 4)), rng.standard_normal(4),
+                           np.zeros((4, 3)), np.array([0.3, -0.2, 0.1]))
+        u_ids, u_X = pool.unlabeled_arrays()
+        assert len(np.unique(model.log_proba(u_X), axis=0)) == 1
+        assert u_ids.tolist() != sorted(u_ids.tolist())
+        sel = harness._select_baseline(model, pool, fast_loop(strategy=strategy), 7, 1)
+        assert sel.ids == sorted(u_ids.tolist())[:7]
 
     def test_random_repeatable(self):
         cfg = fast_loop(strategy=Strategy.RANDOM)

@@ -18,6 +18,7 @@ from activeadapt.sampler import (
     partition_unlabeled,
     select_active_batch,
     sfda_bootstrap,
+    smallest_first,
 )
 from activeadapt.scoring import Category, centroids_from_features, compute_centroids
 
@@ -74,16 +75,16 @@ class TestSelectActiveBatch:
             assert got == oracles.select_top_b(ids, post, b)
 
     @pytest.mark.parametrize("case", ["saturated", "few_values", "all_equal", "nan"])
-    @pytest.mark.parametrize("b", [1, 7, 150, 400, 401, 1000])
+    @pytest.mark.parametrize("b", [0, 1, 7, 150, 400, 401, 1000])
     def test_matches_ranking_the_whole_pool(self, case, b):
         """Only rows at or above the b-th largest posterior are ranked; the
         batch is still the first min(b, n) of the whole pool ranked by
         posterior descending, then id ascending. Heavy ties: half the scores
         sit at the UI mean, where the posterior is exactly 1.0; five
         distinct scores; one score for every row. NaN: the saturated scores
-        with every tenth one NaN, whose posteriors are NaN and rank last."""
-        from activeadapt.gmm import component_posteriors
-
+        with every tenth one NaN, whose posteriors are NaN and rank last.
+        smallest_first, the ranking itself, gives the positions of a full
+        lexsort of the negated posteriors."""
         rng = np.random.default_rng(7)
         n = 400
         ids = rng.permutation(10 * n)[:n]
@@ -98,8 +99,26 @@ class TestSelectActiveBatch:
         post = component_posteriors(scores, WELL_SEPARATED)[:, Category.UI - 1]
         assert np.isnan(post).sum() == (40 if case == "nan" else 0)
         assert len(np.unique(post)) <= 5 or (post == 1.0).sum() > 150
-        want = ids[np.lexsort((ids, -post))][:b].tolist()
-        assert select_active_batch(ids, scores, WELL_SEPARATED, b) == want
+        want = np.lexsort((ids, -post))[:b]
+        assert smallest_first(-post, ids, b).tolist() == want.tolist()
+        assert select_active_batch(ids, scores, WELL_SEPARATED, b) == ids[want].tolist()
+
+    def test_smallest_first_is_a_full_lexsort_cut_to_b(self):
+        """Random keys drawn from a few values, signed zeros, infinities and
+        NaN, so most cases tie; b from 0 to past n. -0.0 and 0.0 tie, and
+        the smaller id goes first."""
+        rng = np.random.default_rng(11)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+        for _ in range(2000):
+            n = int(rng.integers(0, 30))
+            key = rng.choice(values, n)
+            ids = rng.permutation(100)[:n]
+            b = int(rng.integers(0, n + 4))
+            want = np.lexsort((ids, key))[:b]
+            assert smallest_first(key, ids, b).tolist() == want.tolist()
+        assert smallest_first([-0.0, 0.0], [9, 3], 1).tolist() == [1]
+        with pytest.raises(ValueError, match="nonnegative"):
+            smallest_first([1.0], [0], -1)
 
     def test_selected_have_maximal_posterior(self):
         rng = np.random.default_rng(1)
@@ -298,6 +317,47 @@ class TestSfdaBootstrap:
         assert [i for i, _ in res.pseudo_labeled] == [int(ids[i]) for i in proxy_idx]
         assert res.active_ids == active
 
+    def test_tied_confidences_take_the_smaller_id(self):
+        """Every sample appears twice under two ids, so each candidate's max
+        probability ties with its twin's; the batch cuts through a tie, and
+        the smaller id of the cut pair is the one taken."""
+        rng = np.random.default_rng(42)
+        model = random_model(rng, d_in=4, d_feat=6, C=3)
+        X = 2.0 * rng.standard_normal((20, 4))
+        X = np.vstack([X, X])
+        ids = rng.permutation(400)[:40]
+        b = 5
+        res = sfda_bootstrap(model, ids, X, SfdaConfig(), b=b, k=2)
+
+        maxp = model.predict_proba(X).max(axis=1)
+        assert maxp[:20].tobytes() == maxp[20:].tobytes()
+        twin = {int(ids[i]): int(ids[(i + 20) % 40]) for i in range(40)}
+        cut = [i for i in res.active_ids if twin[i] not in res.active_ids]
+        assert len(cut) == 1 and cut[0] < twin[cut[0]]
+        order = sorted(res.active_ids, key=lambda i: (maxp[list(ids).index(i)], i))
+        assert res.active_ids == order
+
+    def test_bootstrap_walks_the_schedule_at_the_bound(self):
+        """With steps of 2**-13 every threshold value is exact, so t_v and
+        t_c each take exactly MAX_RELAXATIONS steps to the end of their
+        schedules, which the config accepts; the bootstrap reaches the same
+        values by the same repeated additions."""
+        step = 2.0 ** -13
+        cfg = SfdaConfig(
+            t_v_init=MAX_RELAXATIONS * step, t_v_step=step,
+            t_c_init=1.0 - MAX_RELAXATIONS * step, t_c_step=step,
+        )
+        model = diag_model(3, scale=8.0)
+        X = np.vstack([3.0 * np.eye(3), [[0.12, 0, 0]], [[0, 0.12, 0]]])
+        X[2] = [0, 0, 0.16]
+        conf2 = model.predict_proba(X)[2].max()
+        res = sfda_bootstrap(model, np.arange(5), X, cfg, b=10, k=1)
+        t = cfg.t_v_init
+        while conf2 < t:
+            t -= step
+        assert res.t_v == t
+        assert res.t_c == 1.0
+
 
 class TestSfdaConfig:
     @pytest.mark.parametrize("field, value", [
@@ -322,6 +382,21 @@ class TestSfdaConfig:
     ])
     def test_schedules_within_the_bound_accepted(self, kw):
         SfdaConfig(**kw)
+
+    @pytest.mark.parametrize("steps, accepted", [(MAX_RELAXATIONS, True), (MAX_RELAXATIONS + 1, False)])
+    def test_schedule_at_the_bound(self, steps, accepted):
+        """Exactly MAX_RELAXATIONS relaxations pass, one more fails. Steps of
+        2**-13 make every threshold value exact."""
+        step = 2.0 ** -13
+        for name, kw in [
+            ("t_v_step", {"t_v_init": steps * step, "t_v_step": step}),
+            ("t_c_step", {"t_c_init": 1.0 - steps * step, "t_c_step": step}),
+        ]:
+            if accepted:
+                SfdaConfig(**kw)
+            else:
+                with pytest.raises(ValueError, match=f"{name}=.* more than {MAX_RELAXATIONS}"):
+                    SfdaConfig(**kw)
 
 
 class TestConsistencyRate:
