@@ -51,7 +51,13 @@ def default_config() -> dict:
 def _read_config(path) -> dict:
     if path is None:
         return default_config()
-    return json.loads(Path(path).read_text())
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} is not a JSON object of 'data' and 'loop' sections")
+    missing = [s for s in ("data", "loop") if s not in cfg]
+    if missing:
+        raise ValueError(f"config {path} has no {' or '.join(map(repr, missing))} section")
+    return cfg
 
 
 def _loop_config(d: dict) -> LoopConfig:
@@ -65,6 +71,11 @@ def _loop_config(d: dict) -> LoopConfig:
 
 def _build_pool(data_cfg: dict):
     if "file" in data_cfg:
+        ignored = sorted(set(data_cfg) - {"file"})
+        if ignored:
+            raise ValueError(
+                f"a data file fixes its own pool; remove the generator keys {ignored}"
+            )
         return load_pool(data_cfg["file"])
     return generate_shifted_dataset(ShiftConfig(**data_cfg))
 
@@ -89,6 +100,12 @@ def cmd_run(args) -> int:
                 else ""
             )
         )
+        if rep.gmm is not None and not rep.gmm.converged:
+            print(
+                f"warning: round {rep.round_index}: mixture fit stopped at "
+                f"{rep.gmm.n_iter} updates without converging",
+                file=sys.stderr,
+            )
     write_aggregate_csv(out / "aggregate.csv", aggregate_rows(loop.strategy, loop.seed, reports))
     print(f"wrote {len(reports)} round reports to {out}")
     return 0

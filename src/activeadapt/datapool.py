@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .numerics import check_fields
 
@@ -278,6 +277,10 @@ def shift_transform(cfg: ShiftConfig):
     skew = G - G.T
     norm = np.linalg.norm(skew, 2)
     if want_rot and m > 0 and norm > 0:
+        # scipy is imported here alone, so a file-backed or unrotated pool
+        # runs on numpy without loading scipy's linalg stack
+        from scipy.linalg import expm
+
         rotation = expm(m * skew / norm)
     u = rng.standard_normal(cfg.d_in)
     if want_tra and m > 0:
@@ -310,20 +313,20 @@ def generate_shifted_dataset(cfg: ShiftConfig) -> DataPool:
     means = simplex_means(cfg.C, cfg.d_in, cfg.class_separation)
     rotation, offset, cov_scale = shift_transform(cfg)
 
+    # both domains are written straight into one table, so a build makes
+    # no per-domain copies to concatenate
+    X = np.empty((cfg.n_source + cfg.n_target, cfg.d_in))
+    X_s, X_t = X[: cfg.n_source], X[cfg.n_source :]
     y_s = _labels_covering(rng, cfg.n_source, cfg.C)
-    X_s = means[y_s] + cfg.class_std * rng.standard_normal((cfg.n_source, cfg.d_in))
+    np.add(means[y_s], cfg.class_std * rng.standard_normal(X_s.shape), out=X_s)
 
     y_t = _labels_covering(rng, cfg.n_target, cfg.C)
-    base = means[y_t] + cov_scale * cfg.class_std * rng.standard_normal(
-        (cfg.n_target, cfg.d_in)
-    )
-    X_t = base @ rotation.T + offset
+    base = means[y_t] + cov_scale * cfg.class_std * rng.standard_normal(X_t.shape)
+    np.matmul(base, rotation.T, out=X_t)
+    X_t += offset
 
     ids = np.arange(cfg.n_source + cfg.n_target)
-    return DataPool(
-        cfg.C, ids, np.concatenate([X_s, X_t]), np.concatenate([y_s, y_t]),
-        source=ids < cfg.n_source,
-    )
+    return DataPool(cfg.C, ids, X, np.concatenate([y_s, y_t]), source=ids < cfg.n_source)
 
 
 # -- delimited-file ingestion ----------------------------------------------

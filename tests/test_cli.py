@@ -219,3 +219,63 @@ def test_non_integer_count_rejected_when_the_config_is_read(
     assert main(["run", "--config", str(path), "--output", str(out)]) == 1
     assert f"{field}=" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "diagnose-consistency"])
+@pytest.mark.parametrize("section", ["data", "loop"])
+def test_missing_section_is_named(tmp_path, tiny_config, capsys, command, section):
+    cfg = json.loads(tiny_config.read_text())
+    del cfg[section]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "m"
+    assert main([command, "--config", str(path), "--output", str(out)]) == 1
+    assert f"has no '{section}' section" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", [5, ["data", "loop"]])
+def test_config_that_is_not_an_object_is_named(tmp_path, capsys, body):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 1
+    assert "is not a JSON object" in capsys.readouterr().err
+
+
+def test_capped_mixture_fit_warns_on_stderr(tmp_path, tiny_config, capsys, monkeypatch):
+    """A fit that stops at its update cap says so once per round on stderr;
+    stdout keeps its round lines alone."""
+    import functools
+
+    import activeadapt.harness as harness
+    from activeadapt.gmm import run_em
+
+    monkeypatch.setattr(harness, "run_em", functools.partial(run_em, max_iter=1))
+    assert main(["run", "--config", str(tiny_config), "--output", str(tmp_path / "w")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: round {r}: mixture fit stopped at 1 updates without converging"
+        for r in (1, 2)
+    ]
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "round 1", "round 2", f"wrote 2 round reports to {tmp_path / 'w'}"
+    ]
+
+
+def test_file_config_rejects_generator_keys(tmp_path, tiny_config, capsys):
+    """A data file fixes C, the sizes and the rows, so generator keys beside
+    it are refused by name rather than ignored."""
+    from activeadapt.datapool import ShiftConfig, generate_shifted_dataset
+    from test_datapool import write_dump
+
+    data_file = tmp_path / "pool.csv"
+    pool = generate_shifted_dataset(ShiftConfig(C=3, d_in=4, n_source=40, n_target=60))
+    write_dump(pool, data_file)
+    cfg = json.loads(tiny_config.read_text())
+    cfg["data"] = {"file": str(data_file), "C": 7, "seed": 99}
+    path = tmp_path / "file_config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert "generator keys ['C', 'seed']" in capsys.readouterr().err
+    assert not out.exists()
