@@ -87,8 +87,7 @@ def cmd_run(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
-    reports = run_active_loop(loop, pool)
-    for rep in reports:
+    def emit(rep):
         (out / f"round_{rep.round_index:03d}.json").write_text(
             json.dumps(rep.to_dict(), indent=2)
         )
@@ -98,7 +97,8 @@ def cmd_run(args) -> int:
                 f" selected_error_rate={rep.selected_error_rate:.4f}"
                 if rep.selected_error_rate is not None
                 else ""
-            )
+            ),
+            flush=True,
         )
         if rep.gmm is not None and not rep.gmm.converged:
             print(
@@ -106,6 +106,10 @@ def cmd_run(args) -> int:
                 f"{rep.gmm.n_iter} updates without converging",
                 file=sys.stderr,
             )
+
+    reports = run_active_loop(loop, pool, on_round_end=lambda _model, _pool, rep: emit(rep))
+    if loop.budget == 0:  # no round ran, so on_round_end never saw this report
+        emit(reports[0])
     write_aggregate_csv(out / "aggregate.csv", aggregate_rows(loop.strategy, loop.seed, reports))
     print(f"wrote {len(reports)} round reports to {out}")
     return 0

@@ -106,6 +106,27 @@ class GmmTrainSet:
 # the scores (a sum, a matrix product) stays one call on the whole array.
 EM_BLOCK = 16384
 
+# Above SKETCH_ROWS unlabeled scores the mixture is fitted on a weighted
+# sketch of them (sketched), as in EM for grouped data (McLachlan and
+# Jones, Biometrics 1988) and coreset GMM training (Lucic et al., JMLR 2018).
+SKETCH_ROWS = 2**15
+
+
+def sketched(ts: GmmTrainSet) -> GmmTrainSet:
+    """ts itself up to SKETCH_ROWS unlabeled scores. Above, the middle score
+    of each group of m = ceil(n_u / SKETCH_ROWS) sorted scores stands for
+    the group, and alpha = a / (a + (n_u / n_s)(1 - a)) for ts.alpha = a and
+    n_s sketch scores keeps the sides' weight ratio, (1 - a) n_u / (a n_l)."""
+    n_u = ts.unlabeled_scores.size
+    if n_u <= SKETCH_ROWS:
+        return ts
+    m = -(-n_u // SKETCH_ROWS)
+    starts = np.arange(0, n_u, m)
+    sketch = np.sort(ts.unlabeled_scores)[starts + np.minimum(m, n_u - starts) // 2]
+    a = ts.alpha
+    alpha = a / (a + n_u / sketch.size * (1.0 - a))
+    return GmmTrainSet(ts.labeled_scores, ts.labeled_components, sketch, alpha)
+
 
 def _column_blocks(n: int) -> list[slice]:
     return [slice(start, start + EM_BLOCK) for start in range(0, n, EM_BLOCK)]

@@ -28,7 +28,7 @@ from .classifier import (
     draw_perturbation,
 )
 from .datapool import DataPool, generate_shifted_dataset
-from .gmm import EmFit, GmmTrainSet, component_posteriors, run_em
+from .gmm import EmFit, GmmTrainSet, component_posteriors, run_em, sketched
 from .numerics import check_fields
 from .sampler import (
     SfdaConfig,
@@ -250,11 +250,13 @@ class _Selection:
 
 
 def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
-    """Score, fit, select the top b and partition the rest of the pool. The
-    partition runs before annotation: the model and centroids it needs are
-    the ones the batch was selected with. It reads only the remaining
-    pool's scores, and the CC/UC rows are taken from the whole pool's rows
-    by index, so the round holds one copy of the unlabeled rows."""
+    """Score, fit, select the top b and partition the rest of the pool. A
+    large pool's mixture is fitted on a sketch of its scores (gmm.sketched);
+    selection and the partition score every row. The partition runs before
+    annotation: the model and centroids it needs are the ones the batch was
+    selected with. It reads only the remaining pool's scores, and the CC/UC
+    rows are taken from the whole pool's rows by index, so the round holds
+    one copy of the unlabeled rows."""
     u_ids, u_X = pool.unlabeled_arrays()
     k = cfg.resolved_k()
     X_lab, y_lab = pool.labeled_arrays(include_source=cfg.sfda is None)
@@ -266,7 +268,7 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     l_scores = info_scores_labeled(model, X_lab, y_lab)
     l_obs = observation_labels(model, X_lab, y_lab, cfg.tau)
     scores, sim = info_scores_unlabeled(model, centroids, u_X, k)
-    fit = run_em(GmmTrainSet(l_scores, l_obs, scores))
+    fit = run_em(sketched(GmmTrainSet(l_scores, l_obs, scores)))
     ids = select_active_batch(u_ids, scores, fit.params, b)
 
     order = np.argsort(u_ids)

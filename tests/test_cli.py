@@ -279,3 +279,37 @@ def test_file_config_rejects_generator_keys(tmp_path, tiny_config, capsys):
     assert main(["run", "--config", str(path), "--output", str(out)]) == 1
     assert "generator keys ['C', 'seed']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_each_round_is_printed_and_written_as_it_ends(tmp_path, tiny_config, capsys, monkeypatch):
+    """Round 1's line and round_001.json are out before round 2's selection
+    starts; aggregate.csv comes once the run is over."""
+    import activeadapt.harness as harness
+
+    real, seen = harness._select_diana, []
+    out = tmp_path / "o"
+
+    def spy(*args):
+        seen.append((capsys.readouterr().out, sorted(p.name for p in out.iterdir())))
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_select_diana", spy)
+    assert main(["run", "--config", str(tiny_config), "--output", str(out)]) == 0
+    assert seen[0] == ("", [])
+    printed, written = seen[1]
+    assert printed.startswith("round 1: accuracy=") and printed.count("\n") == 1
+    assert written == ["round_001.json"]
+    assert capsys.readouterr().out.startswith("round 2: accuracy=")
+    assert (out / "aggregate.csv").exists()
+
+
+def test_zero_budget_run_writes_its_evaluation_report(tmp_path, tiny_config, capsys):
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"].update(budget=0, rounds=1)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    assert json.loads((out / "round_000.json").read_text())["round"] == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("round 0: accuracy=") and len(lines) == 2

@@ -3,6 +3,7 @@ determinism, and the clean-ablation property."""
 
 import dataclasses
 import importlib.util
+import math
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from activeadapt import gmm
 from activeadapt.classifier import ROW_BLOCK, Classifier, TrainConfig
 from activeadapt.datapool import DataPool, ShiftConfig, generate_shifted_dataset
 import activeadapt.harness as harness
@@ -29,6 +31,7 @@ from activeadapt.scoring import Category, compute_centroids, info_scores_unlabel
 
 from step_reference import train_epochs_ref, windows_ref
 from test_classifier import _bits, _clone, block_sizes
+from test_gmm import weight_ratio
 
 
 def fast_train(**kw):
@@ -689,9 +692,84 @@ class TestRoundMemory:
         assert peaks[1] <= (n_u + kept[1]) * d_in * 8 + 16 * n_u * 8, peaks
 
 
-def _perfbench_spans():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+class TestSketchedFit:
+    """Above gmm.SKETCH_ROWS unlabeled scores a diana round fits its mixture
+    on gmm.sketched's sketch; selection and the partition score every row."""
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_fit_reads_the_sketch_only_above_the_limit(self, extra, monkeypatch):
+        """At n_u == SKETCH_ROWS run_em gets the round's full train set; one
+        score more and it gets ceil(n_u / 2) order statistics weighted to
+        the full set's unlabeled-to-labeled ratio."""
+        n_u = gmm.SKETCH_ROWS + extra
+        real_sketched, real_em, seen = harness.sketched, harness.run_em, []
+        monkeypatch.setattr(harness, "sketched", lambda ts: seen.append(ts) or real_sketched(ts))
+        monkeypatch.setattr(harness, "run_em", lambda ts: seen.append(ts) or real_em(ts))
+        cfg = fast_loop(budget=3, rounds=1, pretrain_epochs=1,
+                        train=fast_train(epochs_per_round=1))
+        run_active_loop(cfg, small_pool(n_target=n_u))
+        full, fitted = seen
+        assert full.unlabeled_scores.size == n_u
+        if extra == 0:
+            assert fitted is full
+            return
+        middles = np.minimum(np.arange(0, n_u, 2) + 1, n_u - 1)  # the last group is one score
+        assert fitted.unlabeled_scores.size == math.ceil(n_u / 2)
+        np.testing.assert_array_equal(fitted.unlabeled_scores,
+                                      np.sort(full.unlabeled_scores)[middles])
+        np.testing.assert_array_equal(fitted.labeled_scores, full.labeled_scores)
+        assert weight_ratio(fitted) == pytest.approx(weight_ratio(full), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("sfda", [None, SfdaConfig()])
+    def test_sketched_rounds_pass_the_benchmark_checks(self, sfda, monkeypatch):
+        """With the limit at 64 scores, every round of a diana and a
+        source-free run fits on a sketch. Each fitted round passes
+        perfbench's checks, recomputed from the model and pool the round
+        started with: the batch is the top b of the UI posterior under the
+        reported mixture, the reported batch posteriors match, the
+        objective trace never falls and the partition covers the rest of
+        the pool."""
+        checks = _perfbench("checks")
+        monkeypatch.setattr(gmm, "SKETCH_ROWS", 64)
+        cfg = fast_loop(budget=12, rounds=3, sfda=sfda)
+        real_select, real_em = harness._select_diana, harness.run_em
+        starts, fitted, checked = [], [], []
+
+        def select_spy(model, pool, cfg, b):
+            params = {k: v.copy() for k, v in model.params().items()}
+            labeled = pool.labeled_arrays(include_source=cfg.sfda is None)
+            starts.append((params, labeled, *pool.unlabeled_arrays()))
+            return real_select(model, pool, cfg, b)
+
+        def em_spy(ts):
+            fitted.append(ts.unlabeled_scores.size)
+            return real_em(ts)
+
+        def check(model, pool, rep):
+            if rep.gmm is None:  # a source-free bootstrap round fits no mixture
+                return
+            params, (lab_X, lab_y), u_ids, u_X = starts[rep.round_index - 1]
+            g = rep.gmm
+            checks.check_em(*g.params.as_tuple(), g.objective_trace, g.n_iter, g.objective)
+            post = checks.ui_posteriors(params, lab_X, lab_y, u_X, cfg.resolved_k(),
+                                        *g.params.as_tuple())
+            checks.check_top_b(rep.selected_ids, rep.selected_posteriors, u_ids, post)
+            checks.check_partition(rep.partition_sizes, pool.sizes[2])
+            checked.append(rep.round_index)
+
+        monkeypatch.setattr(harness, "_select_diana", select_spy)
+        monkeypatch.setattr(harness, "run_em", em_spy)
+        run_active_loop(cfg, small_pool(n_target=400), on_round_end=check)
+        assert checked == ([1, 2, 3] if sfda is None else [2, 3])
+        n_us = [starts[r - 1][2].size for r in checked]
+        assert fitted == [math.ceil(n / math.ceil(n / 64)) for n in n_us] and min(n_us) > 64
+
+
+def _perfbench(stem):
+    """perfbench's module perfbench/<stem>.py, loaded without putting
+    perfbench/ on the import path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -704,7 +782,7 @@ def test_every_traced_harness_name_is_called(monkeypatch):
     import activeadapt
 
     before = dict(vars(harness))
-    tracer = _perfbench_spans().Tracer()
+    tracer = _perfbench("spans").Tracer()
     tracer.install(activeadapt)
     try:
         traced = [name for name, fn in vars(harness).items() if before.get(name) is not fn]

@@ -147,3 +147,20 @@ def test_unknown_workload_is_an_error(monkeypatch, capsys):
         report_digest.main(["--workload", "desk", "--workload", "nope", "--seed", "1"])
     assert err.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_dump_writes_each_runs_reports(monkeypatch, capsys, tmp_path):
+    """--dump DIR writes <workload>-<seed>.json per line printed: one list
+    of round-report dicts per run, and the printed lines are unchanged."""
+    _keep_blas_env(monkeypatch)
+    monkeypatch.setattr(report_digest, "workload_runs", _fake_runs)
+    argv = ["--workload", "desk", "--workload", "desk-sfda", "--seed", "2"]
+    assert report_digest.main(argv) == 0
+    plain = capsys.readouterr().out
+    dump = tmp_path / "new" / "dump"
+    assert report_digest.main(argv + ["--dump", str(dump)]) == 0
+    assert capsys.readouterr().out == plain
+    assert sorted(p.name for p in dump.iterdir()) == ["desk-2.json", "desk-sfda-2.json"]
+    for name in ("desk", "desk-sfda"):
+        want = [[rep.to_dict() for rep in reports] for reports in _fake_runs(name, 2)]
+        assert json.loads((dump / f"{name}-2.json").read_text()) == want

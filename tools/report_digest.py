@@ -5,6 +5,7 @@ from the root of a checkout:
     python3 tools/report_digest.py --workload desk --workload pool-200k --seed 1
     python3 tools/report_digest.py --workload all --seed 1
     python3 tools/report_digest.py --workload desk --seed 11 --seed 12 --accuracy
+    python3 tools/report_digest.py --workload all --seed 1 --dump runs/reports
 
 prints one line `<workload> <seed> <sha256>` per (workload, seed); with
 --accuracy the line goes on with each run's final accuracy, in run order,
@@ -13,6 +14,10 @@ digest covers `json.dumps(report.to_dict(), sort_keys=True)` for every
 round of every adaptation run the workload makes, in run order, so two
 checkouts print the same line exactly when their reports are byte-identical
 (JSON floats round-trip, so that means bit-identical numbers too).
+
+With --dump DIR every (workload, seed) also writes DIR/<workload>-<seed>.json:
+a JSON list with one entry per run, each the list of its round reports'
+to_dict(). tools/report_diff.py compares two such directories.
 
 The runs are built by perfbench's own workload builders (perfbench/
 workloads.py, imported, never modified) from this checkout's sources, with
@@ -103,7 +108,13 @@ def main(argv=None) -> int:
         "--accuracy", action="store_true",
         help="append each run's final accuracy to its workload's line",
     )
+    ap.add_argument(
+        "--dump", type=Path, metavar="DIR",
+        help="also write each (workload, seed)'s round reports to DIR as JSON",
+    )
     args = ap.parse_args(argv)
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
     if "all" not in args.workload:
         names = tuple(dict.fromkeys(args.workload))
     for name in names:
@@ -113,6 +124,9 @@ def main(argv=None) -> int:
             if args.accuracy:
                 line += "".join(f" {reports[-1].accuracy!r}" for reports in runs)
             print(line, flush=True)
+            if args.dump is not None:
+                dump = [[report.to_dict() for report in reports] for reports in runs]
+                (args.dump / f"{name}-{seed}.json").write_text(json.dumps(dump))
     return 0
 
 
