@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_fields, logsumexp
+from .numerics import check_fields, logsumexp, whole_numbers
 
 # Rows per block of a pool-sized pass: a (ROW_BLOCK, d_feat) feature block
 # is 4 MB at d_feat 64, where a whole 200k-row pool would be 102 MB.
@@ -197,11 +197,8 @@ def _checked_labels(
     number in [first, first + C), with message outside when one is not in
     range. Integer arrays skip the whole-number test. Viewed as unsigned, a
     label below first exceeds any C, so one max checks both ends."""
-    y = np.asarray(y)
-    if y.dtype.kind not in "biu" and not np.all(np.isfinite(y) & (np.trunc(y) == y)):
-        raise ValueError("label is not a whole number")
-    y = y.astype(np.intp, copy=False)
-    if y.size and (y - first if first else y).view(np.uintp).max() >= C:
+    y = whole_numbers(y, "label")
+    if y.size and (y - first if first else y).view(np.uint64).max() >= C:
         raise ValueError(outside)
     return y
 

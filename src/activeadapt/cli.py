@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import Classifier, TrainConfig
+from .classifier import TrainConfig
 from .datapool import ShiftConfig, generate_shifted_dataset, load_pool
 from .harness import (
     AGGREGATE_FIELDS,
@@ -20,8 +20,8 @@ from .harness import (
     compare_strategies,
     consistency_diagnostic,
     offset_seeds,
-    pretrain_source,
     run_active_loop,
+    start_run,
     write_aggregate_csv,
 )
 from .sampler import SfdaConfig
@@ -157,11 +157,7 @@ def cmd_diagnose(args) -> int:
     for seed_i in range(args.seeds):
         data_cfg, seeded = offset_seeds(shift, loop, seed_i)
         pool = generate_shifted_dataset(data_cfg)
-        model = Classifier.initialize(
-            pool.d_in, seeded.d_feat, pool.C, np.random.default_rng([seeded.seed, 0])
-        )
-        pretrain_source(model, pool, seeded.train, seeded.pretrain_epochs)
-        diag = consistency_diagnostic(model, pool, ks)
+        diag = consistency_diagnostic(start_run(seeded, pool), pool, ks)
         results.append(
             {
                 "seed": seed_i,

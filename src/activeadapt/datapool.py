@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import check_fields
+from .numerics import check_fields, whole_numbers
 
 
 class ShiftKind(Enum):
@@ -70,35 +70,38 @@ _SOURCE, _LABELED, _UNLABELED = 0, 1, 2
 class DataPool:
     """The S / T / U pools over one table of samples.
 
-    Row i of the table is sample ids[i] with input X[i] and hidden label
-    labels[i]; rows keep the order they were given in, and source[i] says
-    whether the row is a source sample. A per-row status puts every row in
-    one pool: source rows in S, target rows in U until annotate_batch moves
-    them to T, which also records the order they were annotated in. Ids
-    are found through a sorted copy, so a lookup of b ids costs O(b log n).
+    Row i of the table is sample ids[i] with input X[i], hidden label
+    labels[i] and source flag source[i]. The table is stored in id order,
+    whatever order it was given in, so a run depends on the pool's rows,
+    not on their order in a file. A per-row status puts every row in one
+    pool: source rows in S, target rows in U until annotate_batch moves
+    them to T, which also records the order they were annotated in. An id
+    is found by a searchsorted on the ids, so b ids cost O(b log n).
 
-    Invariants: ids are unique, every label lies in [0, C), every class
-    appears among the source rows, and the T rows are exactly the annotated
-    ones. The constructor copies its inputs and checks them; it also checks
-    once that there is at least one feature and that every feature is
-    finite, since X never changes.
+    Invariants: ids and labels are whole numbers, ids are unique, every
+    label lies in [0, C), every class appears among the source rows, and
+    the T rows are exactly the annotated ones. The constructor copies its
+    inputs and checks them; it also checks once that there is at least one
+    feature and that every feature is finite, since X never changes.
     """
 
     def __init__(self, C: int, ids, X, labels, source):
         if C < 1:
             raise ValueError(f"need at least one class, got C={C}")
         self.C = int(C)
-        self._ids = np.array(ids, dtype=np.int64)
-        self._X = np.array(X, dtype=np.float64, order="C")
-        self._labels = np.array(labels, dtype=np.int64)
-        source = np.array(source, dtype=bool)
-        shapes = {self._ids.shape, self._X.shape[:1], self._labels.shape, source.shape}
-        if self._X.ndim != 2 or shapes != {(self._ids.size,)}:
+        ids = whole_numbers(ids, "sample id")
+        labels = whole_numbers(labels, "label")
+        X = np.asarray(X, dtype=np.float64)
+        source = np.asarray(source, dtype=bool)
+        if X.ndim != 2 or {ids.shape, X.shape[:1], labels.shape, source.shape} != {(ids.size,)}:
             raise ValueError(
-                f"ids {self._ids.shape}, X {self._X.shape}, labels "
-                f"{self._labels.shape} and source {source.shape} do not describe "
-                f"the same rows"
+                f"ids {ids.shape}, X {X.shape}, labels {labels.shape} and source "
+                f"{source.shape} do not describe the same rows"
             )
+        order = np.argsort(ids, kind="stable")
+        self._ids, self._X, self._labels, source = (
+            a[order] for a in (ids, X, labels, source)
+        )
         self.d_in = self._X.shape[1]
         if self.d_in < 1:
             raise ValueError(f"need at least one feature, got d_in={self.d_in}")
@@ -109,16 +112,13 @@ class DataPool:
         self._status = np.where(source, _SOURCE, _UNLABELED).astype(np.int8)
         self._source_rows = np.flatnonzero(source)
         self._annotated = np.zeros(0, dtype=np.intp)  # T rows, in annotation order
-        self._order = np.argsort(self._ids, kind="stable")
-        self._sorted_ids = self._ids[self._order]
         self.check_invariants()
 
     def _find(self, ids):
-        """Rows holding ids, and whether each id is in the pool at all."""
-        ids = np.array(ids, dtype=np.int64, ndmin=1)
-        pos = np.minimum(np.searchsorted(self._sorted_ids, ids), self._ids.size - 1)
-        rows = self._order[pos]
-        return rows, self._ids[rows] == ids
+        """Ids as a whole-number array, their rows, and whether each is in the pool."""
+        ids = np.atleast_1d(whole_numbers(ids, "sample id"))
+        rows = np.minimum(np.searchsorted(self._ids, ids), self._ids.size - 1)
+        return ids, rows, self._ids[rows] == ids
 
     def _unlabeled_rows(self) -> np.ndarray:
         return np.flatnonzero(self._status == _UNLABELED)
@@ -135,7 +135,7 @@ class DataPool:
         ids outside the unlabeled pool so double-annotation cannot slip
         through silently.
         """
-        (row,), (known,) = self._find(sample_id)
+        _, (row,), (known,) = self._find(sample_id)
         if not known:
             raise ValueError(f"unknown sample id {sample_id}")
         if self._status[row] != _UNLABELED:
@@ -148,10 +148,9 @@ class DataPool:
         """Move the given unlabeled samples into the labeled target pool,
         attaching their oracle labels. Fails atomically: either every id is
         valid or the pool is left untouched."""
-        ids = np.array(ids, dtype=np.int64, ndmin=1)
+        ids, rows, known = self._find(ids)
         if np.unique(ids).size != ids.size:
             raise ValueError("duplicate ids in annotation batch")
-        rows, known = self._find(ids)
         ok = known & (self._status[rows] == _UNLABELED)
         if not ok.all():
             raise ValueError(f"ids not in unlabeled pool: {ids[~ok].tolist()}")
@@ -163,24 +162,24 @@ class DataPool:
 
     def labeled_arrays(self, include_source: bool = True):
         """Feature matrix and labels over S ∪ T (or T alone): source rows
-        first, then target rows in annotation order."""
+        first, in id order, then target rows in annotation order."""
         rows = self._annotated
         if include_source:
             rows = np.concatenate([self._source_rows, rows])
         return self._X[rows], self._labels[rows]
 
     def source_arrays(self):
-        """Feature matrix and labels over S."""
+        """Feature matrix and labels over S, in id order."""
         return self._X[self._source_rows], self._labels[self._source_rows]
 
     def unlabeled_arrays(self):
-        """Ids and feature matrix over U, in pool order."""
+        """Ids and feature matrix over U, in id order."""
         rows = self._unlabeled_rows()
         return self._ids[rows], self._X[rows]
 
     def target_arrays(self):
         """Ids and feature matrix over the full target domain: T in
-        annotation order, then U in pool order."""
+        annotation order, then U in id order."""
         rows = self._target_rows()
         return self._ids[rows], self._X[rows]
 
@@ -190,9 +189,9 @@ class DataPool:
         Metric computation only (target-domain accuracy, the consistency
         diagnostic); adaptation code must go through oracle_label.
         """
-        rows, known = self._find(ids)
+        ids, rows, known = self._find(ids)
         if not known.all():
-            raise ValueError(f"unknown sample ids: {np.asarray(ids)[~known].tolist()}")
+            raise ValueError(f"unknown sample ids: {ids[~known].tolist()}")
         return self._labels[rows]
 
     # -- bookkeeping -----------------------------------------------------
@@ -204,7 +203,7 @@ class DataPool:
 
     @property
     def target_unlabeled(self) -> np.ndarray:
-        """Ids of the unlabeled target pool, in pool order (a copy)."""
+        """Ids of the unlabeled target pool, in id order (a copy)."""
         return self._ids[self._unlabeled_rows()]
 
     @property
@@ -214,7 +213,7 @@ class DataPool:
 
     def check_invariants(self):
         """Raise if pool bookkeeping is corrupted."""
-        dup = self._sorted_ids[1:][np.diff(self._sorted_ids) == 0]
+        dup = self._ids[1:][np.diff(self._ids) == 0]
         if dup.size:
             raise ValueError(f"duplicate sample id {dup[0]}")
         bad = np.flatnonzero((self._labels < 0) | (self._labels >= self.C))

@@ -223,6 +223,15 @@ def pretrain_source(
     return _train_epochs(model, X, y, None, None, cfg, epochs, key)
 
 
+def start_run(cfg: LoopConfig, pool: DataPool) -> Classifier:
+    """The model a run starts from: initialised from [seed, 0] and
+    pretrained on the source pool from [train.seed, 1]."""
+    model = Classifier.initialize(
+        pool.d_in, cfg.d_feat, pool.C, np.random.default_rng([cfg.seed, 0])
+    )
+    return pretrain_source(model, pool, cfg.train, cfg.pretrain_epochs)
+
+
 def evaluate(model: Classifier, pool: DataPool) -> float:
     """Accuracy over the full target domain, annotated samples included."""
     ids, X = pool.target_arrays()
@@ -271,8 +280,7 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     fit = run_em(sketched(GmmTrainSet(l_scores, l_obs, scores)))
     ids = select_active_batch(u_ids, scores, fit.params, b)
 
-    order = np.argsort(u_ids)
-    rows = order[np.searchsorted(u_ids, ids, sorter=order)]
+    rows = np.searchsorted(u_ids, ids)  # the pool keeps U in id order
     ui_post = component_posteriors(scores[rows], fit.params)[:, Category.UI - 1]
     rest = np.delete(np.arange(u_ids.size), rows)
     part = partition_unlabeled(
@@ -328,10 +336,7 @@ def run_active_loop(
             f"budget {cfg.budget} exceeds unlabeled pool size {n_unlabeled}"
         )
     pool.check_invariants()
-    model = Classifier.initialize(
-        pool.d_in, cfg.d_feat, pool.C, np.random.default_rng([cfg.seed, 0])
-    )
-    pretrain_source(model, pool, cfg.train, cfg.pretrain_epochs)
+    model = start_run(cfg, pool)
     if cfg.budget == 0:
         return [RoundReport(0, evaluate(model, pool), {}, None, [], None, None)]
 

@@ -1,9 +1,10 @@
-"""The package's one stable log-sum-exp, and its one config-field check.
+"""The package's one stable log-sum-exp, its one config-field check and its
+one whole-number check.
 
 The classifier's log-softmax head (which the score computation also runs)
 and the mixture E step normalize through it, so they share one formula and
 one rounding. Every config dataclass validates its number fields through
-check_fields.
+check_fields, and every label or sample id array goes through whole_numbers.
 """
 
 from __future__ import annotations
@@ -68,3 +69,15 @@ def check_fields(cfg, finite=(), integers=None) -> None:
             raise ValueError(f"{name}={value!r} must be an integer")
         if value < least:
             raise ValueError(f"{name}={value} must be at least {least}")
+
+
+def whole_numbers(a, what: str) -> np.ndarray:
+    """a as an int64 array; ValueError naming what unless every entry is a
+    finite whole number. Integer and bool arrays skip the test, and an int64
+    one is returned as it is, not copied; an array neither integer nor float
+    (strings, objects) is refused."""
+    a = np.asarray(a)
+    kind = a.dtype.kind
+    if kind not in "biu" and (kind != "f" or not np.all(np.isfinite(a) & (np.trunc(a) == a))):
+        raise ValueError(f"{what} is not a whole number")
+    return a.astype(np.int64, copy=False)

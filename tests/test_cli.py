@@ -181,7 +181,7 @@ def test_seeds_below_one_rejected(tmp_path, tiny_config, capsys, command, seeds)
 def test_diagnose_offsets_every_seed_as_compare_does(tmp_path, tiny_config, monkeypatch):
     """Seed i pretrains on training stream train.seed + i, from model init
     [seed + i, 0] on data seed + i, as compare_strategies runs it."""
-    import activeadapt.cli as cli
+    import activeadapt.harness as harness
     from activeadapt.harness import pretrain_source
 
     seen = []
@@ -190,7 +190,7 @@ def test_diagnose_offsets_every_seed_as_compare_does(tmp_path, tiny_config, monk
         seen.append(cfg.seed)
         return pretrain_source(model, pool, cfg, epochs, rng)
 
-    monkeypatch.setattr(cli, "pretrain_source", spy)
+    monkeypatch.setattr(harness, "pretrain_source", spy)
     cfg = json.loads(tiny_config.read_text())
     cfg["loop"]["train"]["seed"] = 7
     path = tmp_path / "seeds.json"

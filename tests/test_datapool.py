@@ -281,9 +281,9 @@ class TestFileFormat:
         path.write_text("2,2\n7,S,0,0.5,1.5\n3,T,1,2.0,-1.0\n5,S,1,-0.25,0.0\n")
         pool = load_pool(path)
         assert pool.sizes == (2, 0, 1)
-        X_s, y_s = pool.labeled_arrays()
-        np.testing.assert_array_equal(X_s, [[0.5, 1.5], [-0.25, 0.0]])
-        np.testing.assert_array_equal(y_s, [0, 1])
+        X_s, y_s = pool.labeled_arrays()  # source rows in id order: 5, then 7
+        np.testing.assert_array_equal(X_s, [[-0.25, 0.0], [0.5, 1.5]])
+        np.testing.assert_array_equal(y_s, [1, 0])
         ids, X = pool.unlabeled_arrays()
         np.testing.assert_array_equal(ids, [3])
         np.testing.assert_array_equal(X, [[2.0, -1.0]])
@@ -306,6 +306,39 @@ class TestArrayPool:
             DataPool(2, [0, 1, 2], [[0.0], [1.0]], [0, 1, 1], [True, True, False])
         with pytest.raises(ValueError):
             DataPool(2, [0, 1], [[0.0], [1.0]], [0, 1], [True])
+        # unsorted ids: the shapes are checked before the table is sorted
+        with pytest.raises(ValueError, match="do not describe the same rows"):
+            DataPool(2, [2, 0, 1], [[0.0], [1.0]], [0, 1, 1], [True, True, False])
+        with pytest.raises(ValueError, match="do not describe the same rows"):
+            DataPool(2, [2, 0, 1], [[0.0], [1.0], [2.0]], [0, 1], [True, True, False])
+
+    @pytest.mark.parametrize("ids, labels", [
+        ([7.5, 3, 5], [0, 1, 1]),
+        ([7, 3, 5], [0, 1.5, 1]),
+        ([7, np.nan, 5], [0, 1, 1]),
+        (["7", "3", "5"], [0, 1, 1]),
+    ])
+    def test_rejects_non_integer_ids_and_labels(self, ids, labels):
+        """A fractional, non-finite or non-numeric id or label is refused,
+        not truncated or parsed into a whole one."""
+        with pytest.raises(ValueError, match="not a whole number"):
+            DataPool(2, ids, [[0.0], [1.0], [2.0]], labels, [True, False, True])
+
+    def test_lookups_reject_non_integer_ids(self):
+        """oracle_label, annotate_batch and evaluation_labels refuse a
+        fractional id, which would otherwise be truncated to a pool id, and
+        the pool is left untouched."""
+        pool = DataPool(2, [7, 3, 5], [[0.0], [1.0], [2.0]], [0, 1, 1], [True, False, True])
+        with pytest.raises(ValueError, match="not a whole number"):
+            pool.oracle_label(3.9)
+        with pytest.raises(ValueError, match="not a whole number"):
+            pool.annotate_batch([3.7])
+        with pytest.raises(ValueError, match="not a whole number"):
+            pool.evaluation_labels([3.0, 3.5])
+        assert pool.sizes == (2, 0, 1)
+        assert pool.oracle_label(3.0) == 1  # a whole float is an id
+        pool.annotate_batch(np.array([3.0]))
+        assert pool.sizes == (2, 1, 0)
 
     def test_rejects_zero_features(self):
         with pytest.raises(ValueError, match="at least one feature"):
@@ -337,11 +370,11 @@ class TestArrayPool:
 
 class PoolMachine(RuleBasedStateMachine):
     """annotate_batch, oracle_label and the array views against a plain
-    model of the pools: S, T and U as id lists in pool order (T in
-    annotation order) and a dict of hidden labels. Ids are drawn at random,
-    so they are unsorted, and source and target rows interleave. A rejected
-    call leaves the model untouched, so the invariant also checks that every
-    failure is atomic."""
+    model of the pools: S and U as sorted id lists, T as an id list in
+    annotation order, and a dict of hidden labels. Ids are drawn at random,
+    so the pool is given them unsorted, and source and target rows
+    interleave. A rejected call leaves the model untouched, so the
+    invariant also checks that every failure is atomic."""
 
     @initialize(seed=st.integers(0, 2**32 - 1))
     def build(self, seed):
@@ -355,9 +388,9 @@ class PoolMachine(RuleBasedStateMachine):
         self.pool = DataPool(C, ids, X, labels, source)
         self.x = {int(i): X[r] for r, i in enumerate(ids)}
         self.truth = {int(i): int(y) for i, y in zip(ids, labels)}
-        self.S = ids[source].tolist()
+        self.S = sorted(ids[source].tolist())
         self.T = []
-        self.U = ids[~source].tolist()
+        self.U = sorted(ids[~source].tolist())
 
     def _unlabeled_batch(self, data, **kw):
         return data.draw(st.lists(st.sampled_from(self.U), unique=True, **kw))
