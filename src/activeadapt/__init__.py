@@ -8,6 +8,7 @@ simulated labeling oracle.
 
 from .classifier import (
     Classifier,
+    EpochSteps,
     LossBreakdown,
     NonFiniteGradientError,
     TrainConfig,

@@ -41,8 +41,9 @@ def _row_blocks(n: int):
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry of a is finite. A finite sum proves it in one
     reduction; only a sum that is not finite (a NaN or inf entry, or finite
-    entries that overflow) pays the per-element test."""
-    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+    entries that overflow) pays the per-element test. np.add.reduce, here
+    and in the SGD step, is ndarray.sum without its Python-level wrapper."""
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -75,14 +76,50 @@ class TrainConfig:
             raise ValueError("aug_noise_sigma must be nonnegative")
 
 
-@dataclass
-class Classifier:
-    """Feature extractor (one tanh layer) plus linear softmax head."""
+# The parameters in the order theta lays them out.
+_PARAMETERS = ("W_hidden", "b_hidden", "W_out", "b_out")
 
-    W_hidden: np.ndarray  # (d_in, d_feat)
-    b_hidden: np.ndarray  # (d_feat,)
-    W_out: np.ndarray  # (d_feat, C)
-    b_out: np.ndarray  # (C,)
+
+class Classifier:
+    """Feature extractor (one tanh layer) plus linear softmax head.
+
+    The four parameters are views of one flat float64 vector theta, laid out
+    as W_hidden (d_in, d_feat), b_hidden (d_feat,), W_out (d_feat, C),
+    b_out (C,), so an SGD step updates theta in one operation. The
+    constructor copies its arrays into theta, and assigning a parameter
+    writes into theta, so the views stay views.
+    """
+
+    def __init__(self, W_hidden, b_hidden, W_out, b_out):
+        parts = [np.asarray(p, dtype=float) for p in (W_hidden, b_hidden, W_out, b_out)]
+        self._shapes = [p.shape for p in parts]
+        self.theta = np.concatenate([p.ravel() for p in parts])
+        for name, view in self.unflatten(self.theta).items():
+            object.__setattr__(self, name, view)
+
+    def __setattr__(self, name, value):
+        if name in _PARAMETERS:
+            view = getattr(self, name)
+            value = np.asarray(value, dtype=float)
+            if value.shape != view.shape:
+                raise ValueError(f"{name} must have shape {view.shape}")
+            view[...] = value
+        else:
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so the
+        # copy's parameters are views of its own theta
+        return Classifier, tuple(self.params().values())
+
+    def unflatten(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The parameter-shaped views of a flat vector laid out as theta."""
+        views, start = {}, 0
+        for name, shape in zip(_PARAMETERS, self._shapes):
+            stop = start + math.prod(shape)
+            views[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return views
 
     @property
     def d_in(self) -> int:
@@ -111,6 +148,10 @@ class Classifier:
     def features(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         self._check_input(X)
+        return self._features(X)
+
+    def _features(self, X: np.ndarray) -> np.ndarray:
+        """Hidden features of rows already checked (_check_input)."""
         F = X @ self.W_hidden
         F += self.b_hidden
         return np.tanh(F, out=F)
@@ -155,12 +196,8 @@ class Classifier:
             raise ValueError("non-finite input")
 
     def params(self) -> dict[str, np.ndarray]:
-        return {
-            "W_hidden": self.W_hidden,
-            "b_hidden": self.b_hidden,
-            "W_out": self.W_out,
-            "b_out": self.b_out,
-        }
+        """The four parameter arrays by name: views of theta."""
+        return {name: getattr(self, name) for name in _PARAMETERS}
 
 
 # -- perturbation ------------------------------------------------------------
@@ -257,103 +294,137 @@ def combined_loss(
 # -- gradients ---------------------------------------------------------------
 
 
-def combined_grads(
-    model: Classifier,
-    X_l,
-    y_l,
-    X_cc,
-    y_cc,
-    X_uc,
-    lambda_c: float,
-    lambda_e: float,
-) -> dict[str, np.ndarray]:
-    """Analytic gradient of combined_loss w.r.t. every parameter.
+def _step_major(out: np.ndarray, labeled: np.ndarray, companions, size: int) -> None:
+    """Write every step's rows into out, step after step: step s's labeled
+    rows labeled[s * size : (s + 1) * size], then block s of each companion,
+    an array with one block per step on its first axis."""
+    full, trail = len(labeled) // size, labeled.shape[1:]
+    head = [labeled[: full * size].reshape(full, size, *trail), *(c[:full] for c in companions)]
+    width = sum(block.shape[1] for block in head)
+    np.concatenate(head, axis=1, out=out[: full * width].reshape(full, width, *trail))
+    if full * size < len(labeled):
+        tail = [labeled[full * size :], *(c[full] for c in companions)]
+        np.concatenate(tail, out=out[full * width :])
 
-    The consistency inputs are treated as fixed (already perturbed), and the
-    similarity-based labels are fixed targets: no gradient flows into either.
-    The contributing parts (labeled, consistency, entropy) are stacked into
-    one batch for a single forward pass; each part writes its own block of
-    the logit gradient, and one backprop runs over the stack. A label
-    outside [0, C) raises ValueError before any computation.
 
-    The four gradients are views of one flat buffer, in parameter order;
-    backward_and_step checks and scales that buffer as a whole.
+class EpochSteps:
+    """The SGD steps of an epoch: laid out once for every epoch of a
+    training call, then filled with each epoch's rows before its first step.
+
+    An epoch over n labeled rows has steps = ceil(n / batch_size) steps.
+    Step s trains on rows start:stop of X, targets and weights, where
+    (start, cc_start, uc_start, stop) = bounds[s]: n_l labeled rows
+    (batch_size, fewer in a short last step), then n_c = cc_take perturbed
+    consistency rows, then n_u = uc_take entropy rows. targets holds each
+    row's one-hot label (zero on the entropy rows), and weights each row's
+    loss weight: 1/n_l, lambda_c/n_c and -lambda_e/n_u. grad is the one
+    gradient buffer every step reuses, laid out as theta, and grads its
+    four parameter-shaped views.
     """
-    n_l = len(y_l)
-    if n_l == 0:
-        raise ValueError("supervised batch must be non-empty")
-    rows, y = [np.atleast_2d(X_l)], y_l
-    n_c = len(y_cc) if lambda_c != 0.0 else 0
-    if n_c:
-        rows.append(np.atleast_2d(X_cc))
-        y = np.concatenate((y_l, y_cc))
-    if np.size(X_uc) and lambda_e != 0.0:
-        rows.append(np.atleast_2d(X_uc))
-    y = _checked_labels(y, model.C)
-    X = np.concatenate(rows)
-    F = model.features(X)
+
+    def __init__(self, model: Classifier, n: int, cc_take: int, uc_take: int, cfg: TrainConfig):
+        size = cfg.batch_size
+        full, tail = divmod(n, size)
+        self.steps = full + (tail > 0)
+        self.learning_rate = cfg.learning_rate
+        self._model, self._n, self._size = model, n, size
+        self._onehot = np.eye(model.C)
+        self._uc_targets = np.zeros((self.steps, uc_take, model.C))
+        w_l = np.full(n, 1.0 / size)
+        if tail:
+            w_l[full * size :] = 1.0 / tail
+        weights = []
+        if cc_take:
+            weights.append(np.full((self.steps, cc_take), cfg.lambda_c / cc_take))
+        if uc_take:
+            weights.append(np.full((self.steps, uc_take), -cfg.lambda_e / uc_take))
+        self._blocks = [w.shape for w in weights]
+        rows = n + self.steps * (cc_take + uc_take)
+        self.weights = np.empty(rows)
+        _step_major(self.weights, w_l, weights, size)
+        self.weights = self.weights[:, None]
+        self.X, self.targets = np.empty((rows, model.d_in)), np.empty((rows, model.C))
+        self.bounds = []
+        for s, n_l in enumerate([size] * full + [tail] * (tail > 0)):
+            start = s * (size + cc_take + uc_take)  # only the last step is short
+            cc_start = start + n_l
+            self.bounds.append((start, cc_start, cc_start + cc_take, cc_start + cc_take + uc_take))
+        self.grad = np.empty_like(model.theta)
+        self.grads = tuple(model.unflatten(self.grad).values())
+
+    def fill(self, X, y, cc=None, uc=None) -> None:
+        """Stack one epoch's rows: X, y its n labeled rows in step order; cc
+        None or (rows, labels), one block of cc_take perturbed consistency
+        rows and their similarity labels per step on the first axis; uc None
+        or one block of uc_take entropy rows per step. A part the layout has
+        no rows for is None, so its rows are neither checked nor computed.
+        ValueError unless the parts fit the layout, every label is a whole
+        number in [0, C) and every row is finite."""
+        C = self._model.C
+        y = _checked_labels(y, C)
+        rows, targets = [], []
+        if cc is not None:
+            rows.append(cc[0])
+            targets.append(self._onehot.take(_checked_labels(cc[1], C), axis=0))
+        if uc is not None:
+            rows.append(uc)
+            targets.append(self._uc_targets)
+        if len(y) != self._n or [p.shape[:2] for p in rows] != self._blocks:
+            raise ValueError("the epoch's parts do not fit its layout")
+        _step_major(self.X, X, rows, self._size)
+        self._model._check_input(self.X)
+        _step_major(self.targets, self._onehot.take(y, axis=0), targets, self._size)
+
+
+def combined_grads(model: Classifier, epoch: EpochSteps, step: int) -> np.ndarray:
+    """Analytic gradient of the combined_loss of one prepared step w.r.t.
+    theta, written into epoch.grad, which is returned.
+
+    The consistency rows are treated as fixed (already perturbed), and the
+    similarity-based labels are fixed targets: no gradient flows into
+    either. The step's parts are stacked into one batch for a single
+    forward pass and one backprop; every row's logit gradient is scaled by
+    its loss weight.
+    """
+    start, _, uc_start, stop = epoch.bounds[step]
+    X = epoch.X[start:stop]
+    F = model._features(X)
     logp = model._head_log_proba(F)
     dZ2 = np.exp(logp)
-    n_ce = n_l + n_c
-    if X.shape[0] > n_ce:
+    if stop > uc_start:
         # d/dz_j of H(P) is -P_j (log P_j + H), with H = -sum_c P_c log P_c;
         # see the gradient-check tests. lu is consumed in place: logp is not
-        # read again.
+        # read again. The weight -lambda_e/n_u supplies the sign.
+        n_ce = uc_start - start
         P, lu = dZ2[n_ce:], logp[n_ce:]
-        lu -= (P * lu).sum(axis=1, keepdims=True)
-        lu *= P
-        np.multiply(lu, -lambda_e / len(P), out=P)
-    # d/dz of mean -log P_y is (P - onehot(y)) / n, times the part's weight
-    dZ2[np.arange(n_ce), y] -= 1.0
-    dZ2[:n_l] *= 1.0 / n_l
-    if n_c:
-        dZ2[n_l:n_ce] *= lambda_c / n_c
+        lu -= np.add.reduce(P * lu, axis=1, keepdims=True)
+        np.multiply(lu, P, out=P)
+    # d/dz of mean -log P_y is (P - onehot(y)) / n, times the part's weight;
+    # the zero targets of the entropy rows leave them as they are
+    dZ2 -= epoch.targets[start:stop]
+    dZ2 *= epoch.weights[start:stop]
     dZ1 = dZ2 @ model.W_out.T
     tanh_grad = np.square(F)  # tanh' = 1 - F^2
     np.subtract(1.0, tanh_grad, out=tanh_grad)
     dZ1 *= tanh_grad
-    d_in, d_feat, C = model.d_in, model.d_feat, model.C
-    b_hidden = d_in * d_feat  # offsets of the parameters in the flat buffer
-    W_out = b_hidden + d_feat
-    b_out = W_out + d_feat * C
-    flat = np.empty(b_out + C)
-    grads = {
-        "W_hidden": flat[:b_hidden].reshape(d_in, d_feat),
-        "b_hidden": flat[b_hidden:W_out],
-        "W_out": flat[W_out:b_out].reshape(d_feat, C),
-        "b_out": flat[b_out:],
-    }
-    np.matmul(X.T, dZ1, out=grads["W_hidden"])
-    dZ1.sum(axis=0, out=grads["b_hidden"])
-    np.matmul(F.T, dZ2, out=grads["W_out"])
-    dZ2.sum(axis=0, out=grads["b_out"])
-    return grads
+    W_hidden, b_hidden, W_out, b_out = epoch.grads
+    np.matmul(X.T, dZ1, out=W_hidden)
+    np.add.reduce(dZ1, axis=0, out=b_hidden)
+    np.matmul(F.T, dZ2, out=W_out)
+    np.add.reduce(dZ2, axis=0, out=b_out)
+    return epoch.grad
 
 
-def backward_and_step(
-    model: Classifier,
-    labeled_batch,
-    cc_batch,
-    uc_batch,
-    cfg: TrainConfig,
-) -> Classifier:
-    """One SGD step on the full objective, mutating the model in place.
+def backward_and_step(model: Classifier, epoch: EpochSteps, step: int) -> Classifier:
+    """SGD step number step of a prepared epoch on the full objective,
+    mutating the model in place: theta -= learning_rate * gradient.
 
-    The consistency rows come already perturbed (augment), and the step
-    draws nothing. A non-finite gradient aborts before any parameter is
-    touched.
+    The step draws and checks nothing; the epoch's fill checked its rows. A
+    non-finite gradient aborts before theta is touched.
     """
-    X_l, y_l = labeled_batch
-    X_cc, y_cc = cc_batch
-    grads = combined_grads(
-        model, X_l, y_l, X_cc, y_cc, uc_batch, cfg.lambda_c, cfg.lambda_e
-    )
-    flat = grads["W_hidden"].base  # the buffer all four gradients view
-    if not _all_finite(flat):
+    grad = combined_grads(model, epoch, step)
+    if not _all_finite(grad):
         raise NonFiniteGradientError("non-finite gradient; step aborted")
-    flat *= cfg.learning_rate
-    model.W_hidden -= grads["W_hidden"]
-    model.b_hidden -= grads["b_hidden"]
-    model.W_out -= grads["W_out"]
-    model.b_out -= grads["b_out"]
+    grad *= epoch.learning_rate
+    model.theta -= grad
     return model

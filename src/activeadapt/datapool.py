@@ -183,6 +183,12 @@ class DataPool:
         rows = self._target_rows()
         return self._ids[rows], self._X[rows]
 
+    def evaluation_arrays(self):
+        """Feature matrix and true labels over the full target domain, rows
+        as in target_arrays. Metric computation only, as evaluation_labels."""
+        rows = self._target_rows()
+        return self._X[rows], self._labels[rows]
+
     def evaluation_labels(self, ids) -> np.ndarray:
         """True labels for the given target ids.
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .classifier import (
     Classifier,
+    EpochSteps,
     LossBreakdown,
     TrainConfig,
     _row_blocks,
@@ -175,15 +176,19 @@ def _train_epochs(model, X, y, cc, uc, cfg: TrainConfig, epochs: int, key):
     are gathered in permutation order; each active pool gives one window of
     take = min(batch_size, pool size) rows per step (_windows); the epoch's
     consistency rows are perturbed in one augment call, from one noise and
-    one dropout draw. A step only slices.
+    one dropout draw. The steps' layout is made once (EpochSteps), each
+    epoch's rows are stacked and checked once (EpochSteps.fill), and a step
+    only slices.
     """
     use_cc = cc is not None and len(cc[1]) > 0 and cfg.lambda_c != 0.0
     use_uc = uc is not None and uc.shape[0] > 0 and cfg.lambda_e != 0.0
-    cc_batch = (np.zeros((0, model.d_in)), np.zeros(0, dtype=int))
-    uc_batch = np.zeros((0, model.d_in))
+    cc_part = uc_part = None
     rng = np.random.default_rng(key)
     n, size = len(y), cfg.batch_size
-    starts = range(0, n, size)
+    cc_take = min(size, len(cc[1])) if use_cc else 0
+    uc_take = min(size, uc.shape[0]) if use_uc else 0
+    epoch = EpochSteps(model, n, cc_take, uc_take, cfg)
+    steps = epoch.steps
     if use_cc:
         X_cc, y_cc = cc
         cc_rng = np.random.default_rng([*key, CC_WINDOWS])
@@ -192,20 +197,16 @@ def _train_epochs(model, X, y, cc, uc, cfg: TrainConfig, epochs: int, key):
         uc_rng = np.random.default_rng([*key, UC_WINDOWS])
     for _ in range(epochs):
         perm = rng.permutation(n)
-        X_perm, y_perm = X[perm], y[perm]
         if use_cc:
-            pick = _windows(cc_rng, len(y_cc), size, len(starts))
-            cc_rows, cc_labels = X_cc[pick], y_cc[pick]
+            pick = _windows(cc_rng, len(y_cc), size, steps)
+            cc_rows = X_cc.take(pick, axis=0)
             cc_rows = augment(cc_rows, cfg, *draw_perturbation(perturb_rng, cc_rows.shape, cfg))
+            cc_part = (cc_rows, y_cc.take(pick))
         if use_uc:
-            uc_rows = uc[_windows(uc_rng, uc.shape[0], size, len(starts))]
-        for step, start in enumerate(starts):
-            batch = slice(start, start + size)
-            if use_cc:
-                cc_batch = (cc_rows[step], cc_labels[step])
-            if use_uc:
-                uc_batch = uc_rows[step]
-            backward_and_step(model, (X_perm[batch], y_perm[batch]), cc_batch, uc_batch, cfg)
+            uc_part = uc.take(_windows(uc_rng, uc.shape[0], size, steps), axis=0)
+        epoch.fill(X.take(perm, axis=0), y.take(perm), cc_part, uc_part)
+        for step in range(steps):
+            backward_and_step(model, epoch, step)
     return model
 
 
@@ -234,10 +235,9 @@ def start_run(cfg: LoopConfig, pool: DataPool) -> Classifier:
 
 def evaluate(model: Classifier, pool: DataPool) -> float:
     """Accuracy over the full target domain, annotated samples included."""
-    ids, X = pool.target_arrays()
-    if ids.size == 0:
+    X, truth = pool.evaluation_arrays()
+    if truth.size == 0:
         raise ValueError("no target samples to evaluate")
-    truth = pool.evaluation_labels(ids)
     return float(np.mean(model.predict(X) == truth))
 
 

@@ -4,11 +4,12 @@ the perturbation, the stacked gradient and the parameter update; and of
 the training epochs around the steps, one draw at a time from the
 documented streams.
 
-The engine's versions issue fewer numpy calls (in-place updates, one flat
-gradient buffer, one finiteness test, every draw of an epoch made before
-its steps) but must perform the same floating-point operations in the same
-order and the same draws from the same streams, so tests compare them with
-these bit for bit. Nothing here is imported by the package.
+The engine's versions make fewer numpy calls (one flat parameter vector
+and gradient buffer, each epoch's rows, one-hot targets and loss weights
+stacked and checked once, one finiteness test, every draw of an epoch made
+before its steps) but must perform the same floating-point operations in
+the same order and the same draws from the same streams, so tests compare
+them with these bit for bit. Nothing here is imported by the package.
 """
 
 import math

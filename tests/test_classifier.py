@@ -4,7 +4,10 @@ Expected values come from independent scalar arithmetic (math.tanh/exp) or
 from a central finite-difference oracle, never from the code under test.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from activeadapt.classifier import (
     ROW_BLOCK,
     Classifier,
+    EpochSteps,
     NonFiniteGradientError,
     TrainConfig,
     _row_blocks,
@@ -25,6 +29,7 @@ from activeadapt.classifier import (
     loss_entropy,
     loss_supervised,
 )
+from activeadapt.harness import _train_epochs
 from activeadapt.numerics import logsumexp
 from oracles import forward_probs
 from step_reference import (
@@ -133,6 +138,52 @@ class TestForward:
         assert np.isfinite(model.features([[1.5e308], [1.5e308]])).all()
 
 
+class TestParameters:
+    def test_params_are_views_of_one_theta(self):
+        """The four parameters are views of theta, laid out in params()
+        order: a change to theta changes them, and assigning a parameter
+        writes into theta."""
+        model = random_model(np.random.default_rng(12))
+        params = model.params()
+        assert list(params) == ["W_hidden", "b_hidden", "W_out", "b_out"]
+        np.testing.assert_array_equal(flat_params(model), model.theta)
+        model.theta += 1.0
+        for name, v in params.items():
+            assert np.shares_memory(v, model.theta) and v is getattr(model, name)
+        np.testing.assert_array_equal(flat_params(model), model.theta)
+        model.W_out = np.zeros((4, 3))
+        assert params["W_out"].sum() == 0.0 and np.shares_memory(model.W_out, model.theta)
+        with pytest.raises(ValueError, match="must have shape"):
+            model.b_out = np.zeros(4)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda m: pickle.loads(pickle.dumps(m))])
+    def test_a_copy_has_its_own_theta(self, copier):
+        """A copied model's parameters are views of its own theta, equal to
+        the original's, and a step of the copy leaves the original as it
+        was."""
+        model = random_model(np.random.default_rng(13))
+        before = model.theta.copy()
+        twin = copier(model)
+        np.testing.assert_array_equal(twin.theta, before)
+        for v in twin.params().values():
+            assert np.shares_memory(v, twin.theta)
+            assert not np.shares_memory(v, model.theta)
+        twin.theta += 1.0
+        np.testing.assert_array_equal(flat_params(twin), twin.theta)
+        np.testing.assert_array_equal(model.theta, before)
+
+    def test_constructor_copies_its_inputs(self):
+        """Changing an array after it built a model leaves the model as it
+        was."""
+        arrays = [np.ones((3, 4)), np.zeros(4), np.ones((4, 2)), np.zeros(2)]
+        model = Classifier(*arrays)
+        for a in arrays:
+            a += 7.0
+        for v, a in zip(model.params().values(), arrays):
+            np.testing.assert_array_equal(v, a - 7.0)
+
+
 class TestSupervisedLoss:
     def test_perfect_prediction_zero(self):
         model = two_class_model(scale=500.0)  # saturates to P=1 exactly
@@ -168,7 +219,7 @@ class TestSupervisedLoss:
             with pytest.raises(ValueError, match="whole number"):
                 loss_supervised(model, X, bad)
             with pytest.raises(ValueError, match="whole number"):
-                combined_grads(model, X, bad, X[:0], [], X[:0], 0.5, 0.1)
+                analytic_flat(model, X, bad, X[:0], [], X[:0], 0.5, 0.1)
         assert loss_supervised(model, X, [0.0, 2.0]) == loss_supervised(model, X, [0, 2])
 
 
@@ -410,9 +461,39 @@ def max_rel_err(a, b):
     return np.max(np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-8))
 
 
+def one_step_epoch(model, X_l, y_l, X_cc, y_cc, X_uc, cfg):
+    """The engine's prepared epoch of one step on these parts. As in
+    _train_epochs, a consistency or entropy part that is empty or weighted 0
+    is left out."""
+    cc = uc = None
+    if len(y_cc) and cfg.lambda_c != 0.0:
+        cc = (np.asarray(X_cc)[None], np.asarray(y_cc)[None])
+    if np.size(X_uc) and cfg.lambda_e != 0.0:
+        uc = np.asarray(X_uc)[None]
+    one_batch = dataclasses.replace(cfg, batch_size=len(y_l))
+    epoch = EpochSteps(model, len(y_l), 0 if cc is None else len(y_cc),
+                       0 if uc is None else len(X_uc), one_batch)
+    epoch.fill(np.asarray(X_l), y_l, cc, uc)
+    return epoch
+
+
 def analytic_flat(model, X_l, y_l, X_cc, y_cc, X_uc, lc, le):
-    g = combined_grads(model, X_l, y_l, X_cc, y_cc, X_uc, lc, le)
-    return np.concatenate([g[k].ravel() for k in model.params()])
+    """The engine's gradient at one step on these parts, flat in theta's
+    layout (a copy)."""
+    cfg = TrainConfig(lambda_c=lc, lambda_e=le)
+    epoch = one_step_epoch(model, X_l, y_l, X_cc, y_cc, X_uc, cfg)
+    return combined_grads(model, epoch, 0).copy()
+
+
+def grads_by_name(model, *parts):
+    """analytic_flat as parameter-shaped arrays by name."""
+    return model.unflatten(analytic_flat(model, *parts))
+
+
+def take_step(model, labeled_batch, cc_batch, uc_batch, cfg):
+    """backward_and_step on a one-step epoch of these batches."""
+    epoch = one_step_epoch(model, *labeled_batch, *cc_batch, uc_batch, cfg)
+    return backward_and_step(model, epoch, 0)
 
 
 class TestGradients:
@@ -501,7 +582,7 @@ class TestGradients:
                 want["b_out"] += dz2
                 want["W_hidden"] += np.outer(x, dz1)
                 want["b_hidden"] += dz1
-        got = combined_grads(model, X_l, y_l, X_cc, y_cc, X_uc, lc, le)
+        got = grads_by_name(model, X_l, y_l, X_cc, y_cc, X_uc, lc, le)
         assert list(got) == list(want)
         for k in want:
             np.testing.assert_allclose(got[k], want[k], rtol=1e-10, atol=1e-13)
@@ -515,7 +596,7 @@ class TestStep:
         cfg = TrainConfig(learning_rate=0.0, aug_noise_sigma=0.0, aug_dropout_p=0.0)
         X = rng.standard_normal((4, 3))
         y = rng.integers(0, 3, 4)
-        backward_and_step(model, (X, y), (np.zeros((0, 3)), []), np.zeros((0, 3)), cfg)
+        take_step(model, (X, y), (np.zeros((0, 3)), []), np.zeros((0, 3)), cfg)
         np.testing.assert_array_equal(flat_params(model), before)
 
     def test_single_sample_descent(self):
@@ -526,7 +607,7 @@ class TestStep:
         y = np.array([1])
         before = loss_supervised(model, x, y)
         cfg = TrainConfig(learning_rate=1e-2, aug_noise_sigma=0.0, aug_dropout_p=0.0)
-        backward_and_step(model, (x, y), (np.zeros((0, 3)), []), np.zeros((0, 3)), cfg)
+        take_step(model, (x, y), (np.zeros((0, 3)), []), np.zeros((0, 3)), cfg)
         assert loss_supervised(model, x, y) < before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -538,7 +619,7 @@ class TestStep:
         before = flat_params(model).copy()
         cfg = TrainConfig(learning_rate=0.1, aug_noise_sigma=0.0, aug_dropout_p=0.0)
         with pytest.raises(NonFiniteGradientError):
-            backward_and_step(
+            take_step(
                 model,
                 (np.array([[1.0]]), [0]),
                 (np.zeros((0, 1)), []),
@@ -556,7 +637,7 @@ class TestStep:
     @pytest.mark.parametrize("lambda_c", [0.0, 0.5])
     def test_step_trains_on_the_consistency_rows_as_given(self, lambda_c):
         """The step perturbs nothing itself: it moves the parameters by the
-        learning rate times combined_grads at the rows it is given, which the
+        learning rate times the gradient at the rows it is given, which the
         caller has already perturbed, with or without a weight on them."""
         rng = np.random.default_rng(8)
         model = random_model(rng)
@@ -565,9 +646,9 @@ class TestStep:
         X_cc = perturb(X_cc, cfg, np.random.default_rng(21))
         want = {k: v - cfg.learning_rate * g for (k, v), g in zip(
             model.params().items(),
-            combined_grads(model, X_l, y_l, X_cc, y_cc, X_uc, lambda_c, cfg.lambda_e).values(),
+            grads_by_name(model, X_l, y_l, X_cc, y_cc, X_uc, lambda_c, cfg.lambda_e).values(),
         )}
-        backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, cfg)
+        take_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, cfg)
         assert _bits(model.params()) == _bits(want)
 
     @pytest.mark.parametrize("part", ["X_l", "X_cc", "X_uc"])
@@ -578,7 +659,7 @@ class TestStep:
         {"X_l": X_l, "X_cc": X_cc, "X_uc": X_uc}[part][1, 2] = np.nan
         before = flat_params(model).copy()
         with pytest.raises(ValueError, match="non-finite input"):
-            backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig())
+            take_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig())
         np.testing.assert_array_equal(flat_params(model), before)
 
     @pytest.mark.parametrize("part", ["y_l", "y_cc"])
@@ -593,23 +674,24 @@ class TestStep:
         {"y_l": y_l, "y_cc": y_cc}[part][:2] = bad
         before = flat_params(model).copy()
         with pytest.raises(ValueError, match="label outside"):
-            combined_grads(model, X_l, y_l, X_cc, y_cc, X_uc, 0.5, 0.1)
+            analytic_flat(model, X_l, y_l, X_cc, y_cc, X_uc, 0.5, 0.1)
         with pytest.raises(ValueError, match="label outside"):
-            backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig())
+            take_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig())
         np.testing.assert_array_equal(flat_params(model), before)
 
     @pytest.mark.parametrize("part,weights", [
         ("X_cc", dict(lambda_c=0.0)), ("X_uc", dict(lambda_e=0.0)),
     ])
     def test_zero_weighted_part_stays_out_of_the_pass(self, part, weights):
-        """A part whose weight is 0 is not stacked, so its rows are neither
-        checked nor computed: a NaN there leaves the step finite."""
+        """A part whose weight is 0 is not stacked (training leaves the pool
+        out), so its rows are neither checked nor computed: a NaN there
+        leaves the step finite."""
         rng = np.random.default_rng(10)
         model = random_model(rng)
         X_l, y_l, X_cc, y_cc, X_uc = self._batches(rng)
         {"X_cc": X_cc, "X_uc": X_uc}[part][0, 0] = np.nan
         before = flat_params(model).copy()
-        backward_and_step(model, (X_l, y_l), (X_cc, y_cc), X_uc, TrainConfig(**weights))
+        _train_epochs(model, X_l, y_l, (X_cc, y_cc), X_uc, TrainConfig(**weights), 1, [0, 2, 1])
         assert np.isfinite(flat_params(model)).all()
         assert (flat_params(model) != before).any()
 
@@ -650,7 +732,7 @@ class TestStepMatchesReference:
             2 * rng.standard_normal((n_cc, d_in)), rng.integers(0, C, n_cc),
             2 * rng.standard_normal((n_uc, d_in)), lc, le,
         )
-        got = combined_grads(model, *args)
+        got = grads_by_name(model, *args)
         want = combined_grads_ref(model, *args)
         assert list(got) == list(want)
         assert _bits(got) == _bits(want)
@@ -674,7 +756,7 @@ class TestStepMatchesReference:
             uc = X_uc[draw.choice(60, 32, replace=False)]
             noise, keep = draw_perturbation(draw, (32, 8), cfg)
             labeled, cc = (X[idx], y[idx]), (X_cc[pick], y_cc[pick])
-            backward_and_step(model, labeled, (augment(cc[0], cfg, noise, keep), cc[1]), uc, cfg)
+            take_step(model, labeled, (augment(cc[0], cfg, noise, keep), cc[1]), uc, cfg)
             backward_and_step_ref(ref, labeled, cc, uc, cfg, noise, keep)
         assert _bits(model.params()) == _bits(ref.params())
 
@@ -703,7 +785,7 @@ class TestStepMatchesReference:
         flat = np.concatenate([v.ravel() for v in g.values()])
         assert np.isfinite(flat).all() and not np.isfinite(flat.sum())
         cfg = TrainConfig(learning_rate=1e-310)
-        backward_and_step(model, (X, y), empty, np.zeros((0, 1)), cfg)
+        take_step(model, (X, y), empty, np.zeros((0, 1)), cfg)
         backward_and_step_ref(ref, (X, y), empty, np.zeros((0, 1)), cfg)
         assert _bits(model.params()) == _bits(ref.params())
 
@@ -725,7 +807,7 @@ class TestStepMatchesReference:
             error = ValueError
         before = flat_params(model).copy()
         empty = (np.zeros((0, 1)), np.zeros(0, dtype=int))
-        for step in (backward_and_step, backward_and_step_ref):
+        for step in (take_step, backward_and_step_ref):
             with pytest.raises(error):
                 step(model, (X, y), empty, np.zeros((0, 1)), TrainConfig())
             np.testing.assert_array_equal(flat_params(model), before)

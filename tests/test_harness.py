@@ -35,6 +35,17 @@ from test_classifier import _bits, _clone, block_sizes
 from test_gmm import weight_ratio
 
 
+def step_batches(epoch, step):
+    """A prepared step's batches as views: labeled rows and labels,
+    consistency rows and labels, entropy rows. The labels are read back
+    from the one-hot targets."""
+    start, cc_start, uc_start, stop = epoch.bounds[step]
+    labels = epoch.targets[start:uc_start].argmax(axis=1)
+    n_l = cc_start - start
+    return (epoch.X[start:cc_start], labels[:n_l], epoch.X[cc_start:uc_start],
+            labels[n_l:], epoch.X[uc_start:stop])
+
+
 def fast_train(**kw):
     base = dict(learning_rate=0.05, epochs_per_round=3, batch_size=16, seed=2)
     base.update(kw)
@@ -127,6 +138,21 @@ class TestConfigValidation:
 
 
 class TestEvaluate:
+    def test_accuracy_of_an_annotated_permuted_pool(self):
+        """On a pool given in a permuted row order, with target rows
+        annotated out of id order, accuracy is the share of the target rows
+        that target_arrays lists whose prediction equals their
+        evaluation_labels."""
+        ids, X, y, source = TestRowOrder.rows()
+        perm = np.random.default_rng(1).permutation(ids.size)
+        pool = DataPool(5, ids[perm], X[perm], y[perm], source[perm])
+        pool.annotate_batch(ids[~source][[40, 3, 17]].tolist())
+        model = Classifier.initialize(8, 16, 5, np.random.default_rng(2))
+        t_ids, X_t = pool.target_arrays()
+        assert t_ids.size == 200
+        want = np.mean(model.predict(X_t) == pool.evaluation_labels(t_ids))
+        assert evaluate(model, pool) == want
+
     def test_all_correct(self):
         model = Classifier(np.eye(2) * 3, np.zeros(2), np.eye(2) * 3, np.zeros(2))
         pool = hand_pool(2, [[2, 0], [0, 2]], [0, 1], [[2, 0], [0, 2]], [0, 1])
@@ -185,23 +211,24 @@ class TestPretrain:
 
 
     def test_empty_companion_batches_have_input_width(self, monkeypatch):
-        """Without consistency or entropy pools, every step gets empty
-        companion batches of width d_in, built once per call."""
+        """Without consistency or entropy pools, every step's companion
+        batches are empty, its rows have width d_in, and one layout serves
+        the steps of every epoch."""
         seen = []
         real_step = harness.backward_and_step
 
-        def step_spy(model, labeled, cc_batch, uc_batch, cfg):
-            seen.append((cc_batch, uc_batch))
-            return real_step(model, labeled, cc_batch, uc_batch, cfg)
+        def step_spy(model, epoch, step):
+            seen.append((epoch, step_batches(epoch, step)))
+            return real_step(model, epoch, step)
 
         monkeypatch.setattr(harness, "backward_and_step", step_spy)
         model = Classifier.initialize(4, 16, 3, np.random.default_rng(0))
         pretrain_source(model, small_pool(), fast_train(), epochs=2)
         assert len(seen) > 1
-        for cc_batch, uc_batch in seen:
-            assert cc_batch[0].shape == (0, 4) and cc_batch[1].shape == (0,)
-            assert uc_batch.shape == (0, 4)
-            assert cc_batch is seen[0][0] and uc_batch is seen[0][1]
+        for epoch, (X, y, X_cc, y_cc, X_uc) in seen:
+            assert X.shape[1] == 4 and X_cc.shape == (0, 4) and y_cc.shape == (0,)
+            assert X_uc.shape == (0, 4)
+        assert all(epoch is seen[0][0] for epoch, _ in seen)
 
 
 class TestTrainingStreams:
@@ -222,9 +249,9 @@ class TestTrainingStreams:
         """Every step's (labeled, cc, uc) batch, copied."""
         seen, real_step = [], harness.backward_and_step
 
-        def step_spy(model, labeled, cc_batch, uc_batch, cfg):
-            seen.append([a.copy() for a in (*labeled, *cc_batch, uc_batch)])
-            return real_step(model, labeled, cc_batch, uc_batch, cfg)
+        def step_spy(model, epoch, step):
+            seen.append([a.copy() for a in step_batches(epoch, step)])
+            return real_step(model, epoch, step)
 
         monkeypatch.setattr(harness, "backward_and_step", step_spy)
         harness._train_epochs(model, X, y, cc, uc, cfg, epochs, key)
@@ -237,6 +264,8 @@ class TestTrainingStreams:
         (40, 33, 17, dict(aug_dropout_p=0.0)),  # one window a permutation, no mask
         (50, 90, 50, dict(lambda_e=0.0)),  # consistency only
         (50, 90, 50, dict(lambda_c=0.0)),  # entropy only
+        (20, 90, 50, dict(batch_size=32)),  # one short step, as a source-free round's 20 rows
+        (48, 90, 50, {}),  # a whole number of batches: no short last step
     ])
     def test_epochs_match_the_stream_contract_reference(self, n_l, n_cc, n_uc, kw):
         """_train_epochs ends bit for bit where step_reference's one-draw-at-
@@ -248,6 +277,27 @@ class TestTrainingStreams:
         harness._train_epochs(model, X, y, cc, uc, cfg, 3, [7, 2, 4])
         train_epochs_ref(ref, X, y, cc, uc, cfg, 3, [7, 2, 4])
         assert _bits(model.params()) == _bits(ref.params())
+
+    @pytest.mark.parametrize("fault, message", [
+        ("label", "label outside"), ("nan", "non-finite input"),
+    ])
+    def test_bad_consistency_row_raises_before_the_first_step(self, fault, message):
+        """A similarity label outside [0, C), or a NaN in a consistency row,
+        that only the epoch's last step would use raises ValueError before
+        the epoch's first step, so the parameters stay bit for bit."""
+        X, y, (X_cc, y_cc), uc = self._data(70, 90, 50)
+        key = [7, 2, 4]
+        # 5 steps of 16 rows, all windows of one permutation of the 90 rows
+        late = windows_ref(np.random.default_rng([*key, 1]), 90, 16, 5)[-1][0]
+        if fault == "label":
+            y_cc[late] = 3
+        else:
+            X_cc[late, 2] = np.nan
+        model = Classifier.initialize(4, 16, 3, np.random.default_rng(1))
+        before = _bits(model.params())
+        with pytest.raises(ValueError, match=message):
+            harness._train_epochs(model, X, y, (X_cc, y_cc), uc, fast_train(), 2, key)
+        assert _bits(model.params()) == before
 
     def test_each_purpose_reads_only_its_own_stream(self, monkeypatch):
         """The labeled batches come from permutations of default_rng(key)

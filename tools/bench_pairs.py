@@ -1,0 +1,110 @@
+"""Paired A/B runs of the benchmark on two checkouts, run from anywhere:
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload desk --seed 11 --seconds 10
+
+runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
+in each checkout, one run at a time. Pair i uses the i-th --seed (cycling
+through them when there are fewer seeds than pairs), and the side that runs
+first flips every pair, parent first in pair 0.
+
+For every end-to-end metric of BENCHMARK.json it prints each side's median
+and quartiles and the change's wins (ties count for neither side), and
+whether the gain rule holds: the change wins at least 9 pairs in 10, and
+its median is better than the parent's by more than the parent's
+interquartile range. The last line of standard output is one JSON object
+holding every run's result. Exits non-zero if a run exits with an error
+or reports `correct: false` or a failed adaptation run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), linear interpolation."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent, change, better: str) -> dict:
+    """The paired comparison of one metric: parent[i] and change[i] come
+    from pair i; better is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p1, p_med, p3 = quartiles(parent)
+    c1, c_med, c3 = quartiles(change)
+    gain = sign * (p_med - c_med)
+    return {
+        "parent": (p1, p_med, p3),
+        "change": (c1, c_med, c3),
+        "wins": wins,
+        "losses": losses,
+        "pairs": len(parent),
+        "rule_holds": wins >= 0.9 * len(parent) and gain > p3 - p1,
+    }
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited with code {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, action="append", required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent, "change": args.change}
+    results = {name: [] for name in sides}
+    ok = True
+    for i in range(args.pairs):
+        seed = args.seed[i % len(args.seed)]
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for name in order:
+            result = run_once(sides[name], args.workload, seed, args.seconds)
+            ok &= bool(result["correct"]) and result["failed"] == 0
+            results[name].append(result)
+            run_s = result["metrics"].get("run_s", {}).get("value")
+            print(f"pair {i} seed {seed} {name}: run_s {run_s} failed {result['failed']}",
+                  file=sys.stderr)
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}, {args.seconds:g} s runs")
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in runs]
+                  for side, runs in results.items()}
+        s = summarize(values["parent"], values["change"], metric["better"])
+        print(f"{name} ({metric['unit']}, {metric['better']} is better): "
+              f"parent {s['parent'][1]:.6g} [{s['parent'][0]:.6g}, {s['parent'][2]:.6g}] "
+              f"change {s['change'][1]:.6g} [{s['change'][0]:.6g}, {s['change'][2]:.6g}] "
+              f"wins {s['wins']}/{s['pairs']} losses {s['losses']} "
+              f"rule {'holds' if s['rule_holds'] else 'does not hold'}")
+    print(json.dumps({"workload": args.workload, "seeds": args.seed, "runs": results}))
+    if not ok:
+        print("a run reported correct: false or a failed adaptation run", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
