@@ -108,8 +108,6 @@ def cmd_run(args) -> int:
             )
 
     reports = run_active_loop(loop, pool, on_round_end=lambda _model, _pool, rep: emit(rep))
-    if loop.budget == 0:  # no round ran, so on_round_end never saw this report
-        emit(reports[0])
     write_aggregate_csv(out / "aggregate.csv", aggregate_rows(loop.strategy, loop.seed, reports))
     print(f"wrote {len(reports)} round reports to {out}")
     return 0

@@ -10,6 +10,7 @@ isolates acquisition quality in comparisons.
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 from dataclasses import dataclass, field
@@ -211,15 +212,11 @@ def _train_epochs(model, X, y, cc, uc, cfg: TrainConfig, epochs: int, key):
 
 
 def pretrain_source(
-    model: Classifier, pool: DataPool, cfg: TrainConfig, epochs: int | None = None, rng=None
+    model: Classifier, pool: DataPool, cfg: TrainConfig, epochs: int, rng=None
 ) -> Classifier:
-    """Supervised training on the source pool only."""
+    """Supervised training on the source pool only, whose rows cover every
+    class (a DataPool invariant)."""
     X, y = pool.source_arrays()
-    if y.size == 0:
-        raise ValueError("source pool is empty")
-    if len(np.unique(y)) != pool.C:
-        raise ValueError("source pool must cover every class")
-    epochs = cfg.epochs_per_round if epochs is None else epochs
     key = rng if rng is not None else [cfg.seed, 1]
     return _train_epochs(model, X, y, None, None, cfg, epochs, key)
 
@@ -248,7 +245,7 @@ def evaluate(model: Classifier, pool: DataPool) -> float:
 class _Selection:
     """A round's batch and, after a mixture fit, the rest of the pool's
     partition sizes and the training pools it feeds: copies of remaining
-    rows, so the loop drops the selection when its round ends."""
+    rows, which end with the round that selected them."""
 
     ids: list[int]
     posteriors: list[float] | None = None
@@ -307,13 +304,66 @@ def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> 
 # -- the loop ----------------------------------------------------------------
 
 
+def _round(cfg: LoopConfig, model, pool, r: int) -> RoundReport:
+    """Round r of a run: select, annotate, train and report. The selection,
+    with its CC/UC pools, ends with the round."""
+    if cfg.strategy is Strategy.DIANA:
+        sel = _select_diana(model, pool, cfg, cfg.per_round)
+    else:
+        sel = _select_baseline(model, pool, cfg, cfg.per_round, r)
+
+    # annotation order is canonical so downstream training does not
+    # depend on how the strategy happened to order its picks
+    pool.annotate_batch(sorted(sel.ids))
+    X_l, y_l = pool.labeled_arrays(include_source=cfg.sfda is None)
+    err_rate = None
+    if sel.ids:
+        # the batch is the last rows annotated, with its oracle labels
+        n = len(sel.ids)
+        err_rate = float(np.mean(model.predict(X_l[-n:]) != y_l[-n:]))
+
+    _train_epochs(
+        model, X_l, y_l, sel.cc, sel.uc, cfg.train, cfg.train.epochs_per_round,
+        [cfg.train.seed, 2, r],
+    )
+    losses = None
+    if sel.gmm is not None:
+        losses = combined_loss(
+            model, X_l, y_l, *sel.cc, sel.uc, cfg.train.lambda_c, cfg.train.lambda_e
+        )
+    return RoundReport(
+        r, evaluate(model, pool), sel.sizes, sel.gmm, sel.ids, sel.posteriors, err_rate, losses
+    )
+
+
+def _run_rounds(cfg: LoopConfig, model, pool, on_round_end=None) -> list[RoundReport]:
+    """The rounds of a run from a started model (start_run), annotating the
+    pool in place: one report per round, or a single evaluation-only report
+    (round 0) when budget is 0. on_round_end, when given, is called with
+    (model, pool, report) after every report."""
+    if cfg.budget > pool.sizes[2]:
+        raise ValueError(f"budget {cfg.budget} exceeds unlabeled pool size {pool.sizes[2]}")
+    pool.check_invariants()
+    reports = []
+    for r in range(1, cfg.rounds + 1) if cfg.budget else [0]:
+        if r == 0:
+            report = RoundReport(0, evaluate(model, pool), {}, None, [], None, None)
+        else:
+            report = _round(cfg, model, pool, r)
+        reports.append(report)
+        pool.check_invariants()
+        if on_round_end is not None:
+            on_round_end(model, pool, report)
+    return reports
+
+
 def run_active_loop(
     cfg: LoopConfig, pool: DataPool, on_round_end=None
 ) -> list[RoundReport]:
     """Run pretraining plus R selection/training rounds, annotating the pool
     in place. Returns one report per round (a single evaluation-only report
     when budget is 0). on_round_end, when given, is called with
-    (model, pool, report) after every round.
+    (model, pool, report) after every report, the evaluation-only one too.
 
     Every strategy runs this loop. Only a diana round with a mixture fit
     builds the confident-consistent and uncertain-consistent pools, so
@@ -330,62 +380,7 @@ def run_active_loop(
     or source-free bootstrap round) draws only its labeled permutations,
     and one purpose's draws never shift another's.
     """
-    n_unlabeled = pool.sizes[2]
-    if cfg.budget > n_unlabeled:
-        raise ValueError(
-            f"budget {cfg.budget} exceeds unlabeled pool size {n_unlabeled}"
-        )
-    pool.check_invariants()
-    model = start_run(cfg, pool)
-    if cfg.budget == 0:
-        return [RoundReport(0, evaluate(model, pool), {}, None, [], None, None)]
-
-    reports = []
-    use_source = cfg.sfda is None
-    for r in range(1, cfg.rounds + 1):
-        if cfg.strategy is Strategy.DIANA:
-            sel = _select_diana(model, pool, cfg, cfg.per_round)
-        else:
-            sel = _select_baseline(model, pool, cfg, cfg.per_round, r)
-
-        # annotation order is canonical so downstream training does not
-        # depend on how the strategy happened to order its picks
-        pool.annotate_batch(sorted(sel.ids))
-        X_l, y_l = pool.labeled_arrays(include_source=use_source)
-        err_rate = None
-        if sel.ids:
-            # the batch is the last rows annotated, with its oracle labels
-            n = len(sel.ids)
-            err_rate = float(np.mean(model.predict(X_l[-n:]) != y_l[-n:]))
-
-        _train_epochs(
-            model, X_l, y_l, sel.cc, sel.uc, cfg.train, cfg.train.epochs_per_round,
-            [cfg.train.seed, 2, r],
-        )
-
-        losses = None
-        if sel.gmm is not None:
-            losses = combined_loss(
-                model, X_l, y_l, *sel.cc, sel.uc, cfg.train.lambda_c, cfg.train.lambda_e
-            )
-
-        reports.append(
-            RoundReport(
-                round_index=r,
-                accuracy=evaluate(model, pool),
-                partition_sizes=sel.sizes,
-                gmm=sel.gmm,
-                selected_ids=sel.ids,
-                selected_posteriors=sel.posteriors,
-                selected_error_rate=err_rate,
-                losses=losses,
-            )
-        )
-        del sel  # its CC/UC pools must not outlive the round
-        pool.check_invariants()
-        if on_round_end is not None:
-            on_round_end(model, pool, reports[-1])
-    return reports
+    return _run_rounds(cfg, start_run(cfg, pool), pool, on_round_end)
 
 
 # -- comparisons and diagnostics --------------------------------------------
@@ -420,14 +415,19 @@ def offset_seeds(shift_cfg, loop_cfg: LoopConfig, i: int):
 def compare_strategies(shift_cfg, loop_cfg: LoopConfig, strategies, n_seeds: int):
     """Run each strategy on freshly generated pools over n_seeds paired
     seeds (offset_seeds). Returns aggregate rows (one per
-    strategy/seed/round)."""
+    strategy/seed/round). A seed's model is pretrained once, on its first
+    pool before any round annotates it (annotation never changes source
+    rows); each strategy plays its rounds on its own copy and fresh pool."""
     rows = []
     for seed_i in range(n_seeds):
         data_cfg, seeded = offset_seeds(shift_cfg, loop_cfg, seed_i)
-        for strat in strategies:
-            strat = Strategy(strat)
+        model = None
+        for strat in map(Strategy, strategies):
             cfg = dataclasses.replace(seeded, strategy=strat)
-            reports = run_active_loop(cfg, generate_shifted_dataset(data_cfg))
+            pool = generate_shifted_dataset(data_cfg)
+            if model is None:
+                model = start_run(cfg, pool)
+            reports = _run_rounds(cfg, copy.copy(model), pool)
             rows += aggregate_rows(strat, seed_i, reports)
     return rows
 

@@ -1,5 +1,6 @@
 """Pool bookkeeping: generation, the oracle, annotation, and file I/O."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -343,6 +344,26 @@ class TestArrayPool:
     def test_rejects_zero_features(self):
         with pytest.raises(ValueError, match="at least one feature"):
             DataPool(2, [0, 1], np.zeros((2, 0)), [0, 1], [True, True])
+
+    @pytest.mark.parametrize("source, covered", [
+        ([True, True, False, False], "[0, 1]"),  # class 2 only among target rows
+        ([False, False, False, False], "[]"),  # no source row at all
+    ])
+    def test_rejects_a_source_that_misses_a_class(self, tmp_path, source, covered):
+        """Every class appears among the source rows, so pretraining and the
+        labeled set of every non-source-free round cover all classes. Both
+        an array pool and a pool file whose source rows miss a class are
+        refused, naming the classes they cover."""
+        message = rf"source pool covers classes {re.escape(covered)}, expected all of \[0, 3\)"
+        ids, X, labels = [0, 1, 2, 3], np.arange(4.0)[:, None], [0, 1, 2, 1]
+        with pytest.raises(ValueError, match=message):
+            DataPool(3, ids, X, labels, source)
+        path = tmp_path / "pool.csv"
+        path.write_text("1,3\n" + "".join(
+            f"{i},{'S' if s else 'T'},{y},{x[0]}\n" for i, x, y, s in zip(ids, X, labels, source)
+        ))
+        with pytest.raises(ValueError, match=message):
+            load_pool(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features_naming_the_first_sample(self, value):

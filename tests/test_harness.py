@@ -19,9 +19,11 @@ import activeadapt.harness as harness
 from activeadapt.harness import (
     LoopConfig,
     Strategy,
+    aggregate_rows,
     compare_strategies,
     consistency_diagnostic,
     evaluate,
+    offset_seeds,
     pretrain_source,
     run_active_loop,
     write_aggregate_csv,
@@ -392,6 +394,18 @@ class TestBudgetAccounting:
         assert 0.0 <= reports[0].accuracy <= 1.0
         assert len(pool.target_labeled) == 0
 
+    def test_zero_budget_report_reaches_on_round_end(self):
+        """The evaluation-only report goes through on_round_end like every
+        round's report: one call, with round 0 and the run's pool."""
+        pool, seen = small_pool(), []
+        reports = run_active_loop(
+            fast_loop(budget=0, rounds=1), pool,
+            on_round_end=lambda m, p, rep: seen.append((p, rep)),
+        )
+        assert len(seen) == 1
+        assert seen[0][0] is pool and seen[0][1] is reports[0]
+        assert seen[0][1].round_index == 0
+
     def test_cumulative_annotation_sequence(self):
         """B=12, R=3 yields |T| = 4, 8, 12 with no id annotated twice."""
         pool = small_pool()
@@ -672,10 +686,11 @@ class TestSfdaLoop:
 
 
 class TestCompare:
+    SHIFT = ShiftConfig(C=3, d_in=4, n_source=60, n_target=60, shift_magnitude=0.3, seed=11)
+
     def test_rows_and_pairing(self, tmp_path):
-        shift = ShiftConfig(C=3, d_in=4, n_source=60, n_target=60, shift_magnitude=0.3, seed=11)
         loop = fast_loop(budget=6, rounds=2)
-        rows = compare_strategies(shift, loop, [Strategy.DIANA, Strategy.RANDOM], 2)
+        rows = compare_strategies(self.SHIFT, loop, [Strategy.DIANA, Strategy.RANDOM], 2)
         assert len(rows) == 2 * 2 * 2
         assert {r["strategy"] for r in rows} == {"diana", "random"}
         for row in rows:
@@ -684,6 +699,40 @@ class TestCompare:
         write_aggregate_csv(path, rows)
         header = path.read_text().splitlines()[0]
         assert header == "strategy,seed,round,accuracy,selected_error_rate"
+
+    def test_one_pretraining_per_seed(self, monkeypatch):
+        """A seed's strategies share one pretraining, on the seed's
+        offset training stream."""
+        real, seeds = harness.pretrain_source, []
+
+        def spy(model, pool, cfg, *args):
+            seeds.append(cfg.seed)
+            return real(model, pool, cfg, *args)
+
+        monkeypatch.setattr(harness, "pretrain_source", spy)
+        strategies = [Strategy.DIANA, Strategy.RANDOM, Strategy.ENTROPY]
+        compare_strategies(self.SHIFT, fast_loop(budget=6, rounds=2), strategies, 2)
+        assert seeds == [2, 3]  # fast_train's seed, offset by the seed index
+
+    @pytest.mark.parametrize("strategies", [
+        [Strategy.DIANA, Strategy.RANDOM, Strategy.ENTROPY],
+        [Strategy.RANDOM, Strategy.DIANA, Strategy.ENTROPY],
+    ])
+    def test_rows_equal_independent_runs(self, strategies):
+        """Sharing the pretrained model moves no row: every (seed, strategy)
+        row equals that of its own run_active_loop on its own pool, bit for
+        bit. Either strategy may run first, so neither one's training can
+        reach the model the others start from."""
+        loop = fast_loop(budget=6, rounds=2)
+        rows = compare_strategies(self.SHIFT, loop, strategies, 2)
+        want = []
+        for seed_i in range(2):
+            data_cfg, seeded = offset_seeds(self.SHIFT, loop, seed_i)
+            for strat in strategies:
+                cfg = dataclasses.replace(seeded, strategy=strat)
+                reports = run_active_loop(cfg, generate_shifted_dataset(data_cfg))
+                want += aggregate_rows(strat, seed_i, reports)
+        assert repr(rows) == repr(want)
 
 
 class TestDiagnostic:

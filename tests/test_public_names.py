@@ -1,12 +1,14 @@
-"""Every public module-level name of the package has a caller outside the
-tests: no public function, class or constant exists only so that tests can
-call it.
+"""Every public module-level name of the package, and every public method
+and property of a public class, has a caller outside the tests: no public
+function, class, constant or method exists only so that tests can call it.
 
 A name counts as used when it appears outside its own definition in the
 other package modules, in the rest of its own module, or in the code that
 runs the engine from outside: the demos, perfbench, tools/, and the
 acceptance gate (tests/test_acceptance.py with tests/oracles.py).
-`__init__.py` is no caller, because it re-exports every name.
+`__init__.py` is no caller, because it re-exports every name. A method is
+matched by its name alone, whatever object it is read from; dunder and
+private methods are exempt.
 """
 
 import ast
@@ -66,17 +68,31 @@ def defined_names(node) -> list[str]:
     return [n for n in names if not n.startswith("_")]
 
 
+def public_methods(node: ast.ClassDef) -> list[str]:
+    """The public methods and properties a class body defines, each once."""
+    names = [
+        n.name for n in node.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and not n.name.startswith("_")
+    ]
+    return list(dict.fromkeys(names))
+
+
 def unused_public_names(modules: dict[str, ast.Module], outside: set[str]) -> list[str]:
-    """`module.name` for every public name of the given modules that is used
-    neither in `outside` nor in the modules outside its own definition."""
+    """`module.name` for every public name of the given modules, and
+    `module.Class.name` for every public method or property of a public
+    class, that is used neither in `outside` nor in the modules outside its
+    own definition (a property's setter is part of its definition)."""
     unused = []
     for stem, tree in modules.items():
-        others = used_names(t for s, t in modules.items() if s != stem)
+        used = outside | used_names(t for s, t in modules.items() if s != stem)
         for i, node in enumerate(tree.body):
-            rest = used_names(tree.body[:i] + tree.body[i + 1 :])
-            for name in defined_names(node):
-                if name not in outside | others | rest:
-                    unused.append(f"{stem}.{name}")
+            seen = used | used_names(tree.body[:i] + tree.body[i + 1 :])
+            unused += [f"{stem}.{n}" for n in defined_names(node) if n not in seen]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for name in public_methods(node):
+                    members = [m for m in node.body if getattr(m, "name", None) != name]
+                    if name not in seen | used_names(members + node.bases):
+                        unused.append(f"{stem}.{node.name}.{name}")
     return unused
 
 
@@ -88,13 +104,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_the_check_sees_every_module():
     """The scan is not vacuous: it reads each package module and finds
-    public names in it."""
+    public names in it, and the public methods of its classes."""
     assert {p.stem for p in MODULES} >= {
         "classifier", "cli", "datapool", "gmm", "harness", "numerics", "sampler", "scoring",
     }
     for path in MODULES:
         if path.stem != "__main__":
             assert any(defined_names(n) for n in _parse(path).body), path.stem
+    classes = {
+        f"{path.stem}.{n.name}": n for path in MODULES for n in _parse(path).body
+        if isinstance(n, ast.ClassDef)
+    }
+    assert "annotate_batch" in public_methods(classes["datapool.DataPool"])
+    assert "initialize" in public_methods(classes["classifier.Classifier"])
 
 
 @pytest.mark.parametrize(
@@ -109,6 +131,16 @@ def test_the_check_sees_every_module():
         ("def f():\n    pass\n\nDOC = 'calls f twice'\n", ["m.f", "m.DOC"]),
         ("class A:\n    pass\n\nclass B(A):\n    pass\n", ["m.B"]),
         ("def _private():\n    pass\n", []),
+        # methods and properties of a public class
+        ("class A:\n    def f(self):\n        return self.f()\n\nA()\n", ["m.A.f"]),
+        ("class A:\n    def f(self):\n        pass\n\n    def g(self):\n        return self.f()\n\n"
+         "A().g()\n", []),
+        ("class A:\n    @property\n    def p(self):\n        return 1\n\n    @p.setter\n"
+         "    def p(self, v):\n        pass\n\nA()\n", ["m.A.p"]),
+        ("class A:\n    def __len__(self):\n        return 0\n\n    def _f(self):\n"
+         "        pass\n\nA()\n", []),
+        ("class _A:\n    def f(self):\n        pass\n\n_A()\n", []),
+        ("class A:\n    def f(self):\n        pass\n\nNAME = 'A.f'\n", ["m.NAME"]),
     ],
 )
 def test_unused_names_within_one_module(source, expected):
