@@ -19,9 +19,8 @@ from .harness import (
     aggregate_rows,
     compare_strategies,
     consistency_diagnostic,
-    offset_seeds,
     run_active_loop,
-    start_run,
+    seed_runs,
     write_aggregate_csv,
 )
 from .sampler import SfdaConfig
@@ -57,6 +56,9 @@ def _read_config(path) -> dict:
     missing = [s for s in ("data", "loop") if s not in cfg]
     if missing:
         raise ValueError(f"config {path} has no {' or '.join(map(repr, missing))} section")
+    for section in ("data", "loop"):
+        if not isinstance(cfg[section], dict):
+            raise ValueError(f"config {path}: the {section!r} section is not a JSON object")
     return cfg
 
 
@@ -67,6 +69,23 @@ def _loop_config(d: dict) -> LoopConfig:
     if sfda is not None:
         sfda = SfdaConfig(**sfda)
     return LoopConfig(train=train, sfda=sfda, **d)
+
+
+def _paired_configs(args):
+    """The data and loop configs of a paired-seed command, whose pool is generated."""
+    cfg = _read_config(args.config)
+    if "file" in cfg["data"]:
+        raise ValueError(f"{args.command} needs a generated dataset (paired seeds)")
+    return ShiftConfig(**cfg["data"]), _loop_config(cfg["loop"])
+
+
+def _list_arg(text: str, parse, flag: str) -> list:
+    """The parsed entries of a comma-separated argument; a repeated entry is refused."""
+    values = [parse(v.strip()) for v in text.split(",")]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} lists {value} more than once")
+    return values
 
 
 def _build_pool(data_cfg: dict):
@@ -114,12 +133,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _read_config(args.config)
-    if "file" in cfg["data"]:
-        raise ValueError("compare needs a generated dataset (paired seeds)")
-    shift = ShiftConfig(**cfg["data"])
-    loop = _loop_config(cfg["loop"])
-    strategies = [Strategy(s.strip().replace("-", "_")) for s in args.strategies.split(",")]
+    shift, loop = _paired_configs(args)
+    names = _list_arg(args.strategies, lambda s: s.replace("-", "_"), "--strategies")
+    strategies = [Strategy(s) for s in names]
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -142,20 +158,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _read_config(args.config)
-    if "file" in cfg["data"]:
-        raise ValueError("diagnose-consistency needs a generated dataset")
-    shift = ShiftConfig(**cfg["data"])
-    loop = _loop_config(cfg["loop"])
-    ks = [int(v) for v in args.k_sweep.split(",")]
+    shift, loop = _paired_configs(args)
+    ks = _list_arg(args.k_sweep, int, "--k-sweep")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for seed_i in range(args.seeds):
-        data_cfg, seeded = offset_seeds(shift, loop, seed_i)
-        pool = generate_shifted_dataset(data_cfg)
-        diag = consistency_diagnostic(start_run(seeded, pool), pool, ks)
+    for seed_i, _cfg, pool, model in seed_runs(shift, loop, args.seeds):
+        diag = consistency_diagnostic(model, pool, ks)
         results.append(
             {
                 "seed": seed_i,

@@ -412,23 +412,26 @@ def offset_seeds(shift_cfg, loop_cfg: LoopConfig, i: int):
     )
 
 
+def seed_runs(shift_cfg, loop_cfg: LoopConfig, n_seeds: int):
+    """Start each of n_seeds paired seeds once: seed i yields (i, cfg, pool, model),
+    configs offset by i (offset_seeds) and the model start_run pretrained on the pool."""
+    for i in range(n_seeds):
+        data_cfg, cfg = offset_seeds(shift_cfg, loop_cfg, i)
+        pool = generate_shifted_dataset(data_cfg)
+        yield i, cfg, pool, start_run(cfg, pool)
+
+
 def compare_strategies(shift_cfg, loop_cfg: LoopConfig, strategies, n_seeds: int):
-    """Run each strategy on freshly generated pools over n_seeds paired
-    seeds (offset_seeds). Returns aggregate rows (one per
-    strategy/seed/round). A seed's model is pretrained once, on its first
-    pool before any round annotates it (annotation never changes source
-    rows); each strategy plays its rounds on its own copy and fresh pool."""
+    """Run each strategy over n_seeds paired seeds (seed_runs): one aggregate row per
+    strategy/seed/round. Every strategy's config is built before the first seed
+    starts, and each plays its rounds on its own copy of the seed's model and pool."""
+    cfgs = [dataclasses.replace(loop_cfg, strategy=s) for s in map(Strategy, strategies)]
     rows = []
-    for seed_i in range(n_seeds):
-        data_cfg, seeded = offset_seeds(shift_cfg, loop_cfg, seed_i)
-        model = None
-        for strat in map(Strategy, strategies):
-            cfg = dataclasses.replace(seeded, strategy=strat)
-            pool = generate_shifted_dataset(data_cfg)
-            if model is None:
-                model = start_run(cfg, pool)
-            reports = _run_rounds(cfg, copy.copy(model), pool)
-            rows += aggregate_rows(strat, seed_i, reports)
+    for i, seeded, pool, model in seed_runs(shift_cfg, loop_cfg, n_seeds):
+        for base in cfgs:
+            cfg = dataclasses.replace(seeded, strategy=base.strategy)
+            reports = _run_rounds(cfg, copy.copy(model), copy.deepcopy(pool))
+            rows += aggregate_rows(cfg.strategy, i, reports)
     return rows
 
 

@@ -46,6 +46,18 @@ def test_higher_is_better_counts_the_other_way():
     assert summarize(PARENT, [p + 0.6 for p in PARENT], "lower")["losses"] == 10
 
 
+def test_ratio_quartiles_are_per_pair_and_outside_the_rule():
+    # each pair's change/parent is 0.9, whatever the spread across pairs
+    s = summarize(PARENT, [0.9 * p for p in PARENT], "lower")
+    assert s["ratio"] == pytest.approx((0.9, 0.9, 0.9))
+    assert s["wins"] == 10 and not s["rule_holds"]  # gap 0.145 < IQR 0.45
+    ratios = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.95, 1.0]
+    change = [p * r for p, r in zip(PARENT, ratios)]
+    assert summarize(PARENT, change, "lower")["ratio"] == pytest.approx((0.6125, 0.725, 0.8375))
+    # the ratio reads the same way whichever direction is better
+    assert summarize(PARENT, change, "higher")["ratio"] == pytest.approx((0.6125, 0.725, 0.8375))
+
+
 def _checkout(root: Path, failed: int) -> Path:
     """A stand-in checkout whose perfbench/run.py prints a fixed result."""
     metrics = {m: {"value": 1.0, "unit": "s"}
@@ -62,5 +74,6 @@ def test_exit_status_reports_failed_runs(tmp_path, capsys):
     assert bench_pairs.main([str(good), str(good), *argv]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "run_s (s, lower is better)" in out[2] and "wins 0/2 losses 0" in out[2]
+    assert out[2].endswith("rule does not hold change/parent 1 [1, 1]")
     assert len(json.loads(out[-1])["runs"]["change"]) == 2
     assert bench_pairs.main([str(good), str(bad), *argv]) != 0

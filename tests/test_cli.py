@@ -221,16 +221,29 @@ def test_non_integer_count_rejected_when_the_config_is_read(
     assert not out.exists()
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize("command", ["run", "compare", "diagnose-consistency"])
-@pytest.mark.parametrize("section", ["data", "loop"])
-def test_missing_section_is_named(tmp_path, tiny_config, capsys, command, section):
+@pytest.mark.parametrize("section, value, message", [
+    pytest.param("data", MISSING, "has no 'data' section", id="data"),
+    pytest.param("loop", MISSING, "has no 'loop' section", id="loop"),
+    # "file" in a string is a substring test; a list is no mapping of fields
+    pytest.param("data", "myfile.csv", "the 'data' section is not a JSON object", id="data-str"),
+    pytest.param("loop", [1], "the 'loop' section is not a JSON object", id="loop-list"),
+])
+def test_missing_section_is_named(tmp_path, tiny_config, capsys, command, section, value, message):
+    """A section that is missing, or that is not a JSON object, is named."""
     cfg = json.loads(tiny_config.read_text())
-    del cfg[section]
+    if value is MISSING:
+        del cfg[section]
+    else:
+        cfg[section] = value
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "m"
     assert main([command, "--config", str(path), "--output", str(out)]) == 1
-    assert f"has no '{section}' section" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -313,3 +326,64 @@ def test_zero_budget_run_writes_its_evaluation_report(tmp_path, tiny_config, cap
     assert json.loads((out / "round_000.json").read_text())["round"] == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("round 0: accuracy=") and len(lines) == 2
+
+
+def pretrain_spy(monkeypatch):
+    """The training seeds of every pretrain_source call from now on."""
+    import activeadapt.harness as harness
+
+    real, seeds = harness.pretrain_source, []
+
+    def spy(model, pool, cfg, *args, **kw):
+        seeds.append(cfg.seed)
+        return real(model, pool, cfg, *args, **kw)
+
+    monkeypatch.setattr(harness, "pretrain_source", spy)
+    return seeds
+
+
+def test_compare_refuses_a_strategy_before_pretraining(tmp_path, tiny_config, capsys, monkeypatch):
+    """The source-free variant applies to diana alone, so random is refused
+    before any seed is started."""
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"]["sfda"] = {}
+    path = tmp_path / "sfda.json"
+    path.write_text(json.dumps(cfg))
+    seeds = pretrain_spy(monkeypatch)
+    args = ["compare", "--strategies", "diana,random", "--seeds", "2", "--config", str(path)]
+    assert main([*args, "--output", str(tmp_path / "c")]) == 1
+    assert "only applies to the diana strategy" in capsys.readouterr().err
+    assert seeds == []
+
+
+@pytest.mark.parametrize("command", ["compare", "diagnose-consistency"])
+def test_paired_seed_command_refuses_a_data_file(
+    tmp_path, tiny_config, capsys, monkeypatch, command
+):
+    """A data file cannot be offset per seed, so it is refused before any
+    pretraining, without an output directory."""
+    cfg = json.loads(tiny_config.read_text())
+    cfg["data"] = {"file": str(tmp_path / "pool.csv")}
+    path = tmp_path / "file_config.json"
+    path.write_text(json.dumps(cfg))
+    seeds = pretrain_spy(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--output", str(out)]) == 1
+    assert f"{command} needs a generated dataset" in capsys.readouterr().err
+    assert seeds == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("compare", "--strategies", "diana,random,diana", "diana"),
+    ("compare", "--strategies", "least-confidence,least_confidence", "least_confidence"),
+    ("diagnose-consistency", "--k-sweep", "2,4,02", "2"),
+])
+def test_repeated_list_entry_is_refused(
+    tmp_path, tiny_config, capsys, command, flag, value, named
+):
+    """A repeated entry would write its rows and print its summary twice."""
+    out = tmp_path / "r"
+    args = [command, flag, value, "--seeds", "1", "--config", str(tiny_config)]
+    assert main([*args, "--output", str(out)]) == 1
+    assert f"{flag} lists {named} more than once" in capsys.readouterr().err
+    assert not out.exists()

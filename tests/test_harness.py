@@ -714,6 +714,35 @@ class TestCompare:
         compare_strategies(self.SHIFT, fast_loop(budget=6, rounds=2), strategies, 2)
         assert seeds == [2, 3]  # fast_train's seed, offset by the seed index
 
+    def test_each_strategy_plays_on_its_own_copy_of_the_pool(self, monkeypatch):
+        """A seed's pool is generated once, no array of a strategy's pool is
+        shared with it, and it stays unannotated."""
+        real_generate, real_rounds = harness.generate_shifted_dataset, harness._run_rounds
+        seed_pools, played = [], []
+
+        def generate(cfg):
+            seed_pools.append(real_generate(cfg))
+            return seed_pools[-1]
+
+        def rounds(cfg, model, pool, *args):
+            played.append((seed_pools[-1], pool))
+            return real_rounds(cfg, model, pool, *args)
+
+        monkeypatch.setattr(harness, "generate_shifted_dataset", generate)
+        monkeypatch.setattr(harness, "_run_rounds", rounds)
+        strategies = [Strategy.DIANA, Strategy.RANDOM]
+        compare_strategies(self.SHIFT, fast_loop(budget=6, rounds=2), strategies, 2)
+        assert len(seed_pools) == 2 and len(played) == 4  # 2 seeds x 2 strategies
+        for seed_pool, pool in played:
+            assert pool is not seed_pool and len(pool.target_labeled) == 6
+            arrays = [a for a, v in vars(seed_pool).items() if isinstance(v, np.ndarray)]
+            assert {"_ids", "_X", "_labels", "_status", "_annotated"} <= set(arrays)
+            for a in arrays:
+                assert not np.shares_memory(getattr(pool, a), getattr(seed_pool, a)), a
+        for seed_pool in seed_pools:
+            assert seed_pool.target_labeled.size == 0
+            seed_pool.check_invariants()
+
     @pytest.mark.parametrize("strategies", [
         [Strategy.DIANA, Strategy.RANDOM, Strategy.ENTROPY],
         [Strategy.RANDOM, Strategy.DIANA, Strategy.ENTROPY],

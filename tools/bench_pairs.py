@@ -11,15 +11,19 @@ For every end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles and the change's wins (ties count for neither side), and
 whether the gain rule holds: the change wins at least 9 pairs in 10, and
 its median is better than the parent's by more than the parent's
-interquartile range. The last line of standard output is one JSON object
-holding every run's result. Exits non-zero if a run exits with an error
-or reports `correct: false` or a failed adaptation run.
+interquartile range. Beside it, the median and quartiles of the per-pair
+ratio change/parent show how consistent the shift is from pair to pair;
+they are evidence only and take no part in the rule. The last line of
+standard output is one JSON object holding every run's result. Exits
+non-zero if a run exits with an error or reports `correct: false` or a
+failed adaptation run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,7 @@ def summarize(parent, change, better: str) -> dict:
         "wins": wins,
         "losses": losses,
         "pairs": len(parent),
+        "ratio": quartiles([c / p if p else math.nan for p, c in zip(parent, change)]),
         "rule_holds": wins >= 0.9 * len(parent) and gain > p3 - p1,
     }
 
@@ -98,7 +103,8 @@ def main(argv=None) -> int:
               f"parent {s['parent'][1]:.6g} [{s['parent'][0]:.6g}, {s['parent'][2]:.6g}] "
               f"change {s['change'][1]:.6g} [{s['change'][0]:.6g}, {s['change'][2]:.6g}] "
               f"wins {s['wins']}/{s['pairs']} losses {s['losses']} "
-              f"rule {'holds' if s['rule_holds'] else 'does not hold'}")
+              f"rule {'holds' if s['rule_holds'] else 'does not hold'} "
+              f"change/parent {s['ratio'][1]:.4g} [{s['ratio'][0]:.4g}, {s['ratio'][2]:.4g}]")
     print(json.dumps({"workload": args.workload, "seeds": args.seed, "runs": results}))
     if not ok:
         print("a run reported correct: false or a failed adaptation run", file=sys.stderr)
