@@ -64,11 +64,12 @@ def _read_config(path) -> dict:
 
 def _loop_config(d: dict) -> LoopConfig:
     d = dict(d)
-    train = TrainConfig(**d.pop("train", {}))
-    sfda = d.pop("sfda", None)
-    if sfda is not None:
-        sfda = SfdaConfig(**sfda)
-    return LoopConfig(train=train, sfda=sfda, **d)
+    train, sfda = d.pop("train", {}), d.pop("sfda", None)
+    for name, sub in (("train", train), ("sfda", {} if sfda is None else sfda)):
+        if not isinstance(sub, dict):
+            raise ValueError(f"the 'loop' section's {name!r} subsection is not a JSON object")
+    sfda = None if sfda is None else SfdaConfig(**sfda)
+    return LoopConfig(train=TrainConfig(**train), sfda=sfda, **d)
 
 
 def _paired_configs(args):
@@ -160,6 +161,9 @@ def cmd_compare(args) -> int:
 def cmd_diagnose(args) -> int:
     shift, loop = _paired_configs(args)
     ks = _list_arg(args.k_sweep, int, "--k-sweep")
+    for k in ks:
+        if not 1 <= k <= loop.d_feat:
+            raise ValueError(f"--k-sweep: k={k} must lie in [1, d_feat={loop.d_feat}]")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 

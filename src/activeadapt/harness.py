@@ -463,8 +463,9 @@ def consistency_diagnostic(
     consistent = {k: np.empty(u_ids.size, dtype=bool) for k in ks}
     for rows in _row_blocks(u_ids.size):
         F = model.features(u_X[rows])
-        losses[rows] = _scores_at(model._head_log_proba(F), truth[rows])
-        pred = np.argmax(F @ model.W_out + model.b_out, axis=1)
+        logp = model._head_log_proba(F)
+        losses[rows] = _scores_at(logp, truth[rows])
+        pred = np.argmax(logp, axis=1)
         for k, flags in consistent.items():
             flags[rows] = pred == similarity_labels(F, centroids, k)
     out = {}

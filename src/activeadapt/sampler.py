@@ -27,7 +27,7 @@ from .scoring import (
     CentroidSet,
     centroids_from_features,
     info_scores_unlabeled,
-    similarity_labels,
+    similarity_labels,  # perfbench's tracer wraps sampler.similarity_labels by name
 )
 
 
@@ -160,7 +160,6 @@ def partition_unlabeled(
 class SfdaResult:
     pseudo_labeled: list[tuple[int, int]]  # (id, predicted label)
     active_ids: list[int]
-    centroids: CentroidSet
     t_v: float
     t_c: float
 
@@ -184,8 +183,7 @@ def sfda_bootstrap(
     if ids.size == 0:
         raise ValueError("bootstrap needs a non-empty unlabeled pool")
     C = model.C
-    F = model.features(X)
-    P = np.exp(model._head_log_proba(F))
+    P = model.predict_proba(X)
     pred = np.argmax(P, axis=1)
     maxp = P.max(axis=1)
 
@@ -198,8 +196,8 @@ def sfda_bootstrap(
             "predictions never cover every class; cannot bootstrap a proxy labeled set"
         )
 
-    centroids = centroids_from_features(F[proxy], pred[proxy], C)
-    sim = similarity_labels(F, centroids, k)
+    centroids = centroids_from_features(model.features(X[proxy]), pred[proxy], C)
+    _, sim = info_scores_unlabeled(model, centroids, X, k)
     inconsistent = pred != sim
 
     t_c = cfg.t_c_init if cfg.t_c_init is not None else 1.0 / C + 1e-5
@@ -212,7 +210,6 @@ def sfda_bootstrap(
     return SfdaResult(
         pseudo_labeled=[(int(i), int(p)) for i, p in zip(ids[proxy], pred[proxy])],
         active_ids=[int(i) for i in ids[take]],
-        centroids=centroids,
         t_v=t_v,
         t_c=t_c,
     )

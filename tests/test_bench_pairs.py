@@ -75,5 +75,10 @@ def test_exit_status_reports_failed_runs(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "run_s (s, lower is better)" in out[2] and "wins 0/2 losses 0" in out[2]
     assert out[2].endswith("rule does not hold change/parent 1 [1, 1]")
-    assert len(json.loads(out[-1])["runs"]["change"]) == 2
+    runs = json.loads(out[-1])["runs"]
+    assert len(runs["change"]) == 2
+    for run in runs["parent"] + runs["change"]:
+        host = run["host"]
+        assert host["nproc"] >= 1 and len(host["loadavg"]) == 3
+        assert set(host) == {"nproc", "loadavg", *bench_pairs.THREAD_VARS}
     assert bench_pairs.main([str(good), str(bad), *argv]) != 0

@@ -231,14 +231,18 @@ MISSING = object()
     # "file" in a string is a substring test; a list is no mapping of fields
     pytest.param("data", "myfile.csv", "the 'data' section is not a JSON object", id="data-str"),
     pytest.param("loop", [1], "the 'loop' section is not a JSON object", id="loop-list"),
+    pytest.param("train", [1], "section's 'train' subsection is not a JSON object", id="train-list"),
+    pytest.param("sfda", 0.5, "section's 'sfda' subsection is not a JSON object", id="sfda-float"),
 ])
 def test_missing_section_is_named(tmp_path, tiny_config, capsys, command, section, value, message):
-    """A section that is missing, or that is not a JSON object, is named."""
+    """A section, or a subsection of 'loop', that is missing or that is not
+    a JSON object is named."""
     cfg = json.loads(tiny_config.read_text())
+    parent = cfg["loop"] if section in ("train", "sfda") else cfg
     if value is MISSING:
-        del cfg[section]
+        del parent[section]
     else:
-        cfg[section] = value
+        parent[section] = value
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "m"
@@ -387,3 +391,17 @@ def test_repeated_list_entry_is_refused(
     assert main([*args, "--output", str(out)]) == 1
     assert f"{flag} lists {named} more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, named", [("0,100", "k=0"), ("4,100", "k=100")])
+def test_k_sweep_out_of_range_is_refused_before_any_seed(
+    tmp_path, tiny_config, capsys, monkeypatch, value, named
+):
+    """Every k is checked against [1, d_feat] (16 here) before the output
+    directory is made or seed 0 is pretrained."""
+    seeds = pretrain_spy(monkeypatch)
+    out = tmp_path / "k"
+    args = ["diagnose-consistency", "--k-sweep", value, "--config", str(tiny_config)]
+    assert main([*args, "--output", str(out)]) == 1
+    assert f"{named} must lie in [1, d_feat=16]" in capsys.readouterr().err
+    assert seeds == [] and not out.exists()

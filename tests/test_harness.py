@@ -29,7 +29,7 @@ from activeadapt.harness import (
     write_aggregate_csv,
     AGGREGATE_FIELDS,
 )
-from activeadapt.sampler import SfdaConfig
+from activeadapt.sampler import SfdaConfig, sfda_bootstrap
 from activeadapt.scoring import Category, compute_centroids, info_scores_unlabeled
 
 from step_reference import train_epochs_ref, windows_ref
@@ -796,7 +796,9 @@ class TestRowBlockMemory:
         (ROW_BLOCK, d_feat) blocks plus its per-row inputs and outputs. A
         whole-pool feature matrix alone is three blocks; the limits are 3.5
         blocks for scoring (features, magnitudes and their partitioned copy
-        live together) and 1.5 for evaluation."""
+        live together) and 1.5 for evaluation. The source-free bootstrap
+        scores the pool the same way, beside its own per-row outputs, and
+        builds features for its proxy rows alone."""
         n, d_in, d_feat, C = 3 * ROW_BLOCK, 8, 64, 5
         rng = np.random.default_rng(3)
         ids = np.arange(n + C)
@@ -805,24 +807,32 @@ class TestRowBlockMemory:
         pool = DataPool(C, ids, X, y, ids < C)
         model = Classifier.initialize(d_in, d_feat, C, rng)
         centroids = compute_centroids(model, X[:C], y[:C])
-        _, u_X = pool.unlabeled_arrays()
+        u_ids, u_X = pool.unlabeled_arrays()
         block = ROW_BLOCK * d_feat * 8
         rows = n * 8  # one float64 or intp per row
-        peaks = {}
+        peaks, out = {}, {}
         tracemalloc.start()
         try:
             for name, run in [
                 ("score", lambda: info_scores_unlabeled(model, centroids, u_X, 8)),
                 ("evaluate", lambda: evaluate(model, pool)),
+                ("bootstrap", lambda: sfda_bootstrap(model, u_ids, u_X, SfdaConfig(), 100, 8)),
             ]:
                 tracemalloc.reset_peak()
                 base, _ = tracemalloc.get_traced_memory()
-                run()
+                out[name] = run()
                 peaks[name] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peaks["score"] <= 3.5 * block + (C + 2) * rows, peaks
         assert peaks["evaluate"] <= 1.5 * block + (d_in + C + 3) * rows, peaks
+        # probabilities, predictions, confidences, scores, labels and masks
+        # per row; inputs and features per proxy row, and its (id, label) pair
+        proxy = len(out["bootstrap"].pseudo_labeled)
+        assert 0 < proxy < n
+        assert peaks["bootstrap"] <= (
+            3.5 * block + (C + 5) * rows + proxy * ((d_in + d_feat) * 8 + 100)
+        ), (peaks, proxy)
 
 
 class TestRoundMemory:

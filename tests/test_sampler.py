@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from activeadapt.classifier import Classifier
+from activeadapt.classifier import ROW_BLOCK, Classifier
 from activeadapt.datapool import DataPool
 from activeadapt.gmm import EM_BLOCK, GmmParams, component_posteriors
 from activeadapt.harness import consistency_diagnostic
@@ -20,9 +20,14 @@ from activeadapt.sampler import (
     sfda_bootstrap,
     smallest_first,
 )
-from activeadapt.scoring import Category, centroids_from_features, compute_centroids
+from activeadapt.scoring import (
+    Category,
+    centroids_from_features,
+    compute_centroids,
+    similarity_labels,
+)
 
-from test_classifier import random_model
+from test_classifier import block_sizes, random_model, whole_matrix_log_proba
 
 WELL_SEPARATED = GmmParams(
     pi=np.array([0.25, 0.25, 0.25, 0.25]),
@@ -357,6 +362,61 @@ class TestSfdaBootstrap:
             t -= step
         assert res.t_v == t
         assert res.t_c == 1.0
+
+
+def whole_matrix_bootstrap(model, ids, X, cfg, b, k):
+    """The bootstrap's result from one whole-pool feature matrix, which
+    gives the probabilities, the proxy centroids and the similarity labels."""
+    C = model.C
+    F, logp = whole_matrix_log_proba(model, X)
+    P = np.exp(logp)
+    pred, maxp = P.argmax(axis=1), P.max(axis=1)
+    t_v = cfg.t_v_init
+    while len(np.unique(pred[maxp >= t_v])) < C:
+        t_v -= cfg.t_v_step
+    proxy = maxp >= t_v
+    centroids = centroids_from_features(F[proxy], pred[proxy], C)
+    inconsistent = pred != similarity_labels(F, centroids, k)
+    t_c = 1.0 / C + 1e-5
+    while (inconsistent & (maxp <= t_c)).sum() < b and t_c < 1.0:
+        t_c += cfg.t_c_step
+    cand = np.flatnonzero(inconsistent & (maxp <= t_c))
+    take = cand[np.lexsort((ids[cand], maxp[cand]))][:b]
+    pseudo = [(int(i), int(p)) for i, p in zip(ids[proxy], pred[proxy])]
+    return pseudo, ids[take].tolist(), t_v, t_c
+
+
+class TestSfdaRowBlocks:
+    """The bootstrap reads the pool in row blocks and builds features for
+    its proxy rows alone, with the result of whole-pool products."""
+
+    N = 2 * ROW_BLOCK + 1
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        rng = np.random.default_rng(19)
+        model = Classifier.initialize(8, 64, 5, rng)
+        model.b_hidden[:] = 0.1 * rng.standard_normal(64)
+        X = 2 * rng.standard_normal((self.N, 8))
+        ids = rng.permutation(3 * self.N)[: self.N]
+        return model, ids, X
+
+    def test_no_whole_pool_feature_matrix(self, pool, monkeypatch):
+        """Two blocked passes over the pool, for the probabilities and for
+        the similarity labels, and one call on the proxy rows between them."""
+        model, ids, X = pool
+        sizes = block_sizes(monkeypatch)
+        res = sfda_bootstrap(model, ids, X, SfdaConfig(), b=50, k=8)
+        proxy = len(res.pseudo_labeled)
+        assert 0 < proxy < self.N
+        assert sizes == [5461, 5462, 5462, proxy, 5461, 5462, 5462]
+
+    def test_matches_whole_matrix_reference_at_five_classes(self, pool):
+        model, ids, X = pool
+        res = sfda_bootstrap(model, ids, X, SfdaConfig(), b=50, k=8)
+        pseudo, active, t_v, t_c = whole_matrix_bootstrap(model, ids, X, SfdaConfig(), 50, 8)
+        assert (res.pseudo_labeled, res.active_ids, res.t_v, res.t_c) == (pseudo, active, t_v, t_c)
+        assert len(active) == 50
 
 
 class TestSfdaConfig:

@@ -14,7 +14,11 @@ its median is better than the parent's by more than the parent's
 interquartile range. Beside it, the median and quartiles of the per-pair
 ratio change/parent show how consistent the shift is from pair to pair;
 they are evidence only and take no part in the rule. The last line of
-standard output is one JSON object holding every run's result. Exits
+standard output is one JSON object holding every run's result. Each
+result carries, under "host", the state of the host just before the run:
+the CPUs this process may run on (nproc), the load averages, and the
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS settings (null
+when unset); each run's standard-error line prints them too. Exits
 non-zero if a run exits with an error or reports `correct: false` or a
 failed adaptation run.
 """
@@ -24,12 +28,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -86,12 +92,15 @@ def main(argv=None) -> int:
         seed = args.seed[i % len(args.seed)]
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for name in order:
+            host = {"nproc": len(os.sched_getaffinity(0)), "loadavg": os.getloadavg(),
+                    **{var: os.environ.get(var) for var in THREAD_VARS}}
             result = run_once(sides[name], args.workload, seed, args.seconds)
+            result["host"] = host
             ok &= bool(result["correct"]) and result["failed"] == 0
             results[name].append(result)
             run_s = result["metrics"].get("run_s", {}).get("value")
-            print(f"pair {i} seed {seed} {name}: run_s {run_s} failed {result['failed']}",
-                  file=sys.stderr)
+            print(f"pair {i} seed {seed} {name}: run_s {run_s} failed {result['failed']} "
+                  f"host {json.dumps(host)}", file=sys.stderr)
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}, {args.seconds:g} s runs")
     for metric in metrics:
