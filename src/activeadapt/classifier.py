@@ -159,13 +159,21 @@ class Classifier:
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.features(X) @ self.W_out + self.b_out
 
+    def feature_blocks(self, X: np.ndarray):
+        """(rows, F) for each _row_blocks slice of X's rows, in order, with F
+        = features(X[rows]): the one place a pool pass is cut into row
+        blocks, so no whole-input feature matrix is ever built."""
+        X = np.atleast_2d(X)
+        for rows in _row_blocks(X.shape[0]):
+            yield rows, self.features(X[rows])
+
     def log_proba(self, X: np.ndarray) -> np.ndarray:
-        """Log-probabilities of every row, computed one row block at a time,
-        so no whole-input feature matrix is ever built."""
+        """Log-probabilities of every row, one row block at a time."""
         X = np.atleast_2d(X)
         out = np.empty((X.shape[0], self.C))
-        for rows in _row_blocks(X.shape[0]):
-            out[rows] = self._head_log_proba(self.features(X[rows]))
+        for rows, F in self.feature_blocks(X):
+            out[rows] = self.head_log_proba(F)
+            del F  # so one feature block is alive, not two, as the next is built
         return out
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -179,7 +187,7 @@ class Classifier:
             out[rows] = np.argmax(self.logits(X[rows]), axis=1)
         return out
 
-    def _head_log_proba(self, F: np.ndarray) -> np.ndarray:
+    def head_log_proba(self, F: np.ndarray) -> np.ndarray:
         """Features to log-probabilities: the package's one log-softmax. The
         logits are normalized in place, so a call holds one (n, C) array."""
         z = F @ self.W_out
@@ -389,7 +397,7 @@ def combined_grads(model: Classifier, epoch: EpochSteps, step: int) -> np.ndarra
     start, _, uc_start, stop = epoch.bounds[step]
     X = epoch.X[start:stop]
     F = model._features(X)
-    logp = model._head_log_proba(F)
+    logp = model.head_log_proba(F)
     dZ2 = np.exp(logp)
     if stop > uc_start:
         # d/dz_j of H(P) is -P_j (log P_j + H), with H = -sum_c P_c log P_c;

@@ -80,9 +80,16 @@ def _paired_configs(args):
     return ShiftConfig(**cfg["data"]), _loop_config(cfg["loop"])
 
 
-def _list_arg(text: str, parse, flag: str) -> list:
-    """The parsed entries of a comma-separated argument; a repeated entry is refused."""
-    values = [parse(v.strip()) for v in text.split(",")]
+def _list_arg(text: str, parse, flag: str, expected: str) -> list:
+    """The parsed entries of a comma-separated argument. An entry that parse
+    refuses (ValueError) is named with what was expected, and a repeated
+    entry is refused."""
+    values = []
+    for entry in (v.strip() for v in text.split(",")):
+        try:
+            values.append(parse(entry))
+        except ValueError:
+            raise ValueError(f"{flag}: {entry!r} is not {expected}") from None
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValueError(f"{flag} lists {value} more than once")
@@ -135,7 +142,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     shift, loop = _paired_configs(args)
-    names = _list_arg(args.strategies, lambda s: s.replace("-", "_"), "--strategies")
+    names = _list_arg(args.strategies, lambda s: Strategy(s.replace("-", "_")).value,
+                      "--strategies", "one of " + ", ".join(s.value for s in Strategy))
     strategies = [Strategy(s) for s in names]
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,7 +168,7 @@ def cmd_compare(args) -> int:
 
 def cmd_diagnose(args) -> int:
     shift, loop = _paired_configs(args)
-    ks = _list_arg(args.k_sweep, int, "--k-sweep")
+    ks = _list_arg(args.k_sweep, int, "--k-sweep", "an integer")
     for k in ks:
         if not 1 <= k <= loop.d_feat:
             raise ValueError(f"--k-sweep: k={k} must lie in [1, d_feat={loop.d_feat}]")

@@ -23,7 +23,6 @@ from .classifier import (
     EpochSteps,
     LossBreakdown,
     TrainConfig,
-    _row_blocks,
     augment,
     backward_and_step,
     combined_loss,
@@ -461,9 +460,8 @@ def consistency_diagnostic(
     centroids = compute_centroids(model, X_lab, y_lab)
     losses = np.empty(u_ids.size)
     consistent = {k: np.empty(u_ids.size, dtype=bool) for k in ks}
-    for rows in _row_blocks(u_ids.size):
-        F = model.features(u_X[rows])
-        logp = model._head_log_proba(F)
+    for rows, F in model.feature_blocks(u_X):
+        logp = model.head_log_proba(F)
         losses[rows] = _scores_at(logp, truth[rows])
         pred = np.argmax(logp, axis=1)
         for k, flags in consistent.items():

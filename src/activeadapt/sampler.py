@@ -27,7 +27,7 @@ from .scoring import (
     CentroidSet,
     centroids_from_features,
     info_scores_unlabeled,
-    similarity_labels,  # perfbench's tracer wraps sampler.similarity_labels by name
+    similarity_labels,
 )
 
 
@@ -197,8 +197,9 @@ def sfda_bootstrap(
         )
 
     centroids = centroids_from_features(model.features(X[proxy]), pred[proxy], C)
-    _, sim = info_scores_unlabeled(model, centroids, X, k)
-    inconsistent = pred != sim
+    inconsistent = np.empty(pred.shape, dtype=bool)
+    for rows, F in model.feature_blocks(X):
+        inconsistent[rows] = pred[rows] != similarity_labels(F, centroids, k)
 
     t_c = cfg.t_c_init if cfg.t_c_init is not None else 1.0 / C + 1e-5
     for t_c in _schedule(t_c, cfg.t_c_step):

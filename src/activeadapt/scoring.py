@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .classifier import Classifier, _checked_labels, _row_blocks
+from .classifier import Classifier, _checked_labels
 
 PROB_FLOOR = 1e-12
 LOG_PROB_FLOOR = float(np.log(PROB_FLOOR))
@@ -136,16 +136,16 @@ def info_scores_unlabeled(
     """Scores and similarity-based labels for a batch of unlabeled samples:
     score = -log P at the similarity-based label (floored, see _scores_at).
 
-    The rows go through the model one row block at a time; each block's
-    features give its labels and scores and are then dropped.
+    The rows go through the model one row block at a time
+    (Classifier.feature_blocks); each block's features give its labels and
+    scores and are then dropped.
     """
     X = np.atleast_2d(X)
     scores = np.empty(X.shape[0])
     labels = np.empty(X.shape[0], dtype=np.intp)
-    for rows in _row_blocks(X.shape[0]):
-        F = model.features(X[rows])
+    for rows, F in model.feature_blocks(X):
         labels[rows] = similarity_labels(F, centroids, k)
-        scores[rows] = _scores_at(model._head_log_proba(F), labels[rows])
+        scores[rows] = _scores_at(model.head_log_proba(F), labels[rows])
     return scores, labels
 
 

@@ -1,8 +1,9 @@
 """tools/bench_pairs.py: the paired comparison's summary, on planted
-numbers, and its exit status, on stand-in checkouts."""
+numbers, and its exports and exit status, on a stand-in git repository."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,20 +59,95 @@ def test_ratio_quartiles_are_per_pair_and_outside_the_rule():
     assert summarize(PARENT, change, "higher")["ratio"] == pytest.approx((0.6125, 0.725, 0.8375))
 
 
-def _checkout(root: Path, failed: int) -> Path:
-    """A stand-in checkout whose perfbench/run.py prints a fixed result."""
-    metrics = {m: {"value": 1.0, "unit": "s"}
-               for m in ("setup_s", "run_s", "round_s", "peak_rss_mb", "final_accuracy")}
-    result = {"correct": True, "attempted": 3, "failed": failed, "metrics": metrics}
-    (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
-    return root
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=repo, check=True, stdout=subprocess.PIPE,
+                          text=True).stdout.strip()
 
 
-def test_exit_status_reports_failed_runs(tmp_path, capsys):
-    good, bad = _checkout(tmp_path / "a", 0), _checkout(tmp_path / "b", 1)
-    argv = ["--workload", "desk", "--seed", "1", "--seconds", "0", "--pairs", "2"]
-    assert bench_pairs.main([str(good), str(good), *argv]) == 0
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A stand-in repository, the current directory, with no commit yet;
+    commit(run_s=..., failed=..., code=...) commits a perfbench/run.py that
+    appends its working directory to runs.log beside the repository, then
+    prints a fixed result and exits with code, and returns the commit."""
+    root, log = tmp_path / "repo", tmp_path / "runs.log"
+    root.mkdir()
+    _git(root, "init", "-q")
+    monkeypatch.chdir(root)
+
+    def commit(run_s=1.0, failed=0, code=0):
+        metrics = {m: {"value": 1.0, "unit": "s"}
+                   for m in ("setup_s", "run_s", "round_s", "peak_rss_mb", "final_accuracy")}
+        metrics["run_s"]["value"] = run_s
+        result = {"correct": True, "attempted": 3, "failed": failed, "metrics": metrics}
+        (root / "perfbench").mkdir(exist_ok=True)
+        (root / "perfbench" / "run.py").write_text(
+            "import os, sys\n"
+            f"with open({str(log)!r}, 'a') as fh:\n"
+            "    fh.write(os.getcwd() + '\\n')\n"
+            f"print({json.dumps(json.dumps(result))})\n"
+            f"sys.exit({code})\n"
+        )
+        _git(root, "add", "-A")
+        _git(root, "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+             "-c", "commit.gpgsign=false", "commit", "-q", "-m", f"run_s {run_s}")
+        return _git(root, "rev-parse", "HEAD")
+
+    def runs():
+        """The working directories of the runs so far."""
+        return log.read_text().splitlines() if log.exists() else []
+
+    commit.runs = runs
+    return commit
+
+
+ARGV = ["--workload", "desk", "--seed", "1", "--seconds", "0", "--pairs", "2"]
+
+
+def test_each_side_runs_its_own_commit_in_an_export(repo, capsys):
+    parent = repo(run_s=1.0)
+    change = repo(run_s=2.0)
+    assert bench_pairs.main(["HEAD~1", "HEAD", *ARGV]) == 0
+    last = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert last["commits"] == {"parent": parent, "change": change}
+    assert [r["metrics"]["run_s"]["value"] for r in last["runs"]["parent"]] == [1.0, 1.0]
+    assert [r["metrics"]["run_s"]["value"] for r in last["runs"]["change"]] == [2.0, 2.0]
+    # pair 0 runs parent then change, pair 1 the other way, each in its own
+    # export, and no export is left behind
+    dirs = repo.runs()
+    assert len(dirs) == 4 and dirs[0] == dirs[3] != dirs[1] == dirs[2]
+    assert all(Path(d) != Path.cwd() and not Path(d).exists() for d in dirs)
+
+
+def test_exports_are_removed_when_a_run_fails(repo):
+    repo(code=3)
+    with pytest.raises(SystemExit, match="^parent: .* exited with code 3"):
+        bench_pairs.main(["HEAD", "HEAD", *ARGV])
+    dirs = repo.runs()
+    assert len(dirs) == 1 and not Path(dirs[0]).exists()
+
+
+@pytest.mark.parametrize("revs, pairs, refusal", [
+    (["HEAD", "no-such-rev"], "2", "'no-such-rev' names no commit"),
+    (["HEAD~5", "HEAD"], "2", "'HEAD~5' names no commit"),
+    (["HEAD", "HEAD"], "0", None),
+])
+def test_bad_revision_or_pairs_is_refused_before_any_run(repo, capsys, revs, pairs, refusal):
+    repo()
+    argv = [*revs, "--workload", "desk", "--seed", "1", "--seconds", "0", "--pairs", pairs]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    if refusal is None:  # argparse's usage error
+        assert exc.value.code == 2
+        assert "--pairs: must be at least 1, got 0" in capsys.readouterr().err
+    else:
+        assert refusal in str(exc.value.code)
+    assert repo.runs() == []
+
+
+def test_exit_status_reports_failed_runs(repo, capsys):
+    good, bad = repo(failed=0), repo(failed=1)
+    assert bench_pairs.main([good, good, *ARGV]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "run_s (s, lower is better)" in out[2] and "wins 0/2 losses 0" in out[2]
     assert out[2].endswith("rule does not hold change/parent 1 [1, 1]")
@@ -81,4 +157,4 @@ def test_exit_status_reports_failed_runs(tmp_path, capsys):
         host = run["host"]
         assert host["nproc"] >= 1 and len(host["loadavg"]) == 3
         assert set(host) == {"nproc", "loadavg", *bench_pairs.THREAD_VARS}
-    assert bench_pairs.main([str(good), str(bad), *argv]) != 0
+    assert bench_pairs.main([good, bad, *ARGV]) != 0

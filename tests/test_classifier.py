@@ -298,6 +298,18 @@ class TestRowBlocks:
         assert loss_supervised(model, X[:1], y[:1]) == float(-logp[0, y[0]])
         assert loss_entropy(model, X[:1]) == float(-np.sum(np.exp(logp) * logp))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 2 * ROW_BLOCK + 1])
+    def test_feature_blocks_are_the_row_blocks_in_order(self, pool_pass, n):
+        """feature_blocks yields each _row_blocks slice in order with the
+        features of its rows; an empty input gives one empty block."""
+        model, X, _ = pool_pass
+        blocks = list(model.feature_blocks(X[:n]))
+        assert [rows for rows, _ in blocks] == _row_blocks(n)
+        for rows, F in blocks:
+            np.testing.assert_array_equal(F, model.features(X[rows]))
+        if n == 0:
+            assert blocks[0][1].shape == (0, model.d_feat)
+
 
 class TestAugment:
     def test_identity(self):

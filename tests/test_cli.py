@@ -393,6 +393,25 @@ def test_repeated_list_entry_is_refused(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("diagnose-consistency", "--k-sweep", "8,x", "'x' is not an integer"),
+    ("diagnose-consistency", "--k-sweep", "8,,16", "'' is not an integer"),
+    ("compare", "--strategies", "diana,", "'' is not one of diana, random, entropy, least_confidence"),
+    ("compare", "--strategies", "diana,foo", "'foo' is not one of diana, random, entropy, least_confidence"),
+])
+def test_unreadable_list_entry_is_refused(
+    tmp_path, tiny_config, capsys, monkeypatch, command, flag, value, named
+):
+    """An entry that cannot be parsed is named with its flag before the
+    output directory is made or any seed is pretrained."""
+    seeds = pretrain_spy(monkeypatch)
+    out = tmp_path / "r"
+    args = [command, flag, value, "--seeds", "1", "--config", str(tiny_config)]
+    assert main([*args, "--output", str(out)]) == 1
+    assert f"error: {flag}: {named}\n" == capsys.readouterr().err
+    assert seeds == [] and not out.exists()
+
+
 @pytest.mark.parametrize("value, named", [("0,100", "k=0"), ("4,100", "k=100")])
 def test_k_sweep_out_of_range_is_refused_before_any_seed(
     tmp_path, tiny_config, capsys, monkeypatch, value, named

@@ -411,6 +411,21 @@ class TestSfdaRowBlocks:
         assert 0 < proxy < self.N
         assert sizes == [5461, 5462, 5462, proxy, 5461, 5462, 5462]
 
+    def test_one_head_pass(self, pool, monkeypatch):
+        """The probabilities' blocked pass is the bootstrap's only head
+        product: the similarity-label pass computes no log-probabilities or
+        scores that it would drop."""
+        model, ids, X = pool
+        sizes, real = [], Classifier.head_log_proba
+
+        def spy(self, F):
+            sizes.append(F.shape[0])
+            return real(self, F)
+
+        monkeypatch.setattr(Classifier, "head_log_proba", spy)
+        sfda_bootstrap(model, ids, X, SfdaConfig(), b=50, k=8)
+        assert sizes == [5461, 5462, 5462]
+
     def test_matches_whole_matrix_reference_at_five_classes(self, pool):
         model, ids, X = pool
         res = sfda_bootstrap(model, ids, X, SfdaConfig(), b=50, k=8)

@@ -311,6 +311,39 @@ class TestInfoScores:
         assert scores.dtype == np.float64 and labels.dtype == np.intp
 
 
+class TestRowIndependence:
+    """At C = 5 a row's log-probabilities, prediction, score and similarity
+    label do not depend on the other rows of the pool: a random subset of a
+    three-block pool, in random order, gets the whole pool's outputs for
+    its rows, bit for bit. This pins what the row blocking must keep. At
+    other class counts a block's head product can move the last ulps (see
+    classifier._row_blocks), and a one-row pool goes down BLAS's
+    matrix-vector path, so subsets start at two rows."""
+
+    N = 3 * ROW_BLOCK
+
+    @pytest.fixture(scope="class", params=[(8, 64, 8), (64, 256, 32)], ids=["d64", "d256"])
+    def whole_pool(self, request):
+        d_in, d_feat, k = request.param
+        rng = np.random.default_rng(29)
+        model = Classifier.initialize(d_in, d_feat, 5, rng)
+        model.b_hidden[:] = 0.1 * rng.standard_normal(d_feat)
+        model.b_out[:] = rng.standard_normal(5)
+        X = 2 * rng.standard_normal((self.N, d_in))
+        cs = compute_centroids(model, rng.standard_normal((10, d_in)), np.arange(10) % 5)
+        outputs = (model.log_proba(X), model.predict(X), *info_scores_unlabeled(model, cs, X, k))
+        return model, X, cs, k, outputs
+
+    @pytest.mark.parametrize("size", [2, 3, 97, 5000, ROW_BLOCK + 1, 2 * ROW_BLOCK - 3, N - 1])
+    def test_subset_rows_match_the_whole_pool(self, whole_pool, size):
+        model, X, cs, k, outputs = whole_pool
+        rows = np.random.default_rng(size).choice(self.N, size, replace=False)
+        sub = X[rows]
+        got = (model.log_proba(sub), model.predict(sub), *info_scores_unlabeled(model, cs, sub, k))
+        for name, g, whole in zip(("log_proba", "predict", "scores", "labels"), got, outputs):
+            np.testing.assert_array_equal(g, whole[rows], err_msg=name)
+
+
 def obs_label_of(model, x, y, tau):
     return Category(int(observation_labels(model, x[None, :], [y], tau)[0]))
 

@@ -1,9 +1,16 @@
-"""Paired A/B runs of the benchmark on two checkouts, run from anywhere:
+"""Paired A/B runs of the benchmark on two git revisions, run from inside
+the repository:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload desk --seed 11 --seconds 10
+    python3 tools/bench_pairs.py HEAD~1 HEAD --workload desk --seed 11 --seconds 10
 
-runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
-in each checkout, one run at a time. Pair i uses the i-th --seed (cycling
+PARENT and CHANGE are revisions of the git repository in the current
+directory. Each is resolved to its commit and exported with `git archive`
+into a fresh temporary directory, so neither side runs from a working tree
+or its caches; both exports are removed when the tool exits, on an error
+too. An unknown revision or a --pairs value below 1 is refused before the
+first run. The tool then runs
+`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
+in each export, one run at a time. Pair i uses the i-th --seed (cycling
 through them when there are fewer seeds than pairs), and the side that runs
 first flips every pair, parent first in pair 0.
 
@@ -14,7 +21,8 @@ its median is better than the parent's by more than the parent's
 interquartile range. Beside it, the median and quartiles of the per-pair
 ratio change/parent show how consistent the shift is from pair to pair;
 they are evidence only and take no part in the rule. The last line of
-standard output is one JSON object holding every run's result. Each
+standard output is one JSON object holding each side's commit and every
+run's result. Each
 result carries, under "host", the state of the host just before the run:
 the CPUs this process may run on (nproc), the load averages, and the
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS settings (null
@@ -32,6 +40,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -66,26 +75,58 @@ def summarize(parent, change, better: str) -> dict:
     }
 
 
+def resolve(rev: str) -> str:
+    """The commit that rev names in the git repository of the current
+    directory; SystemExit naming rev if it names none."""
+    found = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    if found.returncode != 0:
+        raise SystemExit(f"{rev!r} names no commit of the git repository in {Path.cwd()}")
+    return found.stdout.strip()
+
+
+def export(commit: str, dest: Path) -> Path:
+    """The tree of commit, written into the new directory dest."""
+    archive = subprocess.run(["git", "archive", commit], stdout=subprocess.PIPE, check=True)
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return dest
+
+
+def _pairs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited with code {proc.returncode}")
+        raise SystemExit(f"{checkout.name}: {' '.join(cmd)} exited with code {proc.returncode}")
     return json.loads(lines[-1])
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
+    ap.add_argument("parent", help="git revision")
+    ap.add_argument("change", help="git revision")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=_pairs, default=10)
     args = ap.parse_args(argv)
-    sides = {"parent": args.parent, "change": args.change}
+    commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        sides = {name: export(commit, Path(tmp) / name) for name, commit in commits.items()}
+        return compare(args, commits, sides)
+
+
+def compare(args, commits: dict, sides: dict) -> int:
+    """Run the pairs on the exported sides and print the comparison."""
     results = {name: [] for name in sides}
     ok = True
     for i in range(args.pairs):
@@ -114,7 +155,8 @@ def main(argv=None) -> int:
               f"wins {s['wins']}/{s['pairs']} losses {s['losses']} "
               f"rule {'holds' if s['rule_holds'] else 'does not hold'} "
               f"change/parent {s['ratio'][1]:.4g} [{s['ratio'][0]:.4g}, {s['ratio'][2]:.4g}]")
-    print(json.dumps({"workload": args.workload, "seeds": args.seed, "runs": results}))
+    print(json.dumps({"workload": args.workload, "seeds": args.seed, "commits": commits,
+                      "runs": results}))
     if not ok:
         print("a run reported correct: false or a failed adaptation run", file=sys.stderr)
         return 1
