@@ -46,6 +46,13 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Logits to log-probabilities, normalized in place: the package's one
+    log-softmax."""
+    z -= logsumexp(z, axis=1, keepdims=True)
+    return z
+
+
 class NonFiniteGradientError(RuntimeError):
     """A training step produced NaN/inf gradients; parameters were left
     untouched."""
@@ -156,9 +163,6 @@ class Classifier:
         F += self.b_hidden
         return np.tanh(F, out=F)
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return self.features(X) @ self.W_out + self.b_out
-
     def feature_blocks(self, X: np.ndarray):
         """(rows, F) for each _row_blocks slice of X's rows, in order, with F
         = features(X[rows]): the one place a pool pass is cut into row
@@ -167,32 +171,35 @@ class Classifier:
         for rows in _row_blocks(X.shape[0]):
             yield rows, self.features(X[rows])
 
-    def log_proba(self, X: np.ndarray) -> np.ndarray:
-        """Log-probabilities of every row, one row block at a time."""
+    def logits(self, X: np.ndarray) -> np.ndarray:
+        """Logits of every row, one row block at a time: the one pass over a
+        pool's rows, which predict, log_proba and predict_proba view."""
         X = np.atleast_2d(X)
         out = np.empty((X.shape[0], self.C))
         for rows, F in self.feature_blocks(X):
-            out[rows] = self.head_log_proba(F)
+            out[rows] = self._head(F)
             del F  # so one feature block is alive, not two, as the next is built
         return out
+
+    def log_proba(self, X: np.ndarray) -> np.ndarray:
+        """Log-probabilities of every row: the log-softmax of logits(X)."""
+        return _log_softmax(self.logits(X))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self.log_proba(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Argmax logit of every row, one row block at a time."""
-        X = np.atleast_2d(X)
-        out = np.empty(X.shape[0], dtype=np.intp)
-        for rows in _row_blocks(X.shape[0]):
-            out[rows] = np.argmax(self.logits(X[rows]), axis=1)
-        return out
+        """Argmax logit of every row."""
+        return np.argmax(self.logits(X), axis=1)
 
     def head_log_proba(self, F: np.ndarray) -> np.ndarray:
-        """Features to log-probabilities: the package's one log-softmax. The
-        logits are normalized in place, so a call holds one (n, C) array."""
+        """Features to log-probabilities, holding one (n, C) array."""
+        return _log_softmax(self._head(F))
+
+    def _head(self, F: np.ndarray) -> np.ndarray:
+        """Features to logits: the forward code's one head product."""
         z = F @ self.W_out
         z += self.b_out
-        z -= logsumexp(z, axis=1, keepdims=True)
         return z
 
     def _check_input(self, X):

@@ -133,6 +133,12 @@ def cmd_run(args) -> int:
                 f"{rep.gmm.n_iter} updates without converging",
                 file=sys.stderr,
             )
+        if len(rep.selected_ids) < loop.per_round:
+            print(
+                f"warning: round {rep.round_index}: annotated {len(rep.selected_ids)} "
+                f"of {loop.per_round} samples",
+                file=sys.stderr,
+            )
 
     reports = run_active_loop(loop, pool, on_round_end=lambda _model, _pool, rep: emit(rep))
     write_aggregate_csv(out / "aggregate.csv", aggregate_rows(loop.strategy, loop.seed, reports))

@@ -8,6 +8,7 @@ to read them during a run.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -362,9 +363,14 @@ def load_pool(path) -> DataPool:
         # U2 keeps a longer domain such as "SX" from being cut to a valid "S"
         fields = np.dtype([("id", "i8"), ("dom", "U2"), ("lab", "i8"), ("x", "f8", (d_in,))])
         try:
-            table = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                # a file with no sample rows is refused below, by name
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             raise ValueError(f"malformed dataset file {path}: {exc}") from exc
+    if table.size == 0:
+        raise ValueError(f"dataset file {path} has no sample rows")
     dom = table["dom"]
     source = dom == "S"
     bad = np.flatnonzero(~source & (dom != "T"))

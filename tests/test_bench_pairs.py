@@ -67,25 +67,32 @@ def _git(repo: Path, *args: str) -> str:
 @pytest.fixture
 def repo(tmp_path, monkeypatch):
     """A stand-in repository, the current directory, with no commit yet;
-    commit(run_s=..., failed=..., code=...) commits a perfbench/run.py that
-    appends its working directory to runs.log beside the repository, then
-    prints a fixed result and exits with code, and returns the commit."""
+    commit(run_s=..., failed=..., code=..., counts=...) commits a
+    perfbench/run.py that appends its working directory to runs.log beside
+    the repository, then prints a fixed result and exits with code, and
+    returns the commit. With --trace 1 the result's metrics are the work
+    counts in counts (default TRACED) plus a traced time."""
     root, log = tmp_path / "repo", tmp_path / "runs.log"
     root.mkdir()
     _git(root, "init", "-q")
     monkeypatch.chdir(root)
 
-    def commit(run_s=1.0, failed=0, code=0):
+    def commit(run_s=1.0, failed=0, code=0, counts=None):
         metrics = {m: {"value": 1.0, "unit": "s"}
                    for m in ("setup_s", "run_s", "round_s", "peak_rss_mb", "final_accuracy")}
         metrics["run_s"]["value"] = run_s
         result = {"correct": True, "attempted": 3, "failed": failed, "metrics": metrics}
+        traced = {k: {"value": v, "unit": "count"} for k, v in (counts or TRACED).items()}
+        traced["trace.run_s"] = {"value": run_s, "unit": "s"}
+        traced = {**result, "metrics": traced}
         (root / "perfbench").mkdir(exist_ok=True)
         (root / "perfbench" / "run.py").write_text(
             "import os, sys\n"
             f"with open({str(log)!r}, 'a') as fh:\n"
             "    fh.write(os.getcwd() + '\\n')\n"
-            f"print({json.dumps(json.dumps(result))})\n"
+            "traced = sys.argv[sys.argv.index('--trace') + 1] == '1'\n"
+            f"print({json.dumps(json.dumps(traced))} if traced "
+            f"else {json.dumps(json.dumps(result))})\n"
             f"sys.exit({code})\n"
         )
         _git(root, "add", "-A")
@@ -102,6 +109,10 @@ def repo(tmp_path, monkeypatch):
 
 
 ARGV = ["--workload", "desk", "--seed", "1", "--seconds", "0", "--pairs", "2"]
+# the count metrics of BENCHMARK.json's per_layer, as a traced run reports them
+TRACED = {"datapool.view_calls": 6.0, "classifier.sgd_steps": 2100.0,
+          "classifier.forward_rows": 1013611.0, "scoring.unlabeled_rows": 399900.0,
+          "gmm.em_iters": 400.0, "gmm.em_capped": 2.0}
 
 
 def test_each_side_runs_its_own_commit_in_an_export(repo, capsys):
@@ -113,9 +124,10 @@ def test_each_side_runs_its_own_commit_in_an_export(repo, capsys):
     assert [r["metrics"]["run_s"]["value"] for r in last["runs"]["parent"]] == [1.0, 1.0]
     assert [r["metrics"]["run_s"]["value"] for r in last["runs"]["change"]] == [2.0, 2.0]
     # pair 0 runs parent then change, pair 1 the other way, each in its own
-    # export, and no export is left behind
+    # export, then one traced run per side in the same exports, and no
+    # export is left behind
     dirs = repo.runs()
-    assert len(dirs) == 4 and dirs[0] == dirs[3] != dirs[1] == dirs[2]
+    assert len(dirs) == 6 and dirs[0] == dirs[3] == dirs[4] != dirs[1] == dirs[2] == dirs[5]
     assert all(Path(d) != Path.cwd() and not Path(d).exists() for d in dirs)
 
 
@@ -158,3 +170,41 @@ def test_exit_status_reports_failed_runs(repo, capsys):
         assert host["nproc"] >= 1 and len(host["loadavg"]) == 3
         assert set(host) == {"nproc", "loadavg", *bench_pairs.THREAD_VARS}
     assert bench_pairs.main([good, bad, *ARGV]) != 0
+
+
+def test_traced_work_counts_are_printed_with_their_exact_differences(repo, capsys):
+    parent = repo(counts={**TRACED, "classifier.forward_rows": 1013611.0})
+    change = repo(counts={**TRACED, "classifier.forward_rows": 1013600.0,
+                          "gmm.em_capped": 0.0})
+    assert bench_pairs.main([parent, change, *ARGV]) == 0
+    out = capsys.readouterr().out.splitlines()
+    counts = [line for line in out if "(count, traced, seed 1)" in line]
+    # every count metric of BENCHMARK.json, in its order, and no time metric
+    assert [line.split()[0] for line in counts] == list(TRACED)
+    assert ("classifier.forward_rows (count, traced, seed 1): parent 1013611 "
+            "change 1013600 difference -11") in counts
+    assert counts[-1].endswith("parent 2 change 0 difference -2")
+    last = json.loads(out[-1])["counts"]
+    assert last["classifier.forward_rows"] == {
+        "parent": 1013611.0, "change": 1013600.0, "difference": -11.0}
+    assert last["datapool.view_calls"]["difference"] == 0.0
+
+
+def test_a_commit_against_itself_differs_by_zero_counts(repo, capsys):
+    repo()
+    assert bench_pairs.main(["HEAD", "HEAD", *ARGV]) == 0
+    out = capsys.readouterr().out.splitlines()
+    last = json.loads(out[-1])["counts"]
+    assert set(last) == set(TRACED)
+    assert all(c["difference"] == 0 for c in last.values())
+    assert sum(line.endswith(" difference 0") for line in out) == len(TRACED)
+
+
+def test_a_count_a_side_does_not_report_is_null(repo, capsys):
+    parent = repo(counts={k: v for k, v in TRACED.items() if k != "gmm.em_capped"})
+    change = repo()
+    assert bench_pairs.main([parent, change, *ARGV]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "gmm.em_capped (count, traced, seed 1): parent null change 2 difference null" in out
+    assert json.loads(out[-1])["counts"]["gmm.em_capped"] == {
+        "parent": None, "change": 2.0, "difference": None}

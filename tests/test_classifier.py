@@ -8,6 +8,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,56 @@ class TestRowBlocks:
             np.testing.assert_array_equal(F, model.features(X[rows]))
         if n == 0:
             assert blocks[0][1].shape == (0, model.d_feat)
+
+
+class TestOnePoolPass:
+    """logits is the one row-block loop over a pool, and _head the one head
+    product; predict, log_proba and predict_proba are views of logits."""
+
+    N = 2 * ROW_BLOCK + 1
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(23)
+        model = Classifier.initialize(8, 64, 5, rng)
+        model.b_out[:] = rng.standard_normal(5)
+        return model
+
+    @pytest.mark.parametrize("method", ["predict", "log_proba", "predict_proba"])
+    def test_one_feature_blocks_pass_and_one_head_call_per_block(self, model, method, monkeypatch):
+        passes, heads = [], []
+        real_blocks, real_head = Classifier.feature_blocks, Classifier._head
+
+        def blocks_spy(self, X):
+            passes.append(np.atleast_2d(X).shape[0])
+            return real_blocks(self, X)
+
+        def head_spy(self, F):
+            heads.append(F.shape[0])
+            return real_head(self, F)
+
+        monkeypatch.setattr(Classifier, "feature_blocks", blocks_spy)
+        monkeypatch.setattr(Classifier, "_head", head_spy)
+        X = np.random.default_rng(5).standard_normal((self.N, 8))
+        getattr(model, method)(X)
+        assert passes == [self.N]
+        assert heads == [5461, 5462, 5462]
+
+    def test_logits_hold_one_feature_block_at_a_time(self, model):
+        """On three blocks of rows, logits peaks within 1.5 (ROW_BLOCK,
+        d_feat) blocks: one feature block, its logits and the (n, C)
+        output, never a whole-input feature matrix (three blocks)."""
+        X = np.random.default_rng(6).standard_normal((3 * ROW_BLOCK, 8))
+        block = ROW_BLOCK * model.d_feat * 8
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            z = model.logits(X)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (3 * ROW_BLOCK, 5)
+        assert peak <= 1.5 * block, peak / block
 
 
 class TestAugment:

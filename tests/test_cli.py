@@ -279,6 +279,28 @@ def test_capped_mixture_fit_warns_on_stderr(tmp_path, tiny_config, capsys, monke
     ]
 
 
+def test_round_that_annotates_short_of_its_budget_warns(tmp_path, capsys):
+    """A source-free run whose bootstrap selects nothing says so once per
+    round on stderr, naming both counts."""
+    path = tmp_path / "sfda.json"
+    path.write_text(json.dumps({
+        "data": {"C": 5, "d_in": 8, "n_source": 100, "n_target": 400, "seed": 1,
+                 "class_std": 0.05},
+        "loop": {"budget": 20, "rounds": 2, "pretrain_epochs": 20, "sfda": {}},
+    }))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    assert json.loads((out / "round_001.json").read_text())["selected_ids"] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: round {r}: annotated 0 of 10 samples" for r in (1, 2)
+    ]
+
+
+def test_default_config_run_does_not_warn(tmp_path, capsys):
+    assert main(["run", "--output", str(tmp_path / "d")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_file_config_rejects_generator_keys(tmp_path, tiny_config, capsys):
     """A data file fixes C, the sizes and the rows, so generator keys beside
     it are refused by name rather than ignored."""

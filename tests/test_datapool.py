@@ -270,11 +270,20 @@ class TestFileFormat:
             "0,S,0,0.0,0.0\n1,S,1,inf,0.0\n2,S,2,0.0,0.0\n3,T,1,0.0,0.0\n",
         ],
     )
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
     def test_rejects_malformed_rows(self, tmp_path, body):
         bad = tmp_path / "bad.csv"
         bad.write_text("2,3\n" + body)
         with pytest.raises(ValueError):
+            load_pool(bad)
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_file_with_no_sample_rows(self, tmp_path, body):
+        """A header line alone, or followed by blank lines, is refused by
+        name, and numpy's warning about the empty input does not leak."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("2,2\n" + body)
+        with pytest.raises(ValueError, match=f"^dataset file {re.escape(str(bad))} has no sample rows$"):
             load_pool(bad)
 
     def test_one_target_row(self, tmp_path):

@@ -416,13 +416,13 @@ class TestSfdaRowBlocks:
         product: the similarity-label pass computes no log-probabilities or
         scores that it would drop."""
         model, ids, X = pool
-        sizes, real = [], Classifier.head_log_proba
+        sizes, real = [], Classifier._head
 
         def spy(self, F):
             sizes.append(F.shape[0])
             return real(self, F)
 
-        monkeypatch.setattr(Classifier, "head_log_proba", spy)
+        monkeypatch.setattr(Classifier, "_head", spy)
         sfda_bootstrap(model, ids, X, SfdaConfig(), b=50, k=8)
         assert sizes == [5461, 5462, 5462]
 

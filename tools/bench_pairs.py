@@ -20,9 +20,14 @@ whether the gain rule holds: the change wins at least 9 pairs in 10, and
 its median is better than the parent's by more than the parent's
 interquartile range. Beside it, the median and quartiles of the per-pair
 ratio change/parent show how consistent the shift is from pair to pair;
-they are evidence only and take no part in the rule. The last line of
-standard output is one JSON object holding each side's commit and every
-run's result. Each
+they are evidence only and take no part in the rule. After the pairs, each
+side makes one more run with `--trace 1`, at the first --seed, in the same
+export, and the tool prints every per_layer metric of BENCHMARK.json whose
+unit is count, parent and change side by side with the exact difference
+change - parent (null when a side does not report the metric). These work
+counts are evidence only too. The last line of standard output is one JSON
+object holding each side's commit, every timed run's result and, under
+"counts", the traced counts and their differences. Each timed
 result carries, under "host", the state of the host just before the run:
 the CPUs this process may run on (nproc), the load averages, and the
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS settings (null
@@ -100,14 +105,33 @@ def _pairs(text: str) -> int:
     return value
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout.name}: {' '.join(cmd)} exited with code {proc.returncode}")
     return json.loads(lines[-1])
+
+
+def work_counts(per_layer, traced: dict) -> dict:
+    """{metric: {"parent", "change", "difference"}} for each count metric of
+    per_layer, read from the traced result of each side; a value a side does
+    not report, and the difference beside it, are None."""
+    out = {}
+    for metric in per_layer:
+        if metric["unit"] != "count":
+            continue
+        name = metric["name"]
+        p, c = (traced[side]["metrics"].get(name, {}).get("value") for side in ("parent", "change"))
+        out[name] = {"parent": p, "change": c,
+                     "difference": None if p is None or c is None else c - p}
+    return out
+
+
+def _num(value) -> str:
+    return "null" if value is None else f"{value:.12g}"
 
 
 def main(argv=None) -> int:
@@ -142,9 +166,12 @@ def compare(args, commits: dict, sides: dict) -> int:
             run_s = result["metrics"].get("run_s", {}).get("value")
             print(f"pair {i} seed {seed} {name}: run_s {run_s} failed {result['failed']} "
                   f"host {json.dumps(host)}", file=sys.stderr)
-    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    traced = {name: run_once(sides[name], args.workload, args.seed[0], args.seconds, trace=1)
+              for name in ("parent", "change")}
+    ok &= all(bool(r["correct"]) and r["failed"] == 0 for r in traced.values())
+    benchmark = json.loads(BENCHMARK.read_text())
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}, {args.seconds:g} s runs")
-    for metric in metrics:
+    for metric in benchmark["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs]
                   for side, runs in results.items()}
@@ -155,8 +182,12 @@ def compare(args, commits: dict, sides: dict) -> int:
               f"wins {s['wins']}/{s['pairs']} losses {s['losses']} "
               f"rule {'holds' if s['rule_holds'] else 'does not hold'} "
               f"change/parent {s['ratio'][1]:.4g} [{s['ratio'][0]:.4g}, {s['ratio'][2]:.4g}]")
+    counts = work_counts(benchmark["per_layer"], traced)
+    for name, c in counts.items():
+        print(f"{name} (count, traced, seed {args.seed[0]}): parent {_num(c['parent'])} "
+              f"change {_num(c['change'])} difference {_num(c['difference'])}")
     print(json.dumps({"workload": args.workload, "seeds": args.seed, "commits": commits,
-                      "runs": results}))
+                      "runs": results, "counts": counts}))
     if not ok:
         print("a run reported correct: false or a failed adaptation run", file=sys.stderr)
         return 1
