@@ -192,9 +192,14 @@ class Classifier:
         """Argmax logit of every row."""
         return np.argmax(self.logits(X), axis=1)
 
-    def head_log_proba(self, F: np.ndarray) -> np.ndarray:
-        """Features to log-probabilities, holding one (n, C) array."""
-        return _log_softmax(self._head(F))
+    def head_log_proba(self, F: np.ndarray, pred: np.ndarray | None = None) -> np.ndarray:
+        """Features to log-probabilities, holding one (n, C) array. pred, an
+        (n,) intp array when given, receives each row's argmax logit (the
+        class predict gives), taken before the log-softmax."""
+        z = self._head(F)
+        if pred is not None:
+            np.argmax(z, axis=1, out=pred)
+        return _log_softmax(z)
 
     def _head(self, F: np.ndarray) -> np.ndarray:
         """Features to logits: the forward code's one head product."""

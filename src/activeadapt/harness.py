@@ -41,6 +41,7 @@ from .sampler import (
 )
 from .scoring import (
     Category,
+    CentroidSet,
     _scores_at,
     compute_centroids,
     info_scores_labeled,
@@ -229,12 +230,20 @@ def start_run(cfg: LoopConfig, pool: DataPool) -> Classifier:
     return pretrain_source(model, pool, cfg.train, cfg.pretrain_epochs)
 
 
-def evaluate(model: Classifier, pool: DataPool) -> float:
-    """Accuracy over the full target domain, annotated samples included."""
+def evaluate(model: Classifier, pool: DataPool, unlabeled_pred=None) -> float:
+    """Accuracy over the full target domain, annotated samples included.
+    unlabeled_pred, when given, holds model.predict's classes of the
+    unlabeled rows in id order (pool.unlabeled_arrays), from the pass that
+    scored them; then only the annotated rows go through the model here."""
     X, truth = pool.evaluation_arrays()
     if truth.size == 0:
         raise ValueError("no target samples to evaluate")
-    return float(np.mean(model.predict(X) == truth))
+    if unlabeled_pred is None:
+        pred = model.predict(X)
+    else:  # the T rows come first, then U in id order
+        n_t = truth.size - unlabeled_pred.size
+        pred = np.concatenate([model.predict(X[:n_t]), unlabeled_pred])
+    return float(np.mean(pred == truth))
 
 
 # -- per-round selection -----------------------------------------------------
@@ -254,9 +263,39 @@ class _Selection:
     uc: np.ndarray | None = None
 
 
-def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
-    """Score, fit, select the top b and partition the rest of the pool. A
-    large pool's mixture is fitted on a sketch of its scores (gmm.sketched);
+@dataclass
+class _Scored:
+    """A scoring pass over the unlabeled pool: the ids it scored (in id
+    order), the theta it scored with, and the centroids, scores and
+    similarity labels a diana round selects from. Per-row vectors only, so
+    carrying one from a round's end into the next costs three values a row."""
+
+    ids: np.ndarray
+    theta: np.ndarray
+    centroids: CentroidSet
+    scores: np.ndarray
+    sim: np.ndarray
+
+    def holds(self, model, u_ids) -> bool:
+        """Whether the pass still describes this model and unlabeled pool."""
+        return np.array_equal(self.theta, model.theta) and np.array_equal(self.ids, u_ids)
+
+
+def _score_pool(model, cfg: LoopConfig, X_lab, y_lab, u_ids, u_X):
+    """Centroids from the labeled rows, then one pass over the unlabeled rows
+    that gives their scores, similarity labels and predicted classes.
+    Returns (_Scored, predictions)."""
+    centroids = compute_centroids(model, X_lab, y_lab)
+    pred = np.empty(u_ids.size, dtype=np.intp)
+    scores, sim = info_scores_unlabeled(model, centroids, u_X, cfg.resolved_k(), pred)
+    return _Scored(u_ids, model.theta.copy(), centroids, scores, sim), pred
+
+
+def _select_diana(model, pool, cfg: LoopConfig, b: int, scored=None) -> _Selection:
+    """Score, fit, select the top b and partition the rest of the pool. The
+    scores are scored's when it still holds for this model and pool (the
+    previous round's end-of-round pass), else a fresh _score_pool. A large
+    pool's mixture is fitted on a sketch of its scores (gmm.sketched);
     selection and the partition score every row. The partition runs before
     annotation: the model and centroids it needs are the ones the batch was
     selected with. It reads only the remaining pool's scores, and the CC/UC
@@ -269,10 +308,11 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int) -> _Selection:
     # invariant), so only a source-free round can bootstrap
     if len(np.unique(y_lab)) < pool.C:
         return _Selection(sfda_bootstrap(model, u_ids, u_X, cfg.sfda, b, k).active_ids)
-    centroids = compute_centroids(model, X_lab, y_lab)
+    if scored is None or not scored.holds(model, u_ids):
+        scored, _ = _score_pool(model, cfg, X_lab, y_lab, u_ids, u_X)
+    centroids, scores, sim = scored.centroids, scored.scores, scored.sim
     l_scores = info_scores_labeled(model, X_lab, y_lab)
     l_obs = observation_labels(model, X_lab, y_lab, cfg.tau)
-    scores, sim = info_scores_unlabeled(model, centroids, u_X, k)
     fit = run_em(sketched(GmmTrainSet(l_scores, l_obs, scores)))
     ids = select_active_batch(u_ids, scores, fit.params, b)
 
@@ -303,11 +343,15 @@ def _select_baseline(model, pool, cfg: LoopConfig, b: int, round_index: int) -> 
 # -- the loop ----------------------------------------------------------------
 
 
-def _round(cfg: LoopConfig, model, pool, r: int) -> RoundReport:
+def _round(cfg: LoopConfig, model, pool, r: int, scored=None):
     """Round r of a run: select, annotate, train and report. The selection,
-    with its CC/UC pools, ends with the round."""
+    with its CC/UC pools, ends with the round. When round r + 1 will fit a
+    mixture (a diana round whose labeled set covers every class), one pass
+    over the unlabeled rows gives both this round's predictions of them and
+    round r + 1's scores. Returns (report, that pass's _Scored or None);
+    scored is the previous round's."""
     if cfg.strategy is Strategy.DIANA:
-        sel = _select_diana(model, pool, cfg, cfg.per_round)
+        sel = _select_diana(model, pool, cfg, cfg.per_round, scored)
     else:
         sel = _select_baseline(model, pool, cfg, cfg.per_round, r)
 
@@ -330,25 +374,33 @@ def _round(cfg: LoopConfig, model, pool, r: int) -> RoundReport:
         losses = combined_loss(
             model, X_l, y_l, *sel.cc, sel.uc, cfg.train.lambda_c, cfg.train.lambda_e
         )
-    return RoundReport(
-        r, evaluate(model, pool), sel.sizes, sel.gmm, sel.ids, sel.posteriors, err_rate, losses
+    sel.cc = sel.uc = None  # the training pools end before the pass below
+    nxt = pred = None
+    if cfg.strategy is Strategy.DIANA and r < cfg.rounds and len(np.unique(y_l)) == pool.C:
+        nxt, pred = _score_pool(model, cfg, X_l, y_l, *pool.unlabeled_arrays())
+    report = RoundReport(
+        r, evaluate(model, pool, pred), sel.sizes, sel.gmm, sel.ids, sel.posteriors,
+        err_rate, losses,
     )
+    return report, nxt
 
 
 def _run_rounds(cfg: LoopConfig, model, pool, on_round_end=None) -> list[RoundReport]:
     """The rounds of a run from a started model (start_run), annotating the
     pool in place: one report per round, or a single evaluation-only report
     (round 0) when budget is 0. on_round_end, when given, is called with
-    (model, pool, report) after every report."""
+    (model, pool, report) after every report. Each round hands the next one
+    its end-of-round scoring pass, which the next round uses only while the
+    model and the unlabeled pool are as the pass left them."""
     if cfg.budget > pool.sizes[2]:
         raise ValueError(f"budget {cfg.budget} exceeds unlabeled pool size {pool.sizes[2]}")
     pool.check_invariants()
-    reports = []
+    reports, scored = [], None
     for r in range(1, cfg.rounds + 1) if cfg.budget else [0]:
         if r == 0:
             report = RoundReport(0, evaluate(model, pool), {}, None, [], None, None)
         else:
-            report = _round(cfg, model, pool, r)
+            report, scored = _round(cfg, model, pool, r, scored)
         reports.append(report)
         pool.check_invariants()
         if on_round_end is not None:

@@ -131,21 +131,24 @@ def _scores_at(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def info_scores_unlabeled(
-    model: Classifier, centroids: CentroidSet, X: np.ndarray, k: int
+    model: Classifier, centroids: CentroidSet, X: np.ndarray, k: int, pred=None
 ):
     """Scores and similarity-based labels for a batch of unlabeled samples:
     score = -log P at the similarity-based label (floored, see _scores_at).
 
     The rows go through the model one row block at a time
     (Classifier.feature_blocks); each block's features give its labels and
-    scores and are then dropped.
+    scores and are then dropped. pred, an (n,) intp array when given,
+    receives each row's predicted class from the same head block
+    (Classifier.head_log_proba).
     """
     X = np.atleast_2d(X)
     scores = np.empty(X.shape[0])
     labels = np.empty(X.shape[0], dtype=np.intp)
     for rows, F in model.feature_blocks(X):
         labels[rows] = similarity_labels(F, centroids, k)
-        scores[rows] = _scores_at(model.head_log_proba(F), labels[rows])
+        logp = model.head_log_proba(F, None if pred is None else pred[rows])
+        scores[rows] = _scores_at(logp, labels[rows])
     return scores, labels
 
 

@@ -67,17 +67,19 @@ def _git(repo: Path, *args: str) -> str:
 @pytest.fixture
 def repo(tmp_path, monkeypatch):
     """A stand-in repository, the current directory, with no commit yet;
-    commit(run_s=..., failed=..., code=..., counts=...) commits a
-    perfbench/run.py that appends its working directory to runs.log beside
-    the repository, then prints a fixed result and exits with code, and
-    returns the commit. With --trace 1 the result's metrics are the work
-    counts in counts (default TRACED) plus a traced time."""
+    commit(run_s=..., failed=..., code=..., counts=..., names=...) commits a
+    perfbench/workloads.py whose NAMES are names and a perfbench/run.py that
+    appends its working directory to runs.log beside the repository, then
+    prints a fixed result and exits with code, and returns the commit. With
+    --trace 1 the result's metrics are the work counts in counts (default
+    TRACED) plus a traced time. With --workload all every metric is
+    reported once per name, as `<name>/<metric>`, as perfbench does."""
     root, log = tmp_path / "repo", tmp_path / "runs.log"
     root.mkdir()
     _git(root, "init", "-q")
     monkeypatch.chdir(root)
 
-    def commit(run_s=1.0, failed=0, code=0, counts=None):
+    def commit(run_s=1.0, failed=0, code=0, counts=None, names=NAMES):
         metrics = {m: {"value": 1.0, "unit": "s"}
                    for m in ("setup_s", "run_s", "round_s", "peak_rss_mb", "final_accuracy")}
         metrics["run_s"]["value"] = run_s
@@ -86,13 +88,18 @@ def repo(tmp_path, monkeypatch):
         traced["trace.run_s"] = {"value": run_s, "unit": "s"}
         traced = {**result, "metrics": traced}
         (root / "perfbench").mkdir(exist_ok=True)
+        (root / "perfbench" / "workloads.py").write_text(f"NAMES = {tuple(names)!r}\n")
         (root / "perfbench" / "run.py").write_text(
-            "import os, sys\n"
+            "import json, os, sys\n"
             f"with open({str(log)!r}, 'a') as fh:\n"
             "    fh.write(os.getcwd() + '\\n')\n"
             "traced = sys.argv[sys.argv.index('--trace') + 1] == '1'\n"
-            f"print({json.dumps(json.dumps(traced))} if traced "
+            f"result = json.loads({json.dumps(json.dumps(traced))} if traced "
             f"else {json.dumps(json.dumps(result))})\n"
+            "if sys.argv[sys.argv.index('--workload') + 1] == 'all':\n"
+            f"    result['metrics'] = {{f'{{w}}/{{k}}': v for w in {tuple(names)!r}\n"
+            "                         for k, v in result['metrics'].items()}\n"
+            "print(json.dumps(result))\n"
             f"sys.exit({code})\n"
         )
         _git(root, "add", "-A")
@@ -108,6 +115,7 @@ def repo(tmp_path, monkeypatch):
     return commit
 
 
+NAMES = ("desk", "pool-200k", "wide")
 ARGV = ["--workload", "desk", "--seed", "1", "--seconds", "0", "--pairs", "2"]
 # the count metrics of BENCHMARK.json's per_layer, as a traced run reports them
 TRACED = {"datapool.view_calls": 6.0, "classifier.sgd_steps": 2100.0,
@@ -208,3 +216,41 @@ def test_a_count_a_side_does_not_report_is_null(repo, capsys):
     assert "gmm.em_capped (count, traced, seed 1): parent null change 2 difference null" in out
     assert json.loads(out[-1])["counts"]["gmm.em_capped"] == {
         "parent": None, "change": 2.0, "difference": None}
+
+
+def test_all_compares_every_workload_metric(repo, capsys):
+    """With --workload all the runs report `<workload>/<metric>`: each end-to-end
+    metric and each traced count is compared once per workload."""
+    parent = repo(counts={**TRACED, "classifier.forward_rows": 1013611.0})
+    change = repo(run_s=0.5, counts={**TRACED, "classifier.forward_rows": 813711.0})
+    argv = [parent, change, *ARGV]
+    argv[argv.index("desk")] = "all"
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    compared = [line.split()[0] for line in out if " is better): parent " in line]
+    assert compared == [f"{w}/{m}" for w in NAMES for m in
+                        ("setup_s", "run_s", "round_s", "peak_rss_mb", "final_accuracy")]
+    assert all(f"{w}/run_s (s, lower is better): parent 1 [1, 1] change 0.5 [0.5, 0.5] "
+               f"wins 2/2 losses 0 rule holds" in "\n".join(out) for w in NAMES)
+    counts = json.loads(out[-1])["counts"]
+    assert list(counts) == [f"{w}/{m}" for w in NAMES for m in TRACED]
+    assert counts["pool-200k/classifier.forward_rows"] == {
+        "parent": 1013611.0, "change": 813711.0, "difference": -199900.0}
+    assert ("wide/classifier.forward_rows (count, traced, seed 1): parent 1013611 "
+            "change 813711 difference -199900") in out
+
+
+@pytest.mark.parametrize("workload, parent_names", [
+    ("desks", NAMES),
+    ("pool-200k", ("desk",)),  # a workload the parent does not have
+])
+def test_unknown_workload_is_refused_before_any_export(repo, monkeypatch, workload,
+                                                        parent_names):
+    parent = repo(names=parent_names)
+    change = repo(run_s=2.0)
+    monkeypatch.setattr(bench_pairs, "export", lambda *a: pytest.fail("exported"))
+    argv = [parent, change, *ARGV]
+    argv[argv.index("desk")] = workload
+    with pytest.raises(SystemExit, match=f"--workload '{workload}' is neither 'all' nor"):
+        bench_pairs.main(argv)
+    assert repo.runs() == []

@@ -1,6 +1,7 @@
 """End-to-end loop behavior: budget accounting, strategy selection rules,
 determinism, and the clean-ablation property."""
 
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -494,6 +495,104 @@ class TestRemainingPoolLabels:
         assert len(checked) == 2 and len(batches) == 2
 
 
+class TestEndOfRoundPass:
+    """Round r < R ends with one pass over the unlabeled rows that gives its
+    own evaluation's predictions of them and round r + 1's scores. Round
+    r + 1 uses that pass only while the model and the unlabeled pool are as
+    the pass left them."""
+
+    @staticmethod
+    def spy(monkeypatch, check=None):
+        """Spies on a run: the rows of every info_scores_unlabeled call, the
+        scoring calls each _select_diana makes, and the rows each evaluate
+        predicts. check(model, pool, cfg, b, sel), when given, sees every
+        selection."""
+        real_score, real_select = harness.info_scores_unlabeled, harness._select_diana
+        real_eval, real_predict = harness.evaluate, Classifier.predict
+        seen = {"scored": [], "starts": [], "evaluated": []}
+        predicting = []
+
+        def score_spy(*args, **kwargs):
+            seen["scored"].append(len(args[2]))
+            return real_score(*args, **kwargs)
+
+        def select_spy(model, pool, cfg, b, scored):
+            if check is not None:
+                check(model, pool, cfg, b, real_select)
+            before = len(seen["scored"])
+            sel = real_select(model, pool, cfg, b, scored)
+            seen["starts"].append(len(seen["scored"]) - before)
+            return sel
+
+        def eval_spy(*args):
+            predicting.append(0)
+            acc = real_eval(*args)
+            seen["evaluated"].append(predicting.pop())
+            return acc
+
+        def predict_spy(self, X):
+            if predicting:
+                predicting[-1] += len(X)
+            return real_predict(self, X)
+
+        monkeypatch.setattr(harness, "info_scores_unlabeled", score_spy)
+        monkeypatch.setattr(harness, "_select_diana", select_spy)
+        monkeypatch.setattr(harness, "evaluate", eval_spy)
+        monkeypatch.setattr(Classifier, "predict", predict_spy)
+        return seen
+
+    def test_one_scoring_pass_per_round(self, monkeypatch):
+        """In a 3-round run over 90 target rows, 4 a round, round 1 scores at
+        its start and rounds 1 and 2 at their end; rounds 2 and 3 start with
+        no scoring pass. Rounds 1 and 2 evaluate by predicting their
+        annotated rows only; round 3, the last, predicts every target row."""
+        seen = self.spy(monkeypatch)
+        reports = run_active_loop(fast_loop(), small_pool())
+        assert seen == {"scored": [90, 86, 82], "starts": [1, 0, 0], "evaluated": [4, 8, 90]}
+        assert [r.round_index for r in reports] == [1, 2, 3]
+
+    @pytest.mark.parametrize("change", [None, "theta", "annotate"])
+    def test_a_changed_model_or_pool_is_scored_afresh(self, monkeypatch, change):
+        """An on_round_end that moves one weight of theta by one ulp, or that
+        annotates one more id, makes the next round score afresh. Every
+        round's batch equals a fresh _select_diana's on copies of the model
+        and pool it starts from."""
+        batches = []
+
+        def fresh(model, pool, cfg, b, select):
+            batches.append(select(copy.copy(model), copy.deepcopy(pool), cfg, b).ids)
+
+        def on_round_end(model, pool, report):
+            assert report.selected_ids == batches[-1]
+            if change == "theta":
+                model.theta[7] = np.nextafter(model.theta[7], np.inf)
+            elif change == "annotate":
+                pool.annotate_batch([int(pool.target_unlabeled[-1])])
+
+        seen = self.spy(monkeypatch, fresh)
+        run_active_loop(fast_loop(), small_pool(), on_round_end=on_round_end)
+        assert len(batches) == 3
+        assert seen["starts"] == ([1, 0, 0] if change is None else [1, 1, 1])
+
+    def test_evaluation_from_the_pass_is_bit_identical(self):
+        """evaluate with the pass's predictions of the unlabeled rows equals
+        evaluate alone, bit for bit, on a pool given in a permuted row order
+        whose annotated rows interleave the unlabeled ones by id."""
+        ids, X, y, source = TestRowOrder.rows()
+        perm = np.random.default_rng(4).permutation(ids.size)
+        pool = DataPool(5, ids[perm], X[perm], y[perm], source[perm])
+        pool.annotate_batch(ids[~source][[150, 3, 77, 17, 199, 40]].tolist())
+        model = Classifier.initialize(8, 16, 5, np.random.default_rng(2))
+        pretrain_source(model, pool, fast_train(), epochs=3)
+        cfg = fast_loop(d_feat=16)
+        X_l, y_l = pool.labeled_arrays()
+        scored, pred = harness._score_pool(model, cfg, X_l, y_l, *pool.unlabeled_arrays())
+        np.testing.assert_array_equal(scored.ids, pool.target_unlabeled)
+        np.testing.assert_array_equal(pred, model.predict(pool.unlabeled_arrays()[1]))
+        carried, plain = evaluate(model, pool, pred), evaluate(model, pool)
+        assert carried.hex() == plain.hex() and 0 < plain < 1
+
+
 class TestSelectedErrorRate:
     @pytest.mark.parametrize("strategy", [Strategy.DIANA, Strategy.ENTROPY])
     def test_round_one_rate_is_the_pretrained_models_batch_error(self, strategy):
@@ -796,7 +895,8 @@ class TestRowBlockMemory:
         (ROW_BLOCK, d_feat) blocks plus its per-row inputs and outputs. A
         whole-pool feature matrix alone is three blocks; the limits are 3.5
         blocks for scoring (features, magnitudes and their partitioned copy
-        live together) and 1.5 for evaluation. The source-free bootstrap
+        live together), and for the end-of-round pass that also predicts,
+        and 1.5 for evaluation. The source-free bootstrap
         scores the pool the same way, beside its own per-row outputs, and
         builds features for its proxy rows alone."""
         n, d_in, d_feat, C = 3 * ROW_BLOCK, 8, 64, 5
@@ -807,6 +907,7 @@ class TestRowBlockMemory:
         pool = DataPool(C, ids, X, y, ids < C)
         model = Classifier.initialize(d_in, d_feat, C, rng)
         centroids = compute_centroids(model, X[:C], y[:C])
+        cfg = LoopConfig(budget=1, rounds=1, d_feat=d_feat, k=8)
         u_ids, u_X = pool.unlabeled_arrays()
         block = ROW_BLOCK * d_feat * 8
         rows = n * 8  # one float64 or intp per row
@@ -815,6 +916,7 @@ class TestRowBlockMemory:
         try:
             for name, run in [
                 ("score", lambda: info_scores_unlabeled(model, centroids, u_X, 8)),
+                ("end of round", lambda: harness._score_pool(model, cfg, X[:C], y[:C], u_ids, u_X)),
                 ("evaluate", lambda: evaluate(model, pool)),
                 ("bootstrap", lambda: sfda_bootstrap(model, u_ids, u_X, SfdaConfig(), 100, 8)),
             ]:
@@ -825,6 +927,15 @@ class TestRowBlockMemory:
         finally:
             tracemalloc.stop()
         assert peaks["score"] <= 3.5 * block + (C + 2) * rows, peaks
+        # the end-of-round pass scores as above and predicts: one intp more
+        # per row; what it carries into the next round is three values per
+        # row (ids, scores, similarity labels), the centroids and theta
+        assert peaks["end of round"] <= 3.5 * block + (C + 3) * rows, peaks
+        scored, pred = out["end of round"]
+        assert pred.nbytes == rows
+        carried = [v.nbytes if isinstance(v, np.ndarray) else v.A.nbytes + v.counts.nbytes
+                   for v in vars(scored).values()]
+        assert sum(carried) <= 3 * rows + model.theta.nbytes + C * (d_feat + 1) * 8, carried
         assert peaks["evaluate"] <= 1.5 * block + (d_in + C + 3) * rows, peaks
         # probabilities, predictions, confidences, scores, labels and masks
         # per row; inputs and features per proxy row, and its (id, label) pair
@@ -922,11 +1033,11 @@ class TestSketchedFit:
         real_select, real_em = harness._select_diana, harness.run_em
         starts, fitted, checked = [], [], []
 
-        def select_spy(model, pool, cfg, b):
+        def select_spy(model, pool, cfg, b, scored):
             params = {k: v.copy() for k, v in model.params().items()}
             labeled = pool.labeled_arrays(include_source=cfg.sfda is None)
             starts.append((params, labeled, *pool.unlabeled_arrays()))
-            return real_select(model, pool, cfg, b)
+            return real_select(model, pool, cfg, b, scored)
 
         def em_spy(ts):
             fitted.append(ts.unlabeled_scores.size)

@@ -343,6 +343,17 @@ class TestRowIndependence:
         for name, g, whole in zip(("log_proba", "predict", "scores", "labels"), got, outputs):
             np.testing.assert_array_equal(g, whole[rows], err_msg=name)
 
+    def test_the_scoring_pass_predicts_as_predict(self, whole_pool):
+        """Given a pred array, the scoring pass fills it with predict's
+        classes from the head blocks it scores with, and its scores and
+        labels stay as they were."""
+        model, X, cs, k, (_, predicted, scores, labels) = whole_pool
+        pred = np.full(self.N, -1, dtype=np.intp)
+        got = info_scores_unlabeled(model, cs, X, k, pred)
+        np.testing.assert_array_equal(pred, predicted)
+        np.testing.assert_array_equal(got[0], scores)
+        np.testing.assert_array_equal(got[1], labels)
+
 
 def obs_label_of(model, x, y, tau):
     return Category(int(observation_labels(model, x[None, :], [y], tau)[0]))

@@ -12,7 +12,9 @@ first run. The tool then runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
 in each export, one run at a time. Pair i uses the i-th --seed (cycling
 through them when there are fewer seeds than pairs), and the side that runs
-first flips every pair, parent first in pair 0.
+first flips every pair, parent first in pair 0. The workload must be `all`
+or a name in the NAMES tuple of both commits' perfbench/workloads.py; any
+other is refused before the first export too.
 
 For every end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles and the change's wins (ties count for neither side), and
@@ -20,7 +22,9 @@ whether the gain rule holds: the change wins at least 9 pairs in 10, and
 its median is better than the parent's by more than the parent's
 interquartile range. Beside it, the median and quartiles of the per-pair
 ratio change/parent show how consistent the shift is from pair to pair;
-they are evidence only and take no part in the rule. After the pairs, each
+they are evidence only and take no part in the rule. With `--workload all`
+the runs name their metrics `<workload>/<metric>`, and every line here is
+printed once per workload the runs report. After the pairs, each
 side makes one more run with `--trace 1`, at the first --seed, in the same
 export, and the tool prints every per_layer metric of BENCHMARK.json whose
 unit is count, parent and change side by side with the exact difference
@@ -39,6 +43,7 @@ failed adaptation run.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -90,6 +95,27 @@ def resolve(rev: str) -> str:
     return found.stdout.strip()
 
 
+def workload_names(commit: str) -> tuple[str, ...]:
+    """The NAMES tuple of perfbench/workloads.py at commit, read without
+    importing it; SystemExit when the file or the tuple is missing."""
+    shown = subprocess.run(["git", "show", f"{commit}:perfbench/workloads.py"],
+                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    if shown.returncode == 0:
+        for node in ast.parse(shown.stdout).body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "NAMES" for target in node.targets):
+                return tuple(ast.literal_eval(node.value))
+    raise SystemExit(f"commit {commit} has no NAMES tuple in perfbench/workloads.py")
+
+
+def result_keys(names, reported) -> list[str]:
+    """The result keys of each metric in names: the name itself for one
+    workload; for `--workload all`, `<workload>/<name>` for each workload
+    the reported keys name, in their order."""
+    prefixes = dict.fromkeys(key.rpartition("/")[0] for key in reported)
+    return [f"{prefix}/{name}" if prefix else name for prefix in prefixes for name in names]
+
+
 def export(commit: str, dest: Path) -> Path:
     """The tree of commit, written into the new directory dest."""
     archive = subprocess.run(["git", "archive", commit], stdout=subprocess.PIPE, check=True)
@@ -117,16 +143,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 def work_counts(per_layer, traced: dict) -> dict:
     """{metric: {"parent", "change", "difference"}} for each count metric of
-    per_layer, read from the traced result of each side; a value a side does
-    not report, and the difference beside it, are None."""
+    per_layer (under each workload's key, result_keys), read from the traced
+    result of each side; a value a side does not report, and the difference
+    beside it, are None."""
+    names = [metric["name"] for metric in per_layer if metric["unit"] == "count"]
+    reported = [*traced["parent"]["metrics"], *traced["change"]["metrics"]]
     out = {}
-    for metric in per_layer:
-        if metric["unit"] != "count":
-            continue
-        name = metric["name"]
-        p, c = (traced[side]["metrics"].get(name, {}).get("value") for side in ("parent", "change"))
-        out[name] = {"parent": p, "change": c,
-                     "difference": None if p is None or c is None else c - p}
+    for key in result_keys(names, reported):
+        p, c = (traced[side]["metrics"].get(key, {}).get("value") for side in ("parent", "change"))
+        out[key] = {"parent": p, "change": c,
+                    "difference": None if p is None or c is None else c - p}
     return out
 
 
@@ -144,6 +170,11 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=_pairs, default=10)
     args = ap.parse_args(argv)
     commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    if args.workload != "all":
+        for side, commit in commits.items():
+            if args.workload not in workload_names(commit):
+                raise SystemExit(f"--workload {args.workload!r} is neither 'all' nor a "
+                                 f"workload of the {side} commit {commit}")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sides = {name: export(commit, Path(tmp) / name) for name, commit in commits.items()}
         return compare(args, commits, sides)
@@ -163,20 +194,22 @@ def compare(args, commits: dict, sides: dict) -> int:
             result["host"] = host
             ok &= bool(result["correct"]) and result["failed"] == 0
             results[name].append(result)
-            run_s = result["metrics"].get("run_s", {}).get("value")
-            print(f"pair {i} seed {seed} {name}: run_s {run_s} failed {result['failed']} "
+            run_s = {key: result["metrics"].get(key, {}).get("value")
+                     for key in result_keys(["run_s"], result["metrics"])}
+            print(f"pair {i} seed {seed} {name}: {json.dumps(run_s)} failed {result['failed']} "
                   f"host {json.dumps(host)}", file=sys.stderr)
     traced = {name: run_once(sides[name], args.workload, args.seed[0], args.seconds, trace=1)
               for name in ("parent", "change")}
     ok &= all(bool(r["correct"]) and r["failed"] == 0 for r in traced.values())
     benchmark = json.loads(BENCHMARK.read_text())
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}, {args.seconds:g} s runs")
-    for metric in benchmark["end_to_end"]:
-        name = metric["name"]
-        values = {side: [r["metrics"][name]["value"] for r in runs]
+    metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
+    for key in result_keys(list(metrics), results["parent"][0]["metrics"]):
+        metric = metrics[key.rpartition("/")[2]]
+        values = {side: [r["metrics"][key]["value"] for r in runs]
                   for side, runs in results.items()}
         s = summarize(values["parent"], values["change"], metric["better"])
-        print(f"{name} ({metric['unit']}, {metric['better']} is better): "
+        print(f"{key} ({metric['unit']}, {metric['better']} is better): "
               f"parent {s['parent'][1]:.6g} [{s['parent'][0]:.6g}, {s['parent'][2]:.6g}] "
               f"change {s['change'][1]:.6g} [{s['change'][0]:.6g}, {s['change'][2]:.6g}] "
               f"wins {s['wins']}/{s['pairs']} losses {s['losses']} "
