@@ -29,9 +29,10 @@ def _row_blocks(n: int):
     OpenBLAS at C = 5 every block's rows then equal those of the
     whole-matrix products bit for bit. At other C, a head product of a
     block can fall under the small-matrix size (about 1e6 multiply-adds)
-    where the whole product does not, and move log-probabilities by a few
-    ulps. Callers reduce over the full per-row outputs, never over
-    per-block partial sums, so every reduction keeps its rounding.
+    where the whole product does not, and move a subset's scores by a few
+    ulps; evaluation predicts unlabeled rows in the blocks that score them.
+    Callers reduce over the full per-row outputs, never over per-block
+    partial sums, so every reduction keeps its rounding.
     """
     count = max(1, -(-n // ROW_BLOCK))
     bounds = [i * n // count for i in range(count + 1)]

@@ -231,19 +231,21 @@ def start_run(cfg: LoopConfig, pool: DataPool) -> Classifier:
 
 
 def evaluate(model: Classifier, pool: DataPool, unlabeled_pred=None) -> float:
-    """Accuracy over the full target domain, annotated samples included.
-    unlabeled_pred, when given, holds model.predict's classes of the
-    unlabeled rows in id order (pool.unlabeled_arrays), from the pass that
-    scored them; then only the annotated rows go through the model here."""
+    """Accuracy over the full target domain, annotated samples included: the
+    annotated rows are predicted, then the unlabeled rows (pool.unlabeled_arrays)
+    in their own row blocks, unless unlabeled_pred holds model.predict's
+    classes of them from the pass that scored them, which is the same argmax."""
     X, truth = pool.evaluation_arrays()
     if truth.size == 0:
         raise ValueError("no target samples to evaluate")
+    n_t = pool.sizes[1]  # the T rows come first, then U in id order
+    if unlabeled_pred is not None and np.shape(unlabeled_pred) != (truth.size - n_t,):
+        raise ValueError(f"unlabeled_pred has shape {np.shape(unlabeled_pred)}, not one "
+                         f"class for each of the {truth.size - n_t} unlabeled rows")
+    pred = model.predict(X[:n_t])
     if unlabeled_pred is None:
-        pred = model.predict(X)
-    else:  # the T rows come first, then U in id order
-        n_t = truth.size - unlabeled_pred.size
-        pred = np.concatenate([model.predict(X[:n_t]), unlabeled_pred])
-    return float(np.mean(pred == truth))
+        unlabeled_pred = model.predict(X[n_t:])
+    return float(np.mean(np.concatenate([pred, unlabeled_pred]) == truth))
 
 
 # -- per-round selection -----------------------------------------------------
@@ -512,12 +514,12 @@ def consistency_diagnostic(
     centroids = compute_centroids(model, X_lab, y_lab)
     losses = np.empty(u_ids.size)
     consistent = {k: np.empty(u_ids.size, dtype=bool) for k in ks}
+    pred = np.empty(u_ids.size, dtype=np.intp)
     for rows, F in model.feature_blocks(u_X):
-        logp = model.head_log_proba(F)
+        logp = model.head_log_proba(F, pred[rows])
         losses[rows] = _scores_at(logp, truth[rows])
-        pred = np.argmax(logp, axis=1)
         for k, flags in consistent.items():
-            flags[rows] = pred == similarity_labels(F, centroids, k)
+            flags[rows] = pred[rows] == similarity_labels(F, centroids, k)
     out = {}
     for k, flags in consistent.items():
         out[k] = {}

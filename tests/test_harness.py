@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -31,7 +32,13 @@ from activeadapt.harness import (
     AGGREGATE_FIELDS,
 )
 from activeadapt.sampler import SfdaConfig, sfda_bootstrap
-from activeadapt.scoring import Category, compute_centroids, info_scores_unlabeled
+from activeadapt.scoring import (
+    LOG_PROB_FLOOR,
+    Category,
+    compute_centroids,
+    info_scores_unlabeled,
+    similarity_labels,
+)
 
 from step_reference import train_epochs_ref, windows_ref
 from test_classifier import _bits, _clone, block_sizes
@@ -574,23 +581,65 @@ class TestEndOfRoundPass:
         assert len(batches) == 3
         assert seen["starts"] == ([1, 0, 0] if change is None else [1, 1, 1])
 
+    @staticmethod
+    def annotated_pool(C, n_target=200):
+        """A generated pool at C classes given in a permuted row order, with
+        six target rows annotated whose ids interleave the unlabeled ones,
+        and a model pretrained on its source rows."""
+        ids, X, y, source = TestRowOrder.rows(C, n_target, d_in=16)
+        perm = np.random.default_rng(4).permutation(ids.size)
+        pool = DataPool(C, ids[perm], X[perm], y[perm], source[perm])
+        pool.annotate_batch(ids[~source][[150, 3, 77, 17, 199, 40]].tolist())
+        model = Classifier.initialize(16, 64, C, np.random.default_rng(2))
+        pretrain_source(model, pool, fast_train(), epochs=3)
+        return model, pool
+
     def test_evaluation_from_the_pass_is_bit_identical(self):
         """evaluate with the pass's predictions of the unlabeled rows equals
-        evaluate alone, bit for bit, on a pool given in a permuted row order
-        whose annotated rows interleave the unlabeled ones by id."""
-        ids, X, y, source = TestRowOrder.rows()
-        perm = np.random.default_rng(4).permutation(ids.size)
-        pool = DataPool(5, ids[perm], X[perm], y[perm], source[perm])
-        pool.annotate_batch(ids[~source][[150, 3, 77, 17, 199, 40]].tolist())
-        model = Classifier.initialize(8, 16, 5, np.random.default_rng(2))
-        pretrain_source(model, pool, fast_train(), epochs=3)
-        cfg = fast_loop(d_feat=16)
-        X_l, y_l = pool.labeled_arrays()
-        scored, pred = harness._score_pool(model, cfg, X_l, y_l, *pool.unlabeled_arrays())
-        np.testing.assert_array_equal(scored.ids, pool.target_unlabeled)
-        np.testing.assert_array_equal(pred, model.predict(pool.unlabeled_arrays()[1]))
-        carried, plain = evaluate(model, pool, pred), evaluate(model, pool)
-        assert carried.hex() == plain.hex() and 0 < plain < 1
+        evaluate alone, bit for bit, at C = 2, 3, 5 and 10, on a pool whose
+        unlabeled rows span three row blocks and whose annotated rows
+        interleave them by id."""
+        cfg = fast_loop(d_feat=64)
+        for C in (2, 3, 5, 10):
+            model, pool = self.annotated_pool(C, 2 * ROW_BLOCK + 7)
+            assert pool.sizes[2] > 2 * ROW_BLOCK
+            X_l, y_l = pool.labeled_arrays()
+            scored, pred = harness._score_pool(model, cfg, X_l, y_l, *pool.unlabeled_arrays())
+            np.testing.assert_array_equal(scored.ids, pool.target_unlabeled)
+            np.testing.assert_array_equal(pred, model.predict(pool.unlabeled_arrays()[1]))
+            carried, plain = evaluate(model, pool, pred), evaluate(model, pool)
+            assert carried.hex() == plain.hex() and 0 < plain < 1, C
+
+    def test_plain_evaluation_predicts_annotated_then_unlabeled_rows(self, monkeypatch):
+        """Without carried predictions, evaluate calls predict twice: on the
+        annotated rows, in annotation order, then on the unlabeled rows in
+        id order, as pool.unlabeled_arrays gives them; never on both at once."""
+        model, pool = self.annotated_pool(5)
+        calls, real = [], Classifier.predict
+
+        def spy(self, X):
+            calls.append(np.array(X))
+            return real(self, X)
+
+        monkeypatch.setattr(Classifier, "predict", spy)
+        evaluate(model, pool)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], pool.labeled_arrays(include_source=False)[0])
+        assert calls[1].tobytes() == pool.unlabeled_arrays()[1].tobytes()
+        assert calls[1].shape == (pool.sizes[2], 16)
+
+    def test_wrong_length_predictions_are_refused(self):
+        """Carried predictions must hold one class per unlabeled row: one too
+        many, one too few or a 2-D array raise, naming both counts, rather
+        than shifting every prediction against the true labels."""
+        model, pool = self.annotated_pool(5)
+        pred = model.predict(pool.unlabeled_arrays()[1])
+        n_u = pool.sizes[2]
+        assert pred.shape == (n_u,) and evaluate(model, pool, pred) == evaluate(model, pool)
+        for wrong in (np.append(pred, 0), pred[:-1], pred[:, None]):
+            named = f"shape {re.escape(str(wrong.shape))}, not one class for each of the {n_u} "
+            with pytest.raises(ValueError, match=named):
+                evaluate(model, pool, wrong)
 
 
 class TestSelectedErrorRate:
@@ -708,11 +757,11 @@ class TestRowOrder:
     gives byte-identical reports under every strategy and source-free."""
 
     @staticmethod
-    def rows():
+    def rows(C=5, n_target=200, d_in=8):
         """A generated desk-shaped pool's ids, X, labels and source flags,
         in id order (generated source rows hold ids 0..n_source-1)."""
         pool = generate_shifted_dataset(
-            ShiftConfig(C=5, d_in=8, n_source=60, n_target=200, seed=3)
+            ShiftConfig(C=C, d_in=d_in, n_source=60, n_target=n_target, seed=3)
         )
         X_s, y_s = pool.source_arrays()
         t_ids, X_t = pool.target_arrays()
@@ -886,6 +935,26 @@ class TestDiagnostic:
         sizes = block_sizes(monkeypatch)
         consistency_diagnostic(model, pool, ks=[2, 4, 8])
         assert sizes == [60, 5461, 5462, 5462]
+
+    @pytest.mark.parametrize("C", [2, 3, 5, 10])
+    def test_rates_are_those_of_predict_and_similarity_labels(self, C):
+        """One k's low/high rates, recomputed from model.predict's classes,
+        the similarity labels and -log P of the true labels, equal the
+        diagnostic's exactly at every class count: its predictions are the
+        argmax logit, the class predict and the end-of-round pass give."""
+        model, pool = TestEndOfRoundPass.annotated_pool(C)
+        out = consistency_diagnostic(model, pool, ks=[8], quantiles=(0.25, 0.5))
+        u_ids, u_X = pool.unlabeled_arrays()
+        centroids = compute_centroids(model, *pool.labeled_arrays())
+        consistent = model.predict(u_X) == similarity_labels(model.features(u_X), centroids, 8)
+        assert 0 < consistent.mean() < 1
+        logp = model.log_proba(u_X)
+        truth = pool.evaluation_labels(u_ids)
+        losses = -np.maximum(logp[np.arange(u_ids.size), truth], LOG_PROB_FLOOR)
+        for q in (0.25, 0.5):
+            low = losses <= np.quantile(losses, q)
+            want = {"low": float(np.mean(consistent[low])), "high": float(np.mean(consistent[~low]))}
+            assert out[8][q] == want
 
 
 class TestRowBlockMemory:

@@ -30,6 +30,14 @@ def _round(r):
             "converged": True,
             "objective": -100.0,
         },
+        "losses": {
+            "supervised": 0.5,
+            "consistency": 0.25,
+            "entropy": 1.0,
+            "total": 0.75,
+            "empty_consistency_batch": False,
+            "empty_entropy_batch": False,
+        },
     }
 
 
@@ -77,7 +85,12 @@ def test_identical_dumps_exit_zero(tmp_path, capsys):
     (lambda run: run[1].update(accuracy=0.5), 2, {"accuracy": 0.25, "final_accuracy": 0.0}),
     (lambda run: run[0].update(gmm=None), 1,
      {key: math.inf for key in ("pi", "mu", "sigma2", "objective")}),
-    (lambda run: run[1].update(selected_error_rate=0.25), 2, {}),
+    (lambda run: run[1].update(selected_error_rate=0.25), 2, {"error_rate": 0.25}),
+    (lambda run: run[2].update(selected_error_rate=None), 3, {"error_rate": math.inf}),
+    (lambda run: run[1]["losses"].update(total=1.0), 2, {"losses": 0.25}),
+    (lambda run: run[2]["losses"].update(entropy=0.8, supervised=0.45), 3, {"losses": 0.2}),
+    (lambda run: run[0].pop("losses"), 1, {"losses": math.inf}),
+    (lambda run: run[0]["losses"].update(empty_entropy_batch=True), 1, {}),
     (lambda run: run.pop(), 3, {}),
 ])
 def test_each_planted_difference_is_found(tmp_path, capsys, change, first, expect):
@@ -87,7 +100,8 @@ def test_each_planted_difference_is_found(tmp_path, capsys, change, first, expec
     planted = _plant(change)
     got = report_diff.diff_run(RUN, planted)
     want = {"first": first, "moved": 0, "partition": 0, "accuracy": 0.0, "final_accuracy": 0.0,
-            "pi": 0.0, "mu": 0.0, "sigma2": 0.0, "objective": 0.0}
+            "pi": 0.0, "mu": 0.0, "sigma2": 0.0, "objective": 0.0, "losses": 0.0,
+            "error_rate": 0.0}
     if len(planted) < len(RUN):
         want["final_accuracy"] = planted[-1]["accuracy"] - RUN[-1]["accuracy"]
     want.update(expect)

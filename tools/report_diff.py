@@ -15,6 +15,10 @@ whose reports are identical reads `identical`; otherwise the line gives
 - the largest relative drift |a - b| / max(|a|, |b|) of the mixture's pi,
   mu and sigma2 and of its objective over those rounds (inf where only one
   side fitted a mixture);
+- the largest relative drift of the loss report's supervised,
+  consistency, entropy and total terms (inf where only one side reported
+  losses) and the largest |d| of selected_error_rate (inf where only one
+  side has a rate);
 - the largest change of a partition size, in rows, and the final and
   largest accuracy deltas (B - A).
 
@@ -32,6 +36,7 @@ import sys
 from pathlib import Path
 
 MIXTURE = ("pi", "mu", "sigma2", "objective")
+LOSSES = ("supervised", "consistency", "entropy", "total")
 
 
 def rel_drift(a, b) -> float:
@@ -42,13 +47,14 @@ def rel_drift(a, b) -> float:
 def diff_run(a: list[dict], b: list[dict]) -> dict | None:
     """None when the two runs' reports are identical, else the figures the
     module docstring lists, keyed first, moved, pi, mu, sigma2, objective,
-    partition, final_accuracy and accuracy."""
+    losses, error_rate, partition, final_accuracy and accuracy."""
     if a == b:
         return None
     pairs = list(zip(a, b))
     differ = [ra["round"] for ra, rb in pairs if ra != rb]
     first = differ[0] if differ else max(a, b, key=len)[len(pairs)]["round"]
-    out = {"first": first, "moved": 0, "partition": 0, "accuracy": 0.0}
+    out = {"first": first, "moved": 0, "partition": 0, "accuracy": 0.0,
+           "losses": 0.0, "error_rate": 0.0}
     out.update(dict.fromkeys(MIXTURE, 0.0))
     for ra, rb in pairs:
         out["moved"] += len(set(ra["selected_ids"]) - set(rb["selected_ids"]))
@@ -61,6 +67,17 @@ def diff_run(a: list[dict], b: list[dict]) -> dict | None:
                 if key == "objective":
                     va, vb = [va], [vb]
                 out[key] = max(out[key], rel_drift(va, vb))
+        la, lb = ra.get("losses"), rb.get("losses")
+        if (la is None) != (lb is None):
+            out["losses"] = math.inf
+        elif la is not None:
+            drift = rel_drift([la[key] for key in LOSSES], [lb[key] for key in LOSSES])
+            out["losses"] = max(out["losses"], drift)
+        ea, eb = ra["selected_error_rate"], rb["selected_error_rate"]
+        if (ea is None) != (eb is None):
+            out["error_rate"] = math.inf
+        elif ea is not None:
+            out["error_rate"] = max(out["error_rate"], abs(eb - ea))
         sa, sb = ra["partition_sizes"], rb["partition_sizes"]
         for cat in set(sa) | set(sb):
             out["partition"] = max(out["partition"], abs(sb.get(cat, 0) - sa.get(cat, 0)))
@@ -75,6 +92,7 @@ def describe(d: dict | None) -> str:
     drift = " ".join(f"{key} {d[key]:.3g}" for key in MIXTURE)
     return (
         f"first differing round {d['first']}; ids moved {d['moved']}; drift {drift}; "
+        f"losses drift {d['losses']:.3g}; error rate max |d| {d['error_rate']:.6g}; "
         f"partition max |d| {d['partition']}; accuracy final {d['final_accuracy']:+.6g} "
         f"max |d| {d['accuracy']:.6g}"
     )
