@@ -261,13 +261,20 @@ def _checked_labels(
     return y
 
 
+def _log_proba_at(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's log-probability at its label; ValueError unless there is
+    exactly one label per row."""
+    if len(y) != len(logp):
+        raise ValueError(f"{len(y)} labels for {len(logp)} rows")
+    return logp[np.arange(len(y)), y]
+
+
 def loss_supervised(model: Classifier, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy -log P_y(x) over a labeled batch."""
     y = _checked_labels(y, model.C)
     if len(y) == 0:
         raise ValueError("supervised batch must be non-empty")
-    logp = model.log_proba(X)
-    return float(-np.mean(logp[np.arange(len(y)), y]))
+    return float(-np.mean(_log_proba_at(model.log_proba(X), y)))
 
 
 def loss_entropy(model: Classifier, X: np.ndarray) -> float:

@@ -99,10 +99,13 @@ class SfdaConfig:
 def smallest_first(key, ids, b: int) -> np.ndarray:
     """Positions of the min(b, n) smallest keys, smallest first, ties to the
     smaller id and NaN keys last, as a sort of every row by key, then id,
-    ranks them. Only the rows at or below the b-th smallest key are sorted."""
+    ranks them. Only the rows at or below the b-th smallest key are sorted.
+    ValueError unless there is exactly one key per id."""
     if b < 0:
         raise ValueError("batch size must be nonnegative")
     key, ids = np.asarray(key, dtype=float), np.asarray(ids)
+    if key.size != ids.size:
+        raise ValueError(f"{key.size} keys for {ids.size} ids")
     b = min(b, key.size)
     if b == 0:
         return np.zeros(0, dtype=np.intp)

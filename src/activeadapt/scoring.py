@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .classifier import Classifier, _checked_labels
+from .classifier import Classifier, _checked_labels, _log_proba_at
 
 PROB_FLOOR = 1e-12
 LOG_PROB_FLOOR = float(np.log(PROB_FLOOR))
@@ -69,15 +69,21 @@ def compute_centroids(model: Classifier, X: np.ndarray, y: np.ndarray) -> Centro
 
 
 def _topk_mask(F: np.ndarray, k: int) -> np.ndarray:
-    """Exactly k entries per row, the largest by magnitude; among entries
-    equal to the k-th largest, the smaller index wins."""
+    """Each row's top-k set as a 0/1 float mask: the k entries largest by
+    magnitude; among entries equal to the k-th largest, the smaller index
+    wins. 1 <= k <= d."""
     mag = np.abs(F)
     d = mag.shape[1]
-    kth = np.partition(mag, d - k, axis=1)[:, d - k, None]
-    mask = mag >= kth
-    over = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
+    ranked = np.sort(mag, axis=1)
+    kth = ranked[:, d - k, None]
+    mask = np.greater_equal(mag, kth, out=mag)  # in place, as floats
+    if k == d:
+        return mask
+    # a row has more than k members when the magnitude ranked just below
+    # its k-th equals it; only those rows are cut to k, by index
+    over = np.flatnonzero(ranked[:, d - k - 1] == kth[:, 0])
     if over.size:
-        rows, cut = mag[over], kth[over]
+        rows, cut = np.abs(F[over]), kth[over]
         above, tied = rows > cut, rows == cut
         room = k - np.count_nonzero(above, axis=1)
         mask[over] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
@@ -96,25 +102,13 @@ def similarity_labels(
     d = F.shape[1]
     if k > d:
         raise ValueError(f"k={k} exceeds feature dimension {d}")
-    C = centroids.C
-    # the centroid masks and a ones row, whose product with a row's mask is
-    # the row's member count
-    c_mask = np.ones((C + 1, d))
-    c_mask[:C] = _topk_mask(centroids.A, k)
-    mag = np.abs(F)
-    kth = np.sort(mag, axis=1)[:, d - k, None]
-    mask = np.greater_equal(mag, kth, out=mag)  # in place, as floats
     # intersection counts, exact in float64; both sets have k members, so
     # IoU = i / (2k - i) rises with the count i
-    inter = c_mask @ mask.T
-    # a row with entries tied at its k-th magnitude has more than k members
-    over = np.flatnonzero(inter[C] > k)
-    if over.size:
-        inter[:, over] = c_mask @ _topk_mask(F[over], k).T
+    inter = _topk_mask(centroids.A, k) @ _topk_mask(F, k).T
     # the first largest count: only a strictly larger one moves the label
     labels = np.zeros(F.shape[0], dtype=np.intp)
     best = inter[0]  # the running maximum, over class 0's counts
-    for c in range(1, C):
+    for c in range(1, centroids.C):
         better = inter[c] > best
         labels[better] = c
         np.maximum(best, inter[c], out=best)
@@ -127,7 +121,7 @@ def similarity_labels(
 def _scores_at(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """-log P at each row's label, the probability floored at 1e-12 so that
     saturated predictions cannot produce infinities."""
-    return -np.maximum(logp[np.arange(len(labels)), labels], LOG_PROB_FLOOR)
+    return -np.maximum(_log_proba_at(logp, labels), LOG_PROB_FLOOR)
 
 
 def info_scores_unlabeled(

@@ -19,44 +19,76 @@ PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # quartiles 1.225, 
 
 def test_ties_count_for_neither_side():
     change = [1.0, 1.1, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 2.0]
-    s = summarize(PARENT, change, "lower")
+    s = summarize(PARENT, change, "lower", 0.25)
     assert (s["wins"], s["losses"], s["pairs"]) == (7, 1, 10)
     assert not s["rule_holds"]
 
 
 def test_nine_of_ten_with_a_gap_beyond_the_iqr_holds():
     change = [p - 0.6 for p in PARENT[:9]] + [2.5]
-    s = summarize(PARENT, change, "lower")
+    s = summarize(PARENT, change, "lower", 0.25)
     assert (s["wins"], s["losses"]) == (9, 1)
     assert s["parent"] == pytest.approx((1.225, 1.45, 1.675))
     assert s["parent"][1] - s["change"][1] > s["parent"][2] - s["parent"][0]
     assert s["rule_holds"]
     # eight wins are too few, whatever the gap
-    assert not summarize(PARENT, change[:8] + [2.5, 2.5], "lower")["rule_holds"]
+    assert not summarize(PARENT, change[:8] + [2.5, 2.5], "lower", 0.25)["rule_holds"]
 
 
 def test_a_gap_below_the_parent_iqr_does_not_hold():
     change = [p - 0.4 for p in PARENT]  # 10/10 wins, gap 0.4 < IQR 0.45
-    s = summarize(PARENT, change, "lower")
+    s = summarize(PARENT, change, "lower", 0.25)
     assert s["wins"] == 10 and not s["rule_holds"]
 
 
 def test_higher_is_better_counts_the_other_way():
-    s = summarize(PARENT, [p + 0.6 for p in PARENT], "higher")
+    s = summarize(PARENT, [p + 0.6 for p in PARENT], "higher", 0.25)
     assert s["wins"] == 10 and s["rule_holds"]
-    assert summarize(PARENT, [p + 0.6 for p in PARENT], "lower")["losses"] == 10
+    assert summarize(PARENT, [p + 0.6 for p in PARENT], "lower", 0.25)["losses"] == 10
 
 
 def test_ratio_quartiles_are_per_pair_and_outside_the_rule():
     # each pair's change/parent is 0.9, whatever the spread across pairs
-    s = summarize(PARENT, [0.9 * p for p in PARENT], "lower")
+    s = summarize(PARENT, [0.9 * p for p in PARENT], "lower", 0.25)
     assert s["ratio"] == pytest.approx((0.9, 0.9, 0.9))
     assert s["wins"] == 10 and not s["rule_holds"]  # gap 0.145 < IQR 0.45
     ratios = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.95, 1.0]
     change = [p * r for p, r in zip(PARENT, ratios)]
-    assert summarize(PARENT, change, "lower")["ratio"] == pytest.approx((0.6125, 0.725, 0.8375))
+    want = pytest.approx((0.6125, 0.725, 0.8375))
+    assert summarize(PARENT, change, "lower", 0.25)["ratio"] == want
     # the ratio reads the same way whichever direction is better
-    assert summarize(PARENT, change, "higher")["ratio"] == pytest.approx((0.6125, 0.725, 0.8375))
+    assert summarize(PARENT, change, "higher", 0.25)["ratio"] == want
+
+
+NARROW = [1.0 + 0.01 * i for i in range(10)]  # quartiles 1.0225, 1.045, 1.0675
+
+
+@pytest.mark.parametrize("change, better, bound, verdict", [
+    ([1.2 * p for p in NARROW], "lower", 0.25, "holds"),  # 20% worse, within the bound
+    ([1.3 * p for p in NARROW], "lower", 0.25, "regressed"),  # 30% worse
+    ([0.5 * p for p in NARROW], "lower", 0.25, "holds"),
+    ([0.97 * p for p in NARROW], "higher", 0.05, "holds"),  # 3% worse
+    ([0.9 * p for p in NARROW], "higher", 0.05, "regressed"),  # 10% worse
+    ([1.9 * p for p in NARROW], "higher", 0.05, "holds"),
+])
+def test_no_regression_verdict_reads_the_bound_as_a_share_of_the_parent_median(
+        change, better, bound, verdict):
+    s = summarize(NARROW, change, better, bound)
+    assert s["verdict"] == verdict
+
+
+def test_a_parent_spread_wider_than_the_bound_leaves_the_verdict_unresolved():
+    """PARENT's IQR is 31% of its median: an unchanged side, a small loss and
+    a gain that overlaps the parent runs cannot be told apart, whichever way
+    the median moves. A change whose every run beats every parent run holds."""
+    for change in (PARENT, [1.1 * p for p in PARENT], [0.9 * p for p in PARENT]):
+        assert summarize(PARENT, change, "lower", 0.25)["verdict"] == "unresolved"
+    assert summarize(PARENT, [0.99] * 10, "lower", 0.25)["verdict"] == "holds"
+    assert summarize(PARENT, [1.0] * 10, "lower", 0.25)["verdict"] == "unresolved"  # a tie
+    assert summarize(PARENT, [1.91] * 10, "higher", 0.25)["verdict"] == "holds"
+    assert summarize(PARENT, [0.99] * 10, "higher", 0.25)["verdict"] == "unresolved"
+    # within the bound the same spread resolves
+    assert summarize(PARENT, PARENT, "lower", 0.35)["verdict"] == "holds"
 
 
 def _git(repo: Path, *args: str) -> str:
@@ -170,7 +202,7 @@ def test_exit_status_reports_failed_runs(repo, capsys):
     assert bench_pairs.main([good, good, *ARGV]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "run_s (s, lower is better)" in out[2] and "wins 0/2 losses 0" in out[2]
-    assert out[2].endswith("rule does not hold change/parent 1 [1, 1]")
+    assert out[2].endswith("rule does not hold change/parent 1 [1, 1] verdict holds")
     runs = json.loads(out[-1])["runs"]
     assert len(runs["change"]) == 2
     for run in runs["parent"] + runs["change"]:
@@ -238,6 +270,18 @@ def test_all_compares_every_workload_metric(repo, capsys):
         "parent": 1013611.0, "change": 813711.0, "difference": -199900.0}
     assert ("wide/classifier.forward_rows (count, traced, seed 1): parent 1013611 "
             "change 813711 difference -199900") in out
+
+
+def test_each_metric_line_and_the_last_line_carry_the_verdict(repo, capsys):
+    parent, change = repo(run_s=1.0), repo(run_s=1.3)
+    assert bench_pairs.main([parent, change, *ARGV]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].startswith("run_s (s, lower is better): parent 1 [1, 1] change 1.3 ")
+    assert out[2].endswith(" verdict regressed")
+    assert out[1].endswith(" verdict holds")
+    assert json.loads(out[-1])["verdicts"] == {
+        "setup_s": "holds", "run_s": "regressed", "round_s": "holds",
+        "peak_rss_mb": "holds", "final_accuracy": "holds"}
 
 
 @pytest.mark.parametrize("workload, parent_names", [

@@ -223,6 +223,22 @@ class TestSupervisedLoss:
                 analytic_flat(model, X, bad, X[:0], [], X[:0], 0.5, 0.1)
         assert loss_supervised(model, X, [0.0, 2.0]) == loss_supervised(model, X, [0, 2])
 
+    @pytest.mark.parametrize("n", [10, 6])
+    def test_label_count_must_match_rows(self, n):
+        """8 labels for 10 rows used to average the first 8 rows only, and
+        for 6 rows failed with a bare IndexError; both name the counts now,
+        in the supervised and in the consistency term."""
+        rng = np.random.default_rng(5)
+        model = random_model(rng)
+        X, y = rng.standard_normal((n, 3)), rng.integers(0, 3, 8)
+        message = f"8 labels for {n} rows"
+        with pytest.raises(ValueError, match=message):
+            loss_supervised(model, X, y)
+        with pytest.raises(ValueError, match=message):
+            combined_loss(model, X, y, X[:0], [], X[:0], 0.5, 0.1)
+        with pytest.raises(ValueError, match=message):
+            combined_loss(model, X[:8], y, X, y, X[:0], 0.5, 0.1)
+
 
 def whole_matrix_log_proba(model, X):
     """Features and log-probabilities of every row from whole-matrix products,

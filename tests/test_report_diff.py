@@ -91,6 +91,14 @@ def test_identical_dumps_exit_zero(tmp_path, capsys):
     (lambda run: run[2]["losses"].update(entropy=0.8, supervised=0.45), 3, {"losses": 0.2}),
     (lambda run: run[0].pop("losses"), 1, {"losses": math.inf}),
     (lambda run: run[0]["losses"].update(empty_entropy_batch=True), 1, {}),
+    (lambda run: run[1]["selected_posteriors"].__setitem__(1, 0.5 + 1e-15), 2,
+     {"posteriors": (0.5 + 1e-15) - 0.5}),  # 1e-15 as the float spacing at 0.5 rounds it
+    (lambda run: run[2].update(selected_posteriors=None), 3, {"posteriors": math.inf}),
+    # a batch of other ids, or of the same ids in another order, is not compared
+    (lambda run: run[0].update(selected_ids=[20, 21, 22], selected_posteriors=[0.0] * 3), 1,
+     {"moved": 3}),
+    (lambda run: run[0].update(selected_ids=[12, 11, 10], selected_posteriors=[0.0] * 3), 1,
+     {}),
     (lambda run: run.pop(), 3, {}),
 ])
 def test_each_planted_difference_is_found(tmp_path, capsys, change, first, expect):
@@ -101,7 +109,7 @@ def test_each_planted_difference_is_found(tmp_path, capsys, change, first, expec
     got = report_diff.diff_run(RUN, planted)
     want = {"first": first, "moved": 0, "partition": 0, "accuracy": 0.0, "final_accuracy": 0.0,
             "pi": 0.0, "mu": 0.0, "sigma2": 0.0, "objective": 0.0, "losses": 0.0,
-            "error_rate": 0.0}
+            "error_rate": 0.0, "posteriors": 0.0}
     if len(planted) < len(RUN):
         want["final_accuracy"] = planted[-1]["accuracy"] - RUN[-1]["accuracy"]
     want.update(expect)

@@ -125,6 +125,21 @@ class TestSelectActiveBatch:
         with pytest.raises(ValueError, match="nonnegative"):
             smallest_first([1.0], [0], -1)
 
+    @pytest.mark.parametrize("n_ids", [10, 6])
+    def test_one_key_per_id(self, n_ids):
+        """8 scores for 10 ids used to rank ids 100-107 only, never 108 or
+        109, and for 6 ids failed with a bare IndexError; both name the
+        counts now."""
+        ids = np.arange(100, 100 + n_ids)
+        scores = np.linspace(0.0, 6.0, 8)
+        message = f"8 keys for {n_ids} ids"
+        with pytest.raises(ValueError, match=message):
+            select_active_batch(ids, scores, WELL_SEPARATED, 3)
+        with pytest.raises(ValueError, match=message):
+            smallest_first(scores, ids, 3)
+        with pytest.raises(ValueError, match=message):
+            smallest_first(scores, ids, 0)
+
     def test_selected_have_maximal_posterior(self):
         rng = np.random.default_rng(1)
         ids = np.arange(30)

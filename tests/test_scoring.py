@@ -29,6 +29,18 @@ from test_classifier import (
     whole_matrix_log_proba,
     x_for_prob,
 )
+from test_harness import _perfbench
+
+CHECKS = _perfbench("checks")  # the benchmark's own top-k rule, read-only
+
+
+def checker_labels(F, A, k):
+    """Similarity labels from the benchmark checker's boolean masks: the
+    argmax of IoU = i / (2k - i) over the exact intersection counts i,
+    smallest class first among ties."""
+    f_mask, c_mask = CHECKS._topk_mask(F, k), CHECKS._topk_mask(A, k)
+    inter = np.stack([np.count_nonzero(f_mask & c, axis=1) for c in c_mask], axis=1)
+    return np.argmax(inter / (2 * k - inter), axis=1)
 
 
 class TestCentroids:
@@ -135,6 +147,42 @@ class TestTopK:
         with pytest.raises(ValueError, match=message):
             similarity_labels(np.array([[1.0, 2.0]]), cs, k)
 
+    def test_planted_ties(self):
+        """Rows whose tie straddles the k-th place, at k = d - 1 (where the
+        magnitude ranked just below the k-th is the smallest) and at k = d,
+        +-x pairs and all-zero rows: every mask is a 0/1 float mask of k
+        entries, against topk_set, and every label against sim_label."""
+        F = np.array([
+            [3.0, 1.0, 5.0, -1.0, 4.0, 2.0],  # two smallest tie: k = d - 1 cuts index 3
+            [-1.0, 1.0, 1.0, 2.0, 3.0, 4.0],  # three smallest tie
+            [2.0, 2.0, 2.0, 2.0, 2.0, 2.0],  # every entry ties
+            [0.5, -0.5, 0.25, -0.25, 1.0, -1.0],  # +-x pairs
+            [-0.25, 0.5, 0.25, -1.0, -0.5, 1.0],  # the same pairs, signs flipped
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 7.0, 0.0, 0.0, -7.0],  # zeros after a +-x pair
+            [1.0, 3.0, 3.0, -3.0, 2.0, 1.0],  # a tie across the k = 2, 3 places
+        ])
+        A = np.array([
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, -1.0, 0.5, 0.5, -0.5, 0.0],
+            [0.0, 0.0, 0.0, 2.0, -2.0, 2.0],
+            [4.0, 3.0, 2.0, 2.0, 1.0, 1.0],
+        ])
+        cs = centroids_from_features(A, np.arange(4), C=4)
+        d = F.shape[1]
+        for k in range(1, d + 1):
+            for rows in (F, A):
+                mask = _topk_mask(rows, k)
+                assert mask.dtype == np.float64
+                assert set(np.unique(mask).tolist()) <= {0.0, 1.0}
+                assert mask.sum(axis=1).tolist() == [k] * len(rows)
+                for row, m in zip(rows, mask):
+                    assert set(np.flatnonzero(m).tolist()) == topk_set(row.tolist(), k)
+            want = [sim_label(f.tolist(), A.tolist(), k) for f in F]
+            assert similarity_labels(F, cs, k).tolist() == want
+        assert top_set(F[0], d - 1) == {0, 1, 2, 4, 5}
+        assert top_set(F[1], d - 1) == {0, 1, 3, 4, 5}
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(TIE_KINDS))
     def test_mask_matches_oracle_on_ties(self, seed, kind):
@@ -212,15 +260,30 @@ class TestSimilarityLabel:
     @pytest.mark.parametrize("n, d, C, k", [(4096, 64, 5, 8), (2048, 256, 10, 32), (3000, 12, 7, 3)])
     def test_largest_overlap_is_largest_iou(self, n, d, C, k):
         """On pool-sized blocks, plain and tie-heavy, the label is the argmax
-        of IoU = i / (2k - i) over the exact per-class intersection counts i,
-        smallest class first among ties."""
+        of IoU = i / (2k - i) over the exact per-class intersection counts i
+        of the benchmark checker's masks, smallest class first among ties."""
         rng = np.random.default_rng(n + d)
         for F in (np.tanh(2.0 * rng.standard_normal((n, d))), tie_heavy(rng, "round", (n, d))):
             cs = centroids_from_features(F[:C], np.arange(C), C=C)
-            f_mask, c_mask = _topk_mask(F, k), _topk_mask(cs.A, k)
-            inter = np.stack([np.count_nonzero(f_mask & c, axis=1) for c in c_mask], axis=1)
-            want = np.argmax(inter / (2 * k - inter), axis=1)
+            want = checker_labels(F, cs.A, k)
             np.testing.assert_array_equal(similarity_labels(F, cs, k), want)
+
+    @pytest.mark.parametrize("C", [2, 3, 5, 10])
+    def test_pool_labels_match_the_checker(self, C):
+        """Over a pool two row blocks plus 500 rows long, with features
+        saturated to +-1.0 in places so that ties straddle the k-th place,
+        the blocked pass's labels equal those of the benchmark checker's
+        masks at every k tried."""
+        rng = np.random.default_rng(C)
+        model = Classifier.initialize(6, 16, C, rng)
+        model.W_hidden[:] *= 40.0  # most features tanh to exactly +-1.0
+        X = rng.standard_normal((2 * ROW_BLOCK + 500, 6))
+        F = model.features(X)
+        assert (np.abs(F) == 1.0).mean() > 0.3
+        cs = compute_centroids(model, X[: 4 * C], np.arange(4 * C) % C)
+        for k in (1, 4, 15, 16):
+            _, labels = info_scores_unlabeled(model, cs, X, k)
+            np.testing.assert_array_equal(labels, checker_labels(F, cs.A, k))
 
 
 class TestInfoScores:
@@ -275,6 +338,15 @@ class TestInfoScores:
         scores_u, sims = info_scores_unlabeled(model, cs, X, k=2)
         scores_l = info_scores_labeled(model, X, sims)
         np.testing.assert_array_equal(scores_u, scores_l)
+
+    @pytest.mark.parametrize("n", [10, 6])
+    def test_label_count_must_match_rows(self, n):
+        """8 labels for 10 rows used to give 8 scores, and for 6 rows failed
+        with a bare IndexError; both name the counts now."""
+        rng = np.random.default_rng(8)
+        model = random_model(rng)
+        with pytest.raises(ValueError, match=f"8 labels for {n} rows"):
+            info_scores_labeled(model, rng.standard_normal((n, 3)), rng.integers(0, 3, 8))
 
     def test_floor_bounds_scores(self):
         model = two_class_model(scale=500.0)

@@ -22,7 +22,12 @@ whether the gain rule holds: the change wins at least 9 pairs in 10, and
 its median is better than the parent's by more than the parent's
 interquartile range. Beside it, the median and quartiles of the per-pair
 ratio change/parent show how consistent the shift is from pair to pair;
-they are evidence only and take no part in the rule. With `--workload all`
+they are evidence only and take no part in the rule. Each line ends with
+the no-regression verdict, evidence only too: `regressed` when the change's
+median is worse than the parent's by more than the metric's BENCHMARK.json
+bound, taken relative to the parent median; `unresolved` when the parent's
+own interquartile range is wider than that share of its median, unless
+every change run beats every parent run; else `holds`. With `--workload all`
 the runs name their metrics `<workload>/<metric>`, and every line here is
 printed once per workload the runs report. After the pairs, each
 side makes one more run with `--trace 1`, at the first --seed, in the same
@@ -31,7 +36,8 @@ unit is count, parent and change side by side with the exact difference
 change - parent (null when a side does not report the metric). These work
 counts are evidence only too. The last line of standard output is one JSON
 object holding each side's commit, every timed run's result and, under
-"counts", the traced counts and their differences. Each timed
+"counts", the traced counts and their differences, and under "verdicts"
+each end-to-end metric's verdict. Each timed
 result carries, under "host", the state of the host just before the run:
 the CPUs this process may run on (nproc), the load averages, and the
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS settings (null
@@ -65,15 +71,24 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent, change, better: str) -> dict:
+def summarize(parent, change, better: str, bound: float) -> dict:
     """The paired comparison of one metric: parent[i] and change[i] come
-    from pair i; better is "lower" or "higher"."""
+    from pair i; better is "lower" or "higher", and bound is the metric's
+    allowed worsening as a share of the parent median."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p1, p_med, p3 = quartiles(parent)
     c1, c_med, c3 = quartiles(change)
     gain = sign * (p_med - c_med)
+    allowed = bound * abs(p_med)
+    beats_every_run = max(change) < min(parent) if sign > 0 else min(change) > max(parent)
+    if p3 - p1 > allowed and not beats_every_run:
+        verdict = "unresolved"
+    elif -gain > allowed:
+        verdict = "regressed"
+    else:
+        verdict = "holds"
     return {
         "parent": (p1, p_med, p3),
         "change": (c1, c_med, c3),
@@ -82,6 +97,7 @@ def summarize(parent, change, better: str) -> dict:
         "pairs": len(parent),
         "ratio": quartiles([c / p if p else math.nan for p, c in zip(parent, change)]),
         "rule_holds": wins >= 0.9 * len(parent) and gain > p3 - p1,
+        "verdict": verdict,
     }
 
 
@@ -204,23 +220,26 @@ def compare(args, commits: dict, sides: dict) -> int:
     benchmark = json.loads(BENCHMARK.read_text())
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}, {args.seconds:g} s runs")
     metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
+    verdicts = {}
     for key in result_keys(list(metrics), results["parent"][0]["metrics"]):
         metric = metrics[key.rpartition("/")[2]]
         values = {side: [r["metrics"][key]["value"] for r in runs]
                   for side, runs in results.items()}
-        s = summarize(values["parent"], values["change"], metric["better"])
+        s = summarize(values["parent"], values["change"], metric["better"], metric["bound"])
+        verdicts[key] = s["verdict"]
         print(f"{key} ({metric['unit']}, {metric['better']} is better): "
               f"parent {s['parent'][1]:.6g} [{s['parent'][0]:.6g}, {s['parent'][2]:.6g}] "
               f"change {s['change'][1]:.6g} [{s['change'][0]:.6g}, {s['change'][2]:.6g}] "
               f"wins {s['wins']}/{s['pairs']} losses {s['losses']} "
               f"rule {'holds' if s['rule_holds'] else 'does not hold'} "
-              f"change/parent {s['ratio'][1]:.4g} [{s['ratio'][0]:.4g}, {s['ratio'][2]:.4g}]")
+              f"change/parent {s['ratio'][1]:.4g} [{s['ratio'][0]:.4g}, {s['ratio'][2]:.4g}] "
+              f"verdict {s['verdict']}")
     counts = work_counts(benchmark["per_layer"], traced)
     for name, c in counts.items():
         print(f"{name} (count, traced, seed {args.seed[0]}): parent {_num(c['parent'])} "
               f"change {_num(c['change'])} difference {_num(c['difference'])}")
     print(json.dumps({"workload": args.workload, "seeds": args.seed, "commits": commits,
-                      "runs": results, "counts": counts}))
+                      "runs": results, "counts": counts, "verdicts": verdicts}))
     if not ok:
         print("a run reported correct: false or a failed adaptation run", file=sys.stderr)
         return 1

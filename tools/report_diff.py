@@ -19,6 +19,8 @@ whose reports are identical reads `identical`; otherwise the line gives
   consistency, entropy and total terms (inf where only one side reported
   losses) and the largest |d| of selected_error_rate (inf where only one
   side has a rate);
+- the largest |d| of selected_posteriors over the rounds whose batches are
+  the same ids in the same order (inf where only one side has posteriors);
 - the largest change of a partition size, in rows, and the final and
   largest accuracy deltas (B - A).
 
@@ -47,14 +49,14 @@ def rel_drift(a, b) -> float:
 def diff_run(a: list[dict], b: list[dict]) -> dict | None:
     """None when the two runs' reports are identical, else the figures the
     module docstring lists, keyed first, moved, pi, mu, sigma2, objective,
-    losses, error_rate, partition, final_accuracy and accuracy."""
+    losses, error_rate, posteriors, partition, final_accuracy and accuracy."""
     if a == b:
         return None
     pairs = list(zip(a, b))
     differ = [ra["round"] for ra, rb in pairs if ra != rb]
     first = differ[0] if differ else max(a, b, key=len)[len(pairs)]["round"]
     out = {"first": first, "moved": 0, "partition": 0, "accuracy": 0.0,
-           "losses": 0.0, "error_rate": 0.0}
+           "losses": 0.0, "error_rate": 0.0, "posteriors": 0.0}
     out.update(dict.fromkeys(MIXTURE, 0.0))
     for ra, rb in pairs:
         out["moved"] += len(set(ra["selected_ids"]) - set(rb["selected_ids"]))
@@ -78,6 +80,12 @@ def diff_run(a: list[dict], b: list[dict]) -> dict | None:
             out["error_rate"] = math.inf
         elif ea is not None:
             out["error_rate"] = max(out["error_rate"], abs(eb - ea))
+        pa, pb = ra["selected_posteriors"], rb["selected_posteriors"]
+        if (pa is None) != (pb is None):
+            out["posteriors"] = math.inf
+        elif pa is not None and ra["selected_ids"] == rb["selected_ids"]:
+            drift = max((abs(y - x) for x, y in zip(pa, pb)), default=0.0)
+            out["posteriors"] = max(out["posteriors"], drift)
         sa, sb = ra["partition_sizes"], rb["partition_sizes"]
         for cat in set(sa) | set(sb):
             out["partition"] = max(out["partition"], abs(sb.get(cat, 0) - sa.get(cat, 0)))
@@ -93,6 +101,7 @@ def describe(d: dict | None) -> str:
     return (
         f"first differing round {d['first']}; ids moved {d['moved']}; drift {drift}; "
         f"losses drift {d['losses']:.3g}; error rate max |d| {d['error_rate']:.6g}; "
+        f"posteriors max |d| {d['posteriors']:.3g}; "
         f"partition max |d| {d['partition']}; accuracy final {d['final_accuracy']:+.6g} "
         f"max |d| {d['accuracy']:.6g}"
     )
