@@ -91,6 +91,7 @@ def test_identical_dumps_exit_zero(tmp_path, capsys):
     (lambda run: run[2]["losses"].update(entropy=0.8, supervised=0.45), 3, {"losses": 0.2}),
     (lambda run: run[0].pop("losses"), 1, {"losses": math.inf}),
     (lambda run: run[0]["losses"].update(empty_entropy_batch=True), 1, {}),
+    (lambda run: run.pop(), 3, {}),
     (lambda run: run[1]["selected_posteriors"].__setitem__(1, 0.5 + 1e-15), 2,
      {"posteriors": (0.5 + 1e-15) - 0.5}),  # 1e-15 as the float spacing at 0.5 rounds it
     (lambda run: run[2].update(selected_posteriors=None), 3, {"posteriors": math.inf}),
@@ -99,7 +100,6 @@ def test_identical_dumps_exit_zero(tmp_path, capsys):
      {"moved": 3}),
     (lambda run: run[0].update(selected_ids=[12, 11, 10], selected_posteriors=[0.0] * 3), 1,
      {}),
-    (lambda run: run.pop(), 3, {}),
 ])
 def test_each_planted_difference_is_found(tmp_path, capsys, change, first, expect):
     """One difference planted in one field of B: the first differing round
