@@ -213,7 +213,10 @@ def init_from_labeled(labeled_scores, labeled_components) -> GmmParams:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array([a[k] @ b[k] for k in range(N_COMPONENTS)])
+    """sum_j a[k, j] b[k, j] for each row k. einsum uses no BLAS, so its
+    sums do not depend on the BLAS thread count, where a BLAS dot product
+    split across threads adds its partial sums in another order."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 class _EmKernel:

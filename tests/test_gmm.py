@@ -8,8 +8,12 @@ given parameters, and its M step from responsibilities the test sets.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -930,3 +934,46 @@ class TestSketch:
         full, sk = run_em(ts), run_em(sketched(ts))
         assert full.converged and sk.converged
         assert sk.params.max_abs_diff(full.params) <= 0.01
+
+
+# A bimodal set of SKETCH_ROWS unlabeled scores, fitted in a fresh
+# interpreter whose BLAS runs on the given number of threads (set before
+# numpy is first imported); prints a hash of the fitted parameters and the
+# objective trace.
+_THREADED_FIT = """
+import hashlib, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from activeadapt.gmm import SKETCH_ROWS, GmmTrainSet, run_em
+
+rng = np.random.default_rng(61)
+side = rng.integers(0, 2, SKETCH_ROWS)
+scores = np.where(side, 2.5, 0.3) + np.where(side, 0.6, 0.2) * rng.standard_normal(SKETCH_ROWS)
+comps = np.repeat(np.arange(1, 5), 20)
+labeled = np.array([0.1, 0.6, 2.0, 3.5])[comps - 1] + 0.3 * rng.standard_normal(comps.size)
+fit = run_em(GmmTrainSet(labeled, comps, scores))
+h = hashlib.sha256()
+for a in (*fit.params.as_tuple(), np.array(fit.objective_trace)):
+    h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_em_fit_does_not_depend_on_the_blas_thread_count():
+    """OpenBLAS splits a long reduction across its threads, which changes
+    the order of its partial sums. Every reduction over the scores must
+    therefore give the same bits at 1 and 2 threads (never more threads
+    than this process may run on)."""
+    nproc = len(os.sched_getaffinity(0))
+    if nproc < 2:
+        pytest.skip("one CPU: BLAS cannot split a reduction across threads")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    hashes = {}
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
+        proc = subprocess.run([sys.executable, "-c", _THREADED_FIT.format(src=src)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        hashes[threads] = proc.stdout.split()[-1]
+    assert hashes[1] == hashes[2], hashes
