@@ -219,7 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one full adaptation loop")
+    p_run = sub.add_parser(
+        "run", help="run one full adaptation loop",
+        description="Run one full adaptation loop and write one JSON report per round. "
+        'A round\'s losses are reported only with {"loop": {"loss_report": true}} '
+        "in the config, which costs one more pass over the round's training pools.",
+    )
     p_run.add_argument("--config", help="JSON config (defaults used when omitted)")
     p_run.add_argument("--output", default="runs/run", help="output directory")
     p_run.set_defaults(func=cmd_run)

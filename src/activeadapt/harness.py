@@ -64,6 +64,9 @@ class LoopConfig:
 
     budget is split evenly over rounds (rounds must divide budget); k
     defaults to d_feat // 8. The count and seed fields must be integers.
+    loss_report (a bool, off by default) has every round with a mixture fit
+    report its losses (RoundReport.losses), at the cost of one more pass
+    over the labeled set and the round's CC and UC pools.
     """
 
     budget: int
@@ -76,10 +79,13 @@ class LoopConfig:
     sfda: SfdaConfig | None = None
     pretrain_epochs: int = 50
     seed: int = 0
+    loss_report: bool = False
 
     def __post_init__(self):
         if isinstance(self.strategy, str):
             self.strategy = Strategy(self.strategy)
+        if not isinstance(self.loss_report, bool):
+            raise ValueError(f"loss_report={self.loss_report!r} must be true or false")
         check_fields(self, integers={
             "budget": 0, "rounds": 1, "k": 1, "d_feat": 1, "pretrain_epochs": 0, "seed": 0,
         })
@@ -351,7 +357,8 @@ def _round(cfg: LoopConfig, model, pool, r: int, scored=None):
     mixture (a diana round whose labeled set covers every class), one pass
     over the unlabeled rows gives both this round's predictions of them and
     round r + 1's scores. Returns (report, that pass's _Scored or None);
-    scored is the previous round's."""
+    scored is the previous round's. The report's losses are computed only
+    when cfg.loss_report is on."""
     if cfg.strategy is Strategy.DIANA:
         sel = _select_diana(model, pool, cfg, cfg.per_round, scored)
     else:
@@ -372,7 +379,7 @@ def _round(cfg: LoopConfig, model, pool, r: int, scored=None):
         [cfg.train.seed, 2, r],
     )
     losses = None
-    if sel.gmm is not None:
+    if cfg.loss_report and sel.gmm is not None:
         losses = combined_loss(
             model, X_l, y_l, *sel.cc, sel.uc, cfg.train.lambda_c, cfg.train.lambda_e
         )
@@ -421,7 +428,10 @@ def run_active_loop(
     Every strategy runs this loop. Only a diana round with a mixture fit
     builds the confident-consistent and uncertain-consistent pools, so
     baseline and source-free bootstrap rounds train on the supervised loss
-    alone, whatever lambda_c and lambda_e are.
+    alone, whatever lambda_c and lambda_e are. With cfg.loss_report on, such
+    a round also reports combined_loss over its labeled set and its clean
+    CC and UC rows after training (RoundReport.losses); it is off by default,
+    and then no report carries losses.
 
     Randomness is derived from the config seeds so a run is reproducible:
     model init uses [seed, 0], pretraining uses [train.seed, 1], and random

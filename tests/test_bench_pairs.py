@@ -104,20 +104,23 @@ def repo(tmp_path, monkeypatch):
     appends its working directory to runs.log beside the repository, then
     prints a fixed result and exits with code, and returns the commit. With
     --trace 1 the result's metrics are the work counts in counts (default
-    TRACED) plus a traced time. With --workload all every metric is
-    reported once per name, as `<name>/<metric>`, as perfbench does."""
+    TRACED) plus the per-layer times in times (default TIMES) and a traced
+    run time equal to run_s. With --workload all every metric is reported
+    once per name, as `<name>/<metric>`, as perfbench does."""
     root, log = tmp_path / "repo", tmp_path / "runs.log"
     root.mkdir()
     _git(root, "init", "-q")
     monkeypatch.chdir(root)
 
-    def commit(run_s=1.0, failed=0, code=0, counts=None, names=NAMES):
+    def commit(run_s=1.0, failed=0, code=0, counts=None, names=NAMES, times=None):
         metrics = {m: {"value": 1.0, "unit": "s"}
                    for m in ("setup_s", "run_s", "round_s", "peak_rss_mb", "final_accuracy")}
         metrics["run_s"]["value"] = run_s
         result = {"correct": True, "attempted": 3, "failed": failed, "metrics": metrics}
         traced = {k: {"value": v, "unit": "count"} for k, v in (counts or TRACED).items()}
         traced["trace.run_s"] = {"value": run_s, "unit": "s"}
+        traced.update({k: {"value": v, "unit": k.rpartition("_")[2]}
+                       for k, v in (times or TIMES).items()})
         traced = {**result, "metrics": traced}
         (root / "perfbench").mkdir(exist_ok=True)
         (root / "perfbench" / "workloads.py").write_text(f"NAMES = {tuple(names)!r}\n")
@@ -153,6 +156,8 @@ ARGV = ["--workload", "desk", "--seed", "1", "--seconds", "0", "--pairs", "2"]
 TRACED = {"datapool.view_calls": 6.0, "classifier.sgd_steps": 2100.0,
           "classifier.forward_rows": 1013611.0, "scoring.unlabeled_rows": 399900.0,
           "gmm.em_iters": 400.0, "gmm.em_capped": 2.0}
+# a per-layer time beside them
+TIMES = {"harness.loss_report_s": 0.111}
 
 
 def test_each_side_runs_its_own_commit_in_an_export(repo, capsys):
@@ -248,6 +253,31 @@ def test_a_count_a_side_does_not_report_is_null(repo, capsys):
     assert "gmm.em_capped (count, traced, seed 1): parent null change 2 difference null" in out
     assert json.loads(out[-1])["counts"]["gmm.em_capped"] == {
         "parent": None, "change": 2.0, "difference": None}
+
+
+def test_traced_per_layer_times_are_printed_in_their_units(repo, capsys):
+    """Each per-layer time metric of BENCHMARK.json that a side reports is
+    printed in its unit, parent and change side by side with the difference,
+    and the last line holds them under "times", marked as one traced run a
+    side and evidence only; a time no side reports is null."""
+    parent = repo(run_s=1.0)
+    change = repo(run_s=0.75, times={"harness.loss_report_s": 0.0})
+    assert bench_pairs.main([parent, change, *ARGV]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert ("harness.loss_report_s (s, traced, one run each, seed 1): parent 0.111 s "
+            "change 0 s difference -0.111 s") in out
+    assert ("trace.run_s (s, traced, one run each, seed 1): parent 1 s change 0.75 s "
+            "difference -0.25 s") in out
+    assert ("gmm.iter_ms (ms, traced, one run each, seed 1): parent null change null "
+            "difference null") in out
+    times = json.loads(out[-1])["times"]
+    assert times["traced_runs_per_side"] == 1 and times["evidence_only"] is True
+    assert times["metrics"]["harness.loss_report_s"] == {
+        "parent": 0.111, "change": 0.0, "difference": -0.111, "unit": "s"}
+    assert times["metrics"]["classifier.step_us"]["unit"] == "us"
+    # every time metric of BENCHMARK.json, in its order, and no count
+    per_layer = json.loads(bench_pairs.BENCHMARK.read_text())["per_layer"]
+    assert list(times["metrics"]) == [m["name"] for m in per_layer if m["unit"] != "count"]
 
 
 def test_all_compares_every_workload_metric(repo, capsys):

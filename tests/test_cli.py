@@ -446,3 +446,42 @@ def test_k_sweep_out_of_range_is_refused_before_any_seed(
     assert main([*args, "--output", str(out)]) == 1
     assert f"{named} must lie in [1, d_feat=16]" in capsys.readouterr().err
     assert seeds == [] and not out.exists()
+
+
+def test_round_reports_carry_losses_only_with_the_loss_report_on(tmp_path, tiny_config):
+    """The loss report is off by default; {"loop": {"loss_report": true}}
+    writes losses in every round with a mixture fit."""
+    off = tmp_path / "off"
+    assert main(["run", "--config", str(tiny_config), "--output", str(off)]) == 0
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"]["loss_report"] = True
+    path = tmp_path / "on.json"
+    path.write_text(json.dumps(cfg))
+    on = tmp_path / "on"
+    assert main(["run", "--config", str(path), "--output", str(on)]) == 0
+    for r in (1, 2):
+        report_off = json.loads((off / f"round_{r:03d}.json").read_text())
+        report_on = json.loads((on / f"round_{r:03d}.json").read_text())
+        assert "gmm" in report_on and "losses" not in report_off
+        assert set(report_on.pop("losses")) == {
+            "supervised", "consistency", "entropy", "total",
+            "empty_consistency_batch", "empty_entropy_batch"}
+        assert report_on == report_off
+
+
+@pytest.mark.parametrize("value", [1, "yes", None])
+def test_loss_report_that_is_not_a_bool_is_refused(tmp_path, tiny_config, capsys, value):
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"]["loss_report"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "b"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert f"loss_report={value!r} must be true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_help_names_the_loss_report_key(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert '{"loop": {"loss_report": true}}' in " ".join(capsys.readouterr().out.split())

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from activeadapt import gmm
-from activeadapt.classifier import ROW_BLOCK, Classifier, TrainConfig
+from activeadapt.classifier import ROW_BLOCK, Classifier, TrainConfig, combined_loss
 from activeadapt.datapool import DataPool, ShiftConfig, generate_shifted_dataset, load_pool
 import activeadapt.harness as harness
 from activeadapt.harness import (
@@ -145,6 +145,16 @@ class TestConfigValidation:
         cfg = fast_loop(budget=np.int64(12), rounds=np.int32(3), k=np.int64(2))
         assert cfg.per_round == 4
         assert fast_loop(budget=0).per_round == 0
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", None, 1.0, np.bool_(True)])
+    def test_loss_report_must_be_a_bool(self, value):
+        """A truthy string would otherwise turn the report on silently."""
+        with pytest.raises(ValueError, match=re.escape(f"loss_report={value!r} must be")):
+            fast_loop(loss_report=value)
+
+    def test_loss_report_is_off_by_default(self):
+        assert fast_loop().loss_report is False
+        assert fast_loop(loss_report=True).loss_report is True
 
 
 class TestEvaluate:
@@ -1132,6 +1142,67 @@ class TestSketchedFit:
         assert fitted == [math.ceil(n / math.ceil(n / 64)) for n in n_us] and min(n_us) > 64
 
 
+def _without_losses(reports) -> list[dict]:
+    return [{k: v for k, v in rep.to_dict().items() if k != "losses"} for rep in reports]
+
+
+class TestLossReport:
+    """LoopConfig.loss_report: off by default, when no round computes or
+    carries losses; it draws no random numbers and changes no state, so the
+    rest of every report is the same either way."""
+
+    @pytest.mark.parametrize("cfg, pool", [
+        pytest.param(dict(budget=100, rounds=5), dict(C=5, d_in=8, n_source=500,
+                     n_target=2000, shift_magnitude=0.5), id="diana-desk"),
+        pytest.param(dict(sfda=SfdaConfig()), None, id="sfda"),
+        pytest.param(dict(strategy=Strategy.RANDOM), None, id="random"),
+    ])
+    def test_reports_are_the_same_but_for_the_losses(self, cfg, pool):
+        def run(on):
+            data = small_pool(n_target=200) if pool is None else \
+                generate_shifted_dataset(ShiftConfig(**pool, seed=3))
+            return run_active_loop(fast_loop(**cfg, loss_report=on), data)
+
+        off, on = run(False), run(True)
+        assert all(rep.losses is None and "losses" not in rep.to_dict() for rep in off)
+        assert [rep.losses is not None for rep in on] == [rep.gmm is not None for rep in on]
+        assert any(rep.gmm is not None for rep in on) == ("strategy" not in cfg)
+        assert _without_losses(off) == _without_losses(on)
+
+    def test_off_never_calls_combined_loss(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("combined_loss called with the loss report off")
+
+        monkeypatch.setattr(harness, "combined_loss", refuse)
+        for kw in ({}, {"sfda": SfdaConfig()}):
+            reports = run_active_loop(fast_loop(**kw), small_pool(n_target=200))
+            assert any(rep.gmm is not None for rep in reports)
+
+    def test_on_reports_combined_loss_of_the_rounds_clean_pools(self, monkeypatch):
+        """Each round with a mixture fit reports combined_loss of the trained
+        model over the labeled set and the unperturbed CC and UC rows it
+        trained with."""
+        cfg = fast_loop(loss_report=True)
+        trained, real_train = {}, harness._train_epochs
+
+        def train_spy(model, X, y, cc, uc, tcfg, epochs, key):
+            if cc is not None:  # a round with a mixture fit; key is [seed, 2, r]
+                trained[key[2]] = (X.copy(), y.copy(), cc[0].copy(), cc[1].copy(), uc.copy())
+            return real_train(model, X, y, cc, uc, tcfg, epochs, key)
+
+        checked = []
+
+        def check(model, pool, rep):
+            want = combined_loss(model, *trained[rep.round_index],
+                                 cfg.train.lambda_c, cfg.train.lambda_e)
+            assert rep.losses == want
+            checked.append(rep.round_index)
+
+        monkeypatch.setattr(harness, "_train_epochs", train_spy)
+        run_active_loop(cfg, small_pool(n_target=200), on_round_end=check)
+        assert checked == [1, 2, 3]
+
+
 def _perfbench(stem):
     """perfbench's module perfbench/<stem>.py, loaded without putting
     perfbench/ on the import path."""
@@ -1168,6 +1239,7 @@ def test_every_traced_harness_name_is_called(monkeypatch):
 
     for name in traced:
         monkeypatch.setattr(harness, name, counted(name, before[name]))
-    run_active_loop(fast_loop(), small_pool(n_target=200))
+    # the loss report is off by default; without it combined_loss would read 0
+    run_active_loop(fast_loop(loss_report=True), small_pool(n_target=200))
     run_active_loop(fast_loop(sfda=SfdaConfig()), small_pool(n_target=200))
     assert [name for name, n in calls.items() if n == 0] == []

@@ -33,11 +33,16 @@ printed once per workload the runs report. After the pairs, each
 side makes one more run with `--trace 1`, at the first --seed, in the same
 export, and the tool prints every per_layer metric of BENCHMARK.json whose
 unit is count, parent and change side by side with the exact difference
-change - parent (null when a side does not report the metric). These work
-counts are evidence only too. The last line of standard output is one JSON
-object holding each side's commit, every timed run's result and, under
-"counts", the traced counts and their differences, and under "verdicts"
-each end-to-end metric's verdict. Each timed
+change - parent (null when a side does not report the metric). It then
+prints every per_layer metric whose unit is s, ms or us the same way, each
+value in its unit. These work counts and per-layer times are evidence only
+too; each time is one traced run a side, so it shows where a run's time
+went, not a resolved difference. The last line of standard output is one
+JSON object holding each side's commit, every timed run's result and, under
+"counts", the traced counts and their differences, under "times" the
+traced per-layer times (with "traced_runs_per_side": 1 and
+"evidence_only": true beside them), and under "verdicts" each end-to-end
+metric's verdict. Each timed
 result carries, under "host", the state of the host just before the run:
 the CPUs this process may run on (nproc), the load averages, and the
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS settings (null
@@ -157,23 +162,33 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return json.loads(lines[-1])
 
 
-def work_counts(per_layer, traced: dict) -> dict:
-    """{metric: {"parent", "change", "difference"}} for each count metric of
-    per_layer (under each workload's key, result_keys), read from the traced
-    result of each side; a value a side does not report, and the difference
-    beside it, are None."""
-    names = [metric["name"] for metric in per_layer if metric["unit"] == "count"]
+TIME_UNITS = ("s", "ms", "us")
+
+
+def traced_values(per_layer, traced: dict, units) -> dict:
+    """{metric: {"parent", "change", "difference"}} for each metric of
+    per_layer whose unit is in units (under each workload's key,
+    result_keys), read from the traced result of each side; a value a side
+    does not report, and the difference beside it, are None. A time metric
+    (units other than count) also carries its "unit"."""
+    unit_of = {metric["name"]: metric["unit"] for metric in per_layer
+               if metric["unit"] in units}
     reported = [*traced["parent"]["metrics"], *traced["change"]["metrics"]]
     out = {}
-    for key in result_keys(names, reported):
+    for key in result_keys(list(unit_of), reported):
         p, c = (traced[side]["metrics"].get(key, {}).get("value") for side in ("parent", "change"))
         out[key] = {"parent": p, "change": c,
                     "difference": None if p is None or c is None else c - p}
+        unit = unit_of[key.rpartition("/")[2]]
+        if unit != "count":
+            out[key]["unit"] = unit
     return out
 
 
-def _num(value) -> str:
-    return "null" if value is None else f"{value:.12g}"
+def _num(value, unit: str = "count") -> str:
+    if value is None:
+        return "null"
+    return f"{value:.12g}" if unit == "count" else f"{value:.6g} {unit}"
 
 
 def main(argv=None) -> int:
@@ -234,12 +249,21 @@ def compare(args, commits: dict, sides: dict) -> int:
               f"rule {'holds' if s['rule_holds'] else 'does not hold'} "
               f"change/parent {s['ratio'][1]:.4g} [{s['ratio'][0]:.4g}, {s['ratio'][2]:.4g}] "
               f"verdict {s['verdict']}")
-    counts = work_counts(benchmark["per_layer"], traced)
+    counts = traced_values(benchmark["per_layer"], traced, ("count",))
     for name, c in counts.items():
         print(f"{name} (count, traced, seed {args.seed[0]}): parent {_num(c['parent'])} "
               f"change {_num(c['change'])} difference {_num(c['difference'])}")
+    times = traced_values(benchmark["per_layer"], traced, TIME_UNITS)
+    for name, t in times.items():
+        u = t["unit"]
+        print(f"{name} ({u}, traced, one run each, seed {args.seed[0]}): "
+              f"parent {_num(t['parent'], u)} change {_num(t['change'], u)} "
+              f"difference {_num(t['difference'], u)}")
     print(json.dumps({"workload": args.workload, "seeds": args.seed, "commits": commits,
-                      "runs": results, "counts": counts, "verdicts": verdicts}))
+                      "runs": results, "counts": counts,
+                      "times": {"traced_runs_per_side": 1, "evidence_only": True,
+                                "metrics": times},
+                      "verdicts": verdicts}))
     if not ok:
         print("a run reported correct: false or a failed adaptation run", file=sys.stderr)
         return 1

@@ -24,9 +24,13 @@ workloads.py, imported, never modified) from this checkout's sources, with
 BLAS on one thread as in the benchmark. The pool-200k feature dump is
 written to a temporary directory that is removed afterwards.
 
+Every job runs with the loss report turned on (LoopConfig.loss_report,
+set with dataclasses.replace; perfbench leaves it off), so the digests and
+dumps cover each mixture round's losses too.
+
 Four more names run perfbench's desk jobs down the loop's other paths, each
-job's LoopConfig changed with dataclasses.replace: desk-sfda (source-free,
-the default SfdaConfig), desk-random, desk-entropy and
+job's LoopConfig changed with dataclasses.replace too: desk-sfda
+(source-free, the default SfdaConfig), desk-random, desk-entropy and
 desk-least_confidence (the baseline strategies). `all` covers them too.
 """
 
@@ -69,15 +73,16 @@ def _engine():
 
 def workload_runs(name: str, seed: int) -> list:
     """The reports of every run perfbench makes for (name, seed), or, for a
-    VARIANTS name, of its desk jobs run with the variant's config."""
+    VARIANTS name, of its desk jobs run with the variant's config; the loss
+    report is on in every job."""
     activeadapt, workloads = _engine()
-    changes = {}
+    changes = {"loss_report": True}
     if name in VARIANTS:
         kind = name.removeprefix("desk-")
         if kind == "sfda":
-            changes = {"sfda": activeadapt.SfdaConfig()}
+            changes["sfda"] = activeadapt.SfdaConfig()
         else:
-            changes = {"strategy": activeadapt.Strategy(kind)}
+            changes["strategy"] = activeadapt.Strategy(kind)
         name = "desk"
     with tempfile.TemporaryDirectory() as tmp:
         plan = workloads.make(name, activeadapt, seed, Path(tmp))
