@@ -357,8 +357,7 @@ def _round(cfg: LoopConfig, model, pool, r: int, scored=None):
     mixture (a diana round whose labeled set covers every class), one pass
     over the unlabeled rows gives both this round's predictions of them and
     round r + 1's scores. Returns (report, that pass's _Scored or None);
-    scored is the previous round's. The report's losses are computed only
-    when cfg.loss_report is on."""
+    scored is the previous round's."""
     if cfg.strategy is Strategy.DIANA:
         sel = _select_diana(model, pool, cfg, cfg.per_round, scored)
     else:

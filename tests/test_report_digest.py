@@ -131,13 +131,26 @@ def test_accuracy_of_a_real_run_is_its_last_report(monkeypatch, capsys):
     ("desk-least_confidence", {"strategy": Strategy.LEAST_CONFIDENCE}),
 ])
 def test_desk_variants_run_the_desk_jobs_with_one_change(name, changes, monkeypatch, tmp_path):
+    """Beside the variant's change, every job has the loss report on."""
     seen = []
     monkeypatch.setattr(harness, "run_active_loop", lambda cfg, pool: seen.append(cfg) or [])
     report_digest.workload_runs(name, 5)
     activeadapt, workloads = report_digest._engine()
     desk = workloads.make("desk", activeadapt, 5, tmp_path)
-    assert seen == [dataclasses.replace(job.cfg, **changes) for job in desk.jobs]
+    assert seen == [dataclasses.replace(job.cfg, **changes, loss_report=True)
+                    for job in desk.jobs]
     assert len(seen) == 3 and seen != [job.cfg for job in desk.jobs]
+
+
+def test_perfbench_jobs_run_with_only_the_loss_report_turned_on(monkeypatch, tmp_path):
+    """perfbench leaves the loss report off; the digests cover the losses."""
+    seen = []
+    monkeypatch.setattr(harness, "run_active_loop", lambda cfg, pool: seen.append(cfg) or [])
+    report_digest.workload_runs("desk", 5)
+    activeadapt, workloads = report_digest._engine()
+    desk = workloads.make("desk", activeadapt, 5, tmp_path)
+    assert not any(job.cfg.loss_report for job in desk.jobs)
+    assert seen == [dataclasses.replace(job.cfg, loss_report=True) for job in desk.jobs]
 
 
 def test_unknown_workload_is_an_error(monkeypatch, capsys):
