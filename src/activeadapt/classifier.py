@@ -48,9 +48,10 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Logits to log-probabilities, normalized in place: the package's one
-    log-softmax."""
-    z -= logsumexp(z, axis=1, keepdims=True)
+    """Logits to log-probabilities, in place: the package's one log-softmax.
+    It reduces z.T.copy(), class-major; np.ascontiguousarray(z.T) is a view
+    of z at n = 1, which an in-place step there would overwrite."""
+    z -= logsumexp(z.T.copy())[:, None]
     return z
 
 

@@ -166,7 +166,7 @@ def _posteriors_in_place(sq, scale, shift, log_mix: np.ndarray) -> np.ndarray:
     densities of a score by a common constant cancels."""
     for cols in _column_blocks(sq.shape[1]):
         lw = _to_log_weights(sq[:, cols], scale, shift)
-        log_mix[cols] = logsumexp(lw, axis=0, softmax_out=lw)
+        log_mix[cols] = logsumexp(lw, softmax_out=lw)
     return sq
 
 

@@ -1,8 +1,9 @@
 """Reference forms of one SGD step's arithmetic, written out operation by
-operation with plain temporaries: the log-sum-exp, the log-softmax head,
-the perturbation, the stacked gradient and the parameter update; and of
-the training epochs around the steps, one draw at a time from the
-documented streams.
+operation with plain temporaries: the log-sum-exp, the log-softmax head
+(which, as the engine's, reduces a class-major (C, n) copy of the logits
+along axis 0), the perturbation, the stacked gradient and the parameter
+update; and of the training epochs around the steps, one draw at a time
+from the documented streams.
 
 The engine's versions make fewer numpy calls (one flat parameter vector
 and gradient buffer, each epoch's rows, one-hot targets and loss weights
@@ -52,7 +53,7 @@ def features_ref(model, X):
 
 def head_log_proba_ref(model, F):
     z = F @ model.W_out + model.b_out
-    z -= logsumexp_ref(z, axis=1, keepdims=True)
+    z -= logsumexp_ref(z.T.copy(), axis=0)[:, None]
     return z
 
 
