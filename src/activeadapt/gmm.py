@@ -32,7 +32,8 @@ def _checked_components(components) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GmmParams:
-    """Mixture weights, means, and variances of the four components."""
+    """Mixture weights, means, and variances of the four components; every
+    entry must be finite (ValueError naming the field)."""
 
     pi: np.ndarray
     mu: np.ndarray
@@ -40,9 +41,12 @@ class GmmParams:
 
     def __post_init__(self):
         for name in ("pi", "mu", "sigma2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-            if getattr(self, name).shape != (N_COMPONENTS,):
+            value = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, value)
+            if value.shape != (N_COMPONENTS,):
                 raise ValueError(f"{name} must have shape ({N_COMPONENTS},)")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value.tolist()}")
         if abs(self.pi.sum() - 1.0) > 1e-9 or (self.pi < -1e-12).any():
             raise ValueError("mixture weights must be a probability vector")
         if (self.sigma2 < VARIANCE_FLOOR * (1 - 1e-9)).any():

@@ -306,6 +306,35 @@ class TestTrainSet:
             GmmTrainSet([1e308, 1e308, 0.3, 0.4], [1, 2, 3, 4], [1e308, 1e308, np.nan])
 
 
+class TestParams:
+    def test_valid_params_build(self):
+        p = GmmParams(pi=[0.1, 0.2, 0.3, 0.4], mu=[0, 1, 2, 3], sigma2=[1, 1, 1, VARIANCE_FLOOR])
+        assert p.pi.dtype == float and p.mu.shape == (4,)
+
+    @pytest.mark.parametrize("pi, mu, sigma2, message", [
+        ([0.5, 0.5], [0, 1, 2, 3], [1, 1, 1, 1], "pi must have shape (4,)"),
+        ([0.5, 0.6, 0.0, 0.0], [0, 1, 2, 3], [1, 1, 1, 1], "probability vector"),
+        ([1.1, -0.1, 0.0, 0.0], [0, 1, 2, 3], [1, 1, 1, 1], "probability vector"),
+        ([0.25] * 4, [0, 1, 2, 3], [1, 1, 1, 0.0], "variances must be >="),
+    ])
+    def test_out_of_range_rejected(self, pi, mu, sigma2, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GmmParams(pi=pi, mu=mu, sigma2=sigma2)
+
+    @pytest.mark.parametrize("pi, mu, sigma2, message", [
+        ([np.nan, 0.3, 0.3, 0.4], [0, 1, 2, np.inf], [np.nan, 1, 1, 1], "pi must be finite"),
+        ([0.25] * 4, [0, 1, 2, np.inf], [1, 1, 1, 1], "mu must be finite, got [0.0, 1.0, 2.0, inf]"),
+        ([0.25] * 4, [-np.inf, 1, 2, 3], [1, 1, 1, 1], "mu must be finite"),
+        ([0.25] * 4, [0, 1, 2, 3], [1, np.nan, 1, 1], "sigma2 must be finite"),
+        ([0.25] * 4, [0, 1, 2, 3], [1, 1, 1, np.inf], "sigma2 must be finite"),
+    ])
+    def test_non_finite_rejected(self, pi, mu, sigma2, message):
+        """The first case used to build, and component_posteriors then
+        returned all-NaN rows, which selection ranks last."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GmmParams(pi=pi, mu=mu, sigma2=sigma2)
+
+
 class TestInit:
     def test_laplace_smoothed_weights_and_means(self):
         """Counts (2,0,2,0) of 4 anchors smooth to (3/8, 1/8, 3/8, 1/8)."""
