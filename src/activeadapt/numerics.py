@@ -4,7 +4,7 @@ one whole-number check.
 The classifier's log-softmax head (which scoring runs too) and the mixture
 E step normalize through it, reduced axis first as numpy reduces a short
 last axis row by row, so they share one formula and one rounding. Configs
-check number fields through check_fields, id arrays go through whole_numbers.
+check fields through check_fields, label and id arrays through whole_numbers.
 """
 
 from __future__ import annotations
