@@ -8,6 +8,7 @@ to read them during a run.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -267,6 +268,15 @@ def shift_transform(cfg: ShiftConfig):
     Returns (rotation, offset, cov_scale): target samples are drawn as
     rotation @ (mu_c + cov_scale * sigma * eps) + offset. At magnitude 0 this
     is exactly (identity, zero, 1), so source and target coincide.
+
+    The rotation is exp(A) for A = m * S / ||S||_2, S a random skew-symmetric
+    matrix, so ||A||_2 = m. It is scaling and squaring: A is halved
+    h = max(0, ceil(log2 m) + 1) times, which brings its norm to at most
+    0.5, the degree-18 Taylor polynomial of the halved A is evaluated by
+    Horner's rule, and the result is squared h times. Only matrix products
+    are used: BLAS splits a product's output, not its sums, between threads,
+    so the rotation has the same bits at any thread count. An eigenvector
+    route (np.linalg.eigh of 1j * A) does not, from d_in 128 on.
     """
     m = cfg.shift_magnitude
     rng = np.random.default_rng([cfg.seed, 0x5147])
@@ -283,11 +293,12 @@ def shift_transform(cfg: ShiftConfig):
     skew = G - G.T
     norm = np.linalg.norm(skew, 2)
     if want_rot and m > 0 and norm > 0:
-        # scipy is imported here alone, so a file-backed or unrotated pool
-        # runs on numpy without loading scipy's linalg stack
-        from scipy.linalg import expm
-
-        rotation = expm(m * skew / norm)
+        h = max(0, math.ceil(math.log2(m)) + 1)
+        A = (m / 2**h) * skew / norm
+        for k in range(18, 0, -1):
+            rotation = np.eye(cfg.d_in) + A @ rotation / k
+        for _ in range(h):
+            rotation = rotation @ rotation
     u = rng.standard_normal(cfg.d_in)
     if want_tra and m > 0:
         offset = m * u / np.linalg.norm(u)

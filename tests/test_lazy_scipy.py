@@ -1,12 +1,16 @@
-"""scipy is loaded only to draw a rotated synthetic pool.
+"""The engine runs on numpy alone.
 
-The file path (import, load_pool, a run, the CLI on a file config) needs
-numpy alone. Each check runs in a fresh interpreter, because this test
-process has scipy loaded already.
+scipy was once imported lazily to build the synthetic rotation; the rotation
+is now made of numpy matrix products, and scipy is a test dependency only.
+No package module imports anything but numpy and the standard library, and
+the file path and the five demos leave scipy unloaded, each checked in a
+fresh interpreter, because this test process has scipy loaded already.
+scipy's expm stays the rotation's reference.
 """
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,10 +29,11 @@ sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
 """
 
 
-def scipy_loaded_after(code: str) -> bool:
+def scipy_loaded_after(code: str, cwd=None) -> bool:
     """Run code in a fresh interpreter and say whether scipy got imported."""
     script = PRELUDE + code + "\nprint('scipy' in sys.modules)\n"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return {"True": True, "False": False}[proc.stdout.split()[-1]]
 
@@ -63,22 +68,20 @@ assert cli.main(args) == 0
     assert (tmp_path / "out" / "round_002.json").exists()
 
 
-@pytest.mark.parametrize("kind, magnitude, loads", [
-    ("translation", 0.5, False),
-    ("covariance_scale", 0.5, False),
-    ("rotation", 0.0, False),
-    ("mixed", 0.0, False),
-    ("rotation", 0.5, True),
-    ("mixed", 0.5, True),
-])
-def test_only_a_rotated_pool_loads_scipy(kind, magnitude, loads):
+def test_the_five_demos_never_load_scipy(tmp_path):
+    """The demos draw rotated and mixed pools, run every strategy and the
+    source-free bootstrap. They run in one interpreter, in a temporary
+    working directory, since demo 02 writes demo_scores.csv."""
+    demos = sorted(str(p) for p in (ROOT / "demos").glob("*.py"))
+    assert len(demos) == 5
     code = f"""
-from activeadapt import ShiftConfig, generate_shifted_dataset
-generate_shifted_dataset(ShiftConfig(
-    C=3, d_in=4, n_source=30, n_target=50, shift_kind={kind!r},
-    shift_magnitude={magnitude!r}, seed=7))
+import contextlib, io, runpy
+with contextlib.redirect_stdout(io.StringIO()):
+    for path in {demos!r}:
+        runpy.run_path(path, run_name="__main__")
 """
-    assert scipy_loaded_after(code) is loads
+    assert not scipy_loaded_after(code, cwd=tmp_path)
+    assert (tmp_path / "demo_scores.csv").exists()
 
 
 @pytest.mark.parametrize("shape", [
@@ -87,29 +90,70 @@ generate_shifted_dataset(ShiftConfig(
 ])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rotation_is_scipy_expm_of_the_scaled_skew_matrix(shape, seed):
-    cfg = ShiftConfig(**shape, shift_magnitude=0.5, seed=seed)
-    G = np.random.default_rng([seed, 0x5147]).standard_normal((cfg.d_in, cfg.d_in))
+    """Within 1e-13 of scipy's expm and orthogonal within 1e-13 at every
+    magnitude up to 50 (7 halvings), and exactly the identity at 0."""
+    G = np.random.default_rng([seed, 0x5147]).standard_normal((shape["d_in"],) * 2)
     skew = G - G.T
-    expected = expm(0.5 * skew / np.linalg.norm(skew, 2))
-    assert np.array_equal(shift_transform(cfg)[0], expected)
+    eye = np.eye(shape["d_in"])
+    assert np.array_equal(shift_transform(ShiftConfig(**shape, shift_magnitude=0.0,
+                                                      seed=seed))[0], eye)
+    for m in (0.5, 3.0, 50.0):
+        rotation = shift_transform(ShiftConfig(**shape, shift_magnitude=m, seed=seed))[0]
+        assert np.abs(rotation - expm(m * skew / np.linalg.norm(skew, 2))).max() < 1e-13, m
+        assert np.abs(rotation @ rotation.T - eye).max() < 1e-13, m
 
 
-def module_level_imports(tree: ast.Module):
-    """Import statements that run when the module is imported: everything
-    outside function bodies."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
+# Rotations at d_in 8 to 256, built in a fresh interpreter whose BLAS runs on
+# the given number of threads (set before numpy is first imported); prints a
+# hash of their bytes.
+_THREADED_ROTATIONS = """
+import hashlib
+from activeadapt.datapool import ShiftConfig, shift_transform
+
+h = hashlib.sha256()
+for d_in in (8, 64, 128, 256):
+    for m in (0.5, 3.0, 50.0):
+        cfg = ShiftConfig(C=2, d_in=d_in, n_source=2, n_target=2, shift_magnitude=m, seed=d_in)
+        h.update(shift_transform(cfg)[0].tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_rotation_does_not_depend_on_the_blas_thread_count():
+    """The two interpreters run side by side; a hash does not depend on
+    timing, only on how BLAS splits the products."""
+    nproc = len(os.sched_getaffinity(0))
+    if nproc < 2:
+        pytest.skip("one CPU: BLAS cannot split a product across threads")
+    procs = {}
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", PRELUDE + _THREADED_ROTATIONS], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    hashes = {}
+    for threads, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        hashes[threads] = out.split()[-1]
+    assert hashes[1] == hashes[2], hashes
+
+
+def imported_modules(tree: ast.Module):
+    """(line, top-level name) of every absolute import, at any depth;
+    relative imports are the package's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy_at_module_level(path):
-    for node in module_level_imports(ast.parse(path.read_text(), filename=str(path))):
-        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
-        assert not any(
-            n and n.split(".")[0] == "scipy" for n in names
-        ), f"{path.name}:{node.lineno} imports scipy at module level"
+    """Nor anywhere else: a package module imports numpy, the standard
+    library and its own modules, nothing more."""
+    allowed = {"numpy", *sys.stdlib_module_names}
+    for line, name in imported_modules(ast.parse(path.read_text(), filename=str(path))):
+        assert name in allowed, f"{path.name}:{line} imports {name}"
