@@ -72,11 +72,15 @@ def check_fields(cfg, finite=(), integers=None) -> None:
 
 def whole_numbers(a, what: str) -> np.ndarray:
     """a as an int64 array; ValueError naming what unless every entry is a
-    finite whole number. Integer and bool arrays skip the test, and an int64
-    one is returned as it is, not copied; an array neither integer nor float
+    whole number in int64's range [-2**63, 2**63), so that none wraps in the
+    cast. Signed integer and bool arrays skip the test, and an int64 one is
+    returned as it is, not copied; an array neither integer nor float
     (strings, objects) is refused."""
     a = np.asarray(a)
     kind = a.dtype.kind
-    if kind not in "biu" and (kind != "f" or not np.all(np.isfinite(a) & (np.trunc(a) == a))):
+    whole = kind in "bi" or (kind == "u" and np.all(a < 2**63)) or (
+        kind == "f" and np.all((np.trunc(a) == a) & (a >= -(2.0**63)) & (a < 2.0**63))
+    )
+    if not whole:
         raise ValueError(f"{what} is not a whole number")
     return a.astype(np.int64, copy=False)

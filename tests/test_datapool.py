@@ -327,10 +327,13 @@ class TestArrayPool:
         ([7, 3, 5], [0, 1.5, 1]),
         ([7, np.nan, 5], [0, 1, 1]),
         (["7", "3", "5"], [0, 1, 1]),
+        ([7, 3, 9.3e18], [0, 1, 1]),  # past int64: would wrap to -2**63
+        (np.array([7, 3, 2**63 + 5], dtype=np.uint64), [0, 1, 1]),
+        ([7, 3, 5], [0, 1, 1e20]),
     ])
     def test_rejects_non_integer_ids_and_labels(self, ids, labels):
-        """A fractional, non-finite or non-numeric id or label is refused,
-        not truncated or parsed into a whole one."""
+        """A fractional, non-finite, non-numeric or out-of-int64 id or label
+        is refused, not truncated, wrapped or parsed into a whole one."""
         with pytest.raises(ValueError, match="not a whole number"):
             DataPool(2, ids, [[0.0], [1.0], [2.0]], labels, [True, False, True])
 

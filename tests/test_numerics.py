@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from activeadapt.classifier import _log_softmax
-from activeadapt.numerics import EXP_FLOOR, logsumexp
+from activeadapt.numerics import EXP_FLOOR, logsumexp, whole_numbers
 from step_reference import logsumexp_ref
 
 
@@ -166,3 +166,16 @@ def test_log_softmax_near_the_row_major_form_from_eight_classes(C):
         err = np.abs(_log_softmax(z.copy()) - want)
         bound = 4 * eps * np.maximum(1.0, np.abs(lse)) + np.spacing(np.abs(want))
         assert (err <= bound).all(), (n, C, err.max())
+
+
+def test_whole_numbers_keeps_to_the_int64_range():
+    """The edges of [-2**63, 2**63) pass in every dtype that can hold them
+    and one step past is refused; an int64 array comes back uncopied."""
+    a = np.array([-(2**63), 2**63 - 1])
+    assert whole_numbers(a, "id") is a
+    assert whole_numbers(np.array([-(2.0**63)]), "id").tolist() == [-(2**63)]
+    assert whole_numbers(np.array([2**63 - 1], dtype=np.uint64), "id").tolist() == [2**63 - 1]
+    for past in (np.array([2.0**63]), np.array([-(2.0**63) * (1 + 2**-52)]),
+                 np.array([2**63], dtype=np.uint64), np.array([np.inf])):
+        with pytest.raises(ValueError, match="id is not a whole number"):
+            whole_numbers(past, "id")
