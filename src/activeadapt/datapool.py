@@ -294,9 +294,9 @@ def shift_transform(cfg: ShiftConfig):
     norm = np.linalg.norm(skew, 2)
     if want_rot and m > 0 and norm > 0:
         h = max(0, math.ceil(math.log2(m)) + 1)
-        A = (m / 2**h) * skew / norm
+        A, eye = (m / 2**h) * skew / norm, np.eye(cfg.d_in)
         for k in range(18, 0, -1):
-            rotation = np.eye(cfg.d_in) + A @ rotation / k
+            rotation = eye + A @ rotation / k
         for _ in range(h):
             rotation = rotation @ rotation
     u = rng.standard_normal(cfg.d_in)
