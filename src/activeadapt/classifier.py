@@ -12,39 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_fields, logsumexp, whole_numbers
+from .numerics import all_finite, blocks, check_fields, checked_labels, log_proba_at, logsumexp
 
 # Rows per block of a pool-sized pass: a (ROW_BLOCK, d_feat) feature block
-# is 4 MB at d_feat 64, where a whole 200k-row pool would be 102 MB.
+# is 4 MB at d_feat 64, where a whole 200k-row pool would be 102 MB. With
+# OpenBLAS at C = 5 a block's rows equal the whole-matrix products' bit for
+# bit. At other C a block's head product can fall under the small-matrix
+# size (about 1e6 multiply-adds) and move a subset's scores by a few ulps.
 ROW_BLOCK = 8192
-
-
-def _row_blocks(n: int):
-    """Slices covering range(n) in ceil(n / ROW_BLOCK) contiguous blocks
-    whose sizes differ by at most one (a single empty block when n is 0).
-
-    Near-equal sizes leave no lone row, which BLAS would send down its
-    matrix-vector path, and no tiny tail block, whose products a
-    small-matrix kernel would compute; either moves the last ulp. With
-    OpenBLAS at C = 5 every block's rows then equal those of the
-    whole-matrix products bit for bit. At other C, a head product of a
-    block can fall under the small-matrix size (about 1e6 multiply-adds)
-    where the whole product does not, and move a subset's scores by a few
-    ulps; evaluation predicts unlabeled rows in the blocks that score them.
-    Callers reduce over the full per-row outputs, never over per-block
-    partial sums, so every reduction keeps its rounding.
-    """
-    count = max(1, -(-n // ROW_BLOCK))
-    bounds = [i * n // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite. A finite sum proves it in one
-    reduction; only a sum that is not finite (a NaN or inf entry, or finite
-    entries that overflow) pays the per-element test. np.add.reduce, here
-    and in the SGD step, is ndarray.sum without its Python-level wrapper."""
-    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -166,11 +141,11 @@ class Classifier:
         return np.tanh(F, out=F)
 
     def feature_blocks(self, X: np.ndarray):
-        """(rows, F) for each _row_blocks slice of X's rows, in order, with F
-        = features(X[rows]): the one place a pool pass is cut into row
-        blocks, so no whole-input feature matrix is ever built."""
+        """(rows, F) for each blocks(n, ROW_BLOCK) slice of X's n rows, in
+        order, with F = features(X[rows]): the one place a pool pass is cut
+        into row blocks, so no whole-input feature matrix is ever built."""
         X = np.atleast_2d(X)
-        for rows in _row_blocks(X.shape[0]):
+        for rows in blocks(X.shape[0], ROW_BLOCK):
             yield rows, self.features(X[rows])
 
     def logits(self, X: np.ndarray) -> np.ndarray:
@@ -214,7 +189,7 @@ class Classifier:
             raise ValueError(
                 f"input dimension {X.shape[-1]} does not match d_in={self.d_in}"
             )
-        if not _all_finite(X):
+        if not all_finite(X):
             raise ValueError("non-finite input")
 
     def params(self) -> dict[str, np.ndarray]:
@@ -249,33 +224,12 @@ def augment(x: np.ndarray, cfg: TrainConfig, noise: np.ndarray, keep) -> np.ndar
 # -- losses ------------------------------------------------------------------
 
 
-def _checked_labels(
-    y, C: int, first: int = 0, outside: str = "label outside [0, C)"
-) -> np.ndarray:
-    """y as an integer array; ValueError unless every label is a whole
-    number in [first, first + C), with message outside when one is not in
-    range. Integer arrays skip the whole-number test. Viewed as unsigned, a
-    label below first exceeds any C, so one max checks both ends."""
-    y = whole_numbers(y, "label")
-    if y.size and (y - first if first else y).view(np.uint64).max() >= C:
-        raise ValueError(outside)
-    return y
-
-
-def _log_proba_at(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Each row's log-probability at its label; ValueError unless there is
-    exactly one label per row."""
-    if len(y) != len(logp):
-        raise ValueError(f"{len(y)} labels for {len(logp)} rows")
-    return logp[np.arange(len(y)), y]
-
-
 def loss_supervised(model: Classifier, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy -log P_y(x) over a labeled batch."""
-    y = _checked_labels(y, model.C)
+    y = checked_labels(y, model.C)
     if len(y) == 0:
         raise ValueError("supervised batch must be non-empty")
-    return float(-np.mean(_log_proba_at(model.log_proba(X), y)))
+    return float(-np.mean(log_proba_at(model.log_proba(X), y)))
 
 
 def loss_entropy(model: Classifier, X: np.ndarray) -> float:
@@ -390,11 +344,11 @@ class EpochSteps:
         ValueError unless the parts fit the layout, every label is a whole
         number in [0, C) and every row is finite."""
         C = self._model.C
-        y = _checked_labels(y, C)
+        y = checked_labels(y, C)
         rows, targets = [], []
         if cc is not None:
             rows.append(cc[0])
-            targets.append(self._onehot.take(_checked_labels(cc[1], C), axis=0))
+            targets.append(self._onehot.take(checked_labels(cc[1], C), axis=0))
         if uc is not None:
             rows.append(uc)
             targets.append(self._uc_targets)
@@ -452,7 +406,7 @@ def backward_and_step(model: Classifier, epoch: EpochSteps, step: int) -> Classi
     non-finite gradient aborts before theta is touched.
     """
     grad = combined_grads(model, epoch, step)
-    if not _all_finite(grad):
+    if not all_finite(grad):
         raise NonFiniteGradientError("non-finite gradient; step aborted")
     grad *= epoch.learning_rate
     model.theta -= grad

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import check_fields, whole_numbers
+from .numerics import all_finite, check_fields, whole_numbers
 
 
 class ShiftKind(Enum):
@@ -107,9 +107,8 @@ class DataPool:
         self.d_in = self._X.shape[1]
         if self.d_in < 1:
             raise ValueError(f"need at least one feature, got d_in={self.d_in}")
-        finite = np.isfinite(self._X)
-        if not finite.all():
-            row = np.flatnonzero(~finite.all(axis=1))[0]
+        if not all_finite(self._X):
+            row = np.flatnonzero(~np.isfinite(self._X).all(axis=1))[0]
             raise ValueError(f"sample {self._ids[row]}: non-finite feature value")
         self._status = np.where(source, _SOURCE, _UNLABELED).astype(np.int8)
         self._source_rows = np.flatnonzero(source)
@@ -276,7 +275,9 @@ def shift_transform(cfg: ShiftConfig):
     Horner's rule, and the result is squared h times. Only matrix products
     are used: BLAS splits a product's output, not its sums, between threads,
     so the rotation has the same bits at any thread count. An eigenvector
-    route (np.linalg.eigh of 1j * A) does not, from d_in 128 on.
+    route (np.linalg.eigh of 1j * A) does not, from d_in 128 on. The
+    rounding grows like 2^h, so a rotation with max|R R^T - I| above 1e-8
+    is refused (ValueError naming shift_magnitude): some at 1e8, all at 1e9.
     """
     m = cfg.shift_magnitude
     rng = np.random.default_rng([cfg.seed, 0x5147])
@@ -291,14 +292,21 @@ def shift_transform(cfg: ShiftConfig):
     # rng consumption order is fixed so the transform is reproducible
     G = rng.standard_normal((cfg.d_in, cfg.d_in))
     skew = G - G.T
-    norm = np.linalg.norm(skew, 2)
-    if want_rot and m > 0 and norm > 0:
+    norm = np.linalg.norm(skew, 2) if want_rot and m > 0 else 0.0
+    if norm > 0:
         h = max(0, math.ceil(math.log2(m)) + 1)
-        A, eye = (m / 2**h) * skew / norm, np.eye(cfg.d_in)
+        A, eye = math.ldexp(m, -h) * skew / norm, np.eye(cfg.d_in)
         for k in range(18, 0, -1):
             rotation = eye + A @ rotation / k
-        for _ in range(h):
-            rotation = rotation @ rotation
+        # each squaring doubles the rounding error; far beyond 1e9 the
+        # products overflow, and the refusal names the magnitude instead
+        with np.errstate(all="ignore"):
+            for _ in range(h):
+                rotation = rotation @ rotation
+            err = np.abs(rotation @ rotation.T - eye).max()
+        if not err <= 1e-8:
+            raise ValueError(f"shift_magnitude={m} is too large: the rotation's "
+                             f"max|R R^T - I| is {err:.3g}, above 1e-8")
     u = rng.standard_normal(cfg.d_in)
     if want_tra and m > 0:
         offset = m * u / np.linalg.norm(u)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import _all_finite, _checked_labels
-from .numerics import logsumexp
+from .numerics import all_finite, blocks, checked_labels, logsumexp
 
 N_COMPONENTS = 4
 VARIANCE_FLOOR = 1e-6
@@ -25,7 +24,7 @@ RESPONSIBILITY_FLOOR = 1e-12
 def _checked_components(components) -> np.ndarray:
     """Flat integer component ids; ValueError unless every one is a whole
     number in 1..N_COMPONENTS."""
-    return _checked_labels(
+    return checked_labels(
         np.ravel(components), N_COMPONENTS, 1, f"components must lie in 1..{N_COMPONENTS}"
     )
 
@@ -45,7 +44,7 @@ class GmmParams:
             object.__setattr__(self, name, value)
             if value.shape != (N_COMPONENTS,):
                 raise ValueError(f"{name} must have shape ({N_COMPONENTS},)")
-            if not np.isfinite(value).all():
+            if not all_finite(value):
                 raise ValueError(f"{name} must be finite, got {value.tolist()}")
         if abs(self.pi.sum() - 1.0) > 1e-9 or (self.pi < -1e-12).any():
             raise ValueError("mixture weights must be a probability vector")
@@ -83,7 +82,7 @@ class GmmTrainSet:
         self.unlabeled_scores = np.asarray(self.unlabeled_scores, dtype=float).ravel()
         for side in ("labeled", "unlabeled"):
             scores = getattr(self, f"{side}_scores")
-            if not _all_finite(scores):
+            if not all_finite(scores):
                 i = int(np.argmin(np.isfinite(scores)))
                 raise ValueError(f"{side} score {i} is not finite ({scores[i]})")
         if self.labeled_scores.size == 0:
@@ -102,12 +101,13 @@ class GmmTrainSet:
 # Everything per score is component-major: row k of a (4, n) array holds
 # component k, so each reduction over scores runs along contiguous memory.
 #
-# The elementwise passes run over EM_BLOCK columns at a time. A (4, EM_BLOCK)
-# float64 block is 512 KB and stays in a core's L2 cache across the dozen
-# passes an E step makes over it, where a whole (4, 200k) array (6.4 MB)
-# streams from memory on every pass. Each of those passes works on one
-# column at a time, so the block size changes no bit; every reduction over
-# the scores (a sum, a matrix product) stays one call on the whole array.
+# The elementwise passes run over the near-equal column blocks of
+# blocks(n, EM_BLOCK), at most EM_BLOCK columns each. A (4, EM_BLOCK) float64
+# block is 512 KB and stays in a core's L2 cache across the dozen passes an E
+# step makes over it, where a whole (4, 200k) array (6.4 MB) streams from
+# memory on every pass. Each of those passes works on one column at a time,
+# so the block size changes no bit; every reduction over the scores (a sum,
+# a matrix product) stays one call on the whole array.
 EM_BLOCK = 16384
 
 # Above SKETCH_ROWS unlabeled scores the mixture is fitted on a weighted
@@ -132,13 +132,9 @@ def sketched(ts: GmmTrainSet) -> GmmTrainSet:
     return GmmTrainSet(ts.labeled_scores, ts.labeled_components, sketch, alpha)
 
 
-def _column_blocks(n: int) -> list[slice]:
-    return [slice(start, start + EM_BLOCK) for start in range(0, n, EM_BLOCK)]
-
-
 def _squared_residuals(scores: np.ndarray, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(s_j - mu_k)^2 at [k, j], written into out."""
-    for cols in _column_blocks(scores.size):
+    for cols in blocks(scores.size, EM_BLOCK):
         block = np.subtract(scores[cols], mu[:, None], out=out[:, cols])
         np.square(block, out=block)
     return out
@@ -168,7 +164,7 @@ def _posteriors_in_place(sq, scale, shift, log_mix: np.ndarray) -> np.ndarray:
     log_mix[j] receives the log mixture density
     log sum_k pi_k N(s_j; mu_k, sigma2_k). Scaling all four weighted
     densities of a score by a common constant cancels."""
-    for cols in _column_blocks(sq.shape[1]):
+    for cols in blocks(sq.shape[1], EM_BLOCK):
         lw = _to_log_weights(sq[:, cols], scale, shift)
         log_mix[cols] = logsumexp(lw, softmax_out=lw)
     return sq

@@ -42,11 +42,11 @@ from .sampler import (
 from .scoring import (
     Category,
     CentroidSet,
-    _scores_at,
     compute_centroids,
     info_scores_labeled,
     info_scores_unlabeled,
     observation_labels,
+    scores_at,
     similarity_labels,
 )
 
@@ -526,7 +526,7 @@ def consistency_diagnostic(
     pred = np.empty(u_ids.size, dtype=np.intp)
     for rows, F in model.feature_blocks(u_X):
         logp = model.head_log_proba(F, pred[rows])
-        losses[rows] = _scores_at(logp, truth[rows])
+        losses[rows] = scores_at(logp, truth[rows])
         for k, flags in consistent.items():
             flags[rows] = pred[rows] == similarity_labels(F, centroids, k)
     out = {}

@@ -1,10 +1,8 @@
-"""The package's one stable log-sum-exp, its one config-field check and its
-one whole-number check.
-
-The classifier's log-softmax head (which scoring runs too) and the mixture
-E step normalize through it, reduced axis first as numpy reduces a short
-last axis row by row, so they share one formula and one rounding. Configs
-check fields through check_fields, label and id arrays through whole_numbers.
+"""The package's shared primitives: the one stable log-sum-exp, through
+which the classifier's log-softmax head and the mixture E step share one
+formula and one rounding; the one block splitter, of the classifier's row
+blocks and the mixture's column blocks; the one finite check of inputs; the
+config-field, whole-number and label checks; and the label gather.
 """
 
 from __future__ import annotations
@@ -51,6 +49,29 @@ def logsumexp(a: np.ndarray, softmax_out=None):
     return out[0]
 
 
+def blocks(n: int, size: int) -> list[slice]:
+    """Slices covering range(n) in ceil(n / size) contiguous blocks whose
+    sizes differ by at most one (a single empty block when n is 0).
+
+    Near-equal sizes leave no lone row, which BLAS would send down its
+    matrix-vector path, and no tiny tail block, whose products a
+    small-matrix kernel would compute; either moves the last ulp. Callers
+    reduce over the full per-row outputs, never over per-block partial sums,
+    so every reduction keeps its rounding.
+    """
+    count = max(1, -(-n // size))
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite. A finite sum proves it in one
+    reduction; only a sum that is not finite (a NaN or inf entry, or finite
+    entries that overflow) pays the per-element test. np.add.reduce is
+    ndarray.sum without its Python-level wrapper."""
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+
+
 def check_fields(cfg, finite=(), integers=None) -> None:
     """Reject a config whose named fields are out of range, naming the field.
     Each field in finite must be finite. Each field in integers, a mapping
@@ -84,3 +105,22 @@ def whole_numbers(a, what: str) -> np.ndarray:
     if not whole:
         raise ValueError(f"{what} is not a whole number")
     return a.astype(np.int64, copy=False)
+
+
+def checked_labels(y, C: int, first: int = 0, outside: str = "label outside [0, C)") -> np.ndarray:
+    """y as an integer array; ValueError unless every label is a whole
+    number in [first, first + C), with message outside when one is not in
+    range. Integer arrays skip the whole-number test. Viewed as unsigned, a
+    label below first exceeds any C, so one max checks both ends."""
+    y = whole_numbers(y, "label")
+    if y.size and (y - first if first else y).view(np.uint64).max() >= C:
+        raise ValueError(outside)
+    return y
+
+
+def log_proba_at(logp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's log-probability at its label; ValueError unless there is
+    exactly one label per row."""
+    if len(y) != len(logp):
+        raise ValueError(f"{len(y)} labels for {len(logp)} rows")
+    return logp[np.arange(len(y)), y]

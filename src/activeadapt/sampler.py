@@ -20,8 +20,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .classifier import Classifier
-from .gmm import GmmParams, _column_blocks, component_posteriors
-from .numerics import check_fields
+from .gmm import EM_BLOCK, GmmParams, component_posteriors
+from .numerics import blocks, check_fields
 from .scoring import (
     Category,
     CentroidSet,
@@ -150,7 +150,7 @@ def partition_unlabeled(
     if scores.size != ids.size:
         raise ValueError(f"{scores.size} scores for {ids.size} ids: need one score per id")
     cats = np.empty(ids.size, dtype=np.intp)
-    for cols in _column_blocks(ids.size):
+    for cols in blocks(ids.size, EM_BLOCK):
         cats[cols] = np.argmax(component_posteriors(scores[cols], params), axis=1)
     cats += 1
     return PartitionAssignment(ids, cats)

@@ -14,7 +14,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .classifier import Classifier, _checked_labels, _log_proba_at
+from .classifier import Classifier
+from .numerics import checked_labels, log_proba_at
 
 PROB_FLOOR = 1e-12
 LOG_PROB_FLOOR = float(np.log(PROB_FLOOR))
@@ -45,7 +46,7 @@ def centroids_from_features(F: np.ndarray, y: np.ndarray, C: int) -> CentroidSet
     """Mean feature vector per class. Every class must be represented, and
     every label must be a whole number in [0, C)."""
     F = np.atleast_2d(F)
-    y = _checked_labels(y, C)
+    y = checked_labels(y, C)
     counts = np.bincount(y, minlength=C)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
@@ -118,17 +119,18 @@ def similarity_labels(
 # -- informativeness scores ----------------------------------------------
 
 
-def _scores_at(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """-log P at each row's label, the probability floored at 1e-12 so that
-    saturated predictions cannot produce infinities."""
-    return -np.maximum(_log_proba_at(logp, labels), LOG_PROB_FLOOR)
+def scores_at(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The informativeness score of each row: -log P at its label, the
+    probability floored at 1e-12 so that saturated predictions cannot
+    produce infinities."""
+    return -np.maximum(log_proba_at(logp, labels), LOG_PROB_FLOOR)
 
 
 def info_scores_unlabeled(
     model: Classifier, centroids: CentroidSet, X: np.ndarray, k: int, pred=None
 ):
     """Scores and similarity-based labels for a batch of unlabeled samples:
-    score = -log P at the similarity-based label (floored, see _scores_at).
+    score = -log P at the similarity-based label (floored, see scores_at).
 
     The rows go through the model one row block at a time
     (Classifier.feature_blocks); each block's features give its labels and
@@ -142,13 +144,13 @@ def info_scores_unlabeled(
     for rows, F in model.feature_blocks(X):
         labels[rows] = similarity_labels(F, centroids, k)
         logp = model.head_log_proba(F, None if pred is None else pred[rows])
-        scores[rows] = _scores_at(logp, labels[rows])
+        scores[rows] = scores_at(logp, labels[rows])
     return scores, labels
 
 
 def info_scores_labeled(model: Classifier, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    y = _checked_labels(y, model.C)
-    return _scores_at(model.log_proba(X), y)
+    y = checked_labels(y, model.C)
+    return scores_at(model.log_proba(X), y)
 
 
 # -- observation labels ----------------------------------------------------
@@ -166,7 +168,7 @@ def observation_labels(
     Exactly one branch holds for any sample; the threshold comparison is
     inclusive.
     """
-    y = _checked_labels(y, model.C)
+    y = checked_labels(y, model.C)
     P = model.predict_proba(np.atleast_2d(X))
     pred = np.argmax(P, axis=1)
     confident = P.max(axis=1) >= tau

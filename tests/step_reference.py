@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from activeadapt.classifier import NonFiniteGradientError, _checked_labels
-from activeadapt.numerics import EXP_FLOOR
+from activeadapt.classifier import NonFiniteGradientError
+from activeadapt.numerics import EXP_FLOOR, checked_labels
 
 
 def logsumexp_ref(a, axis=-1, keepdims=False, softmax_out=None):
@@ -77,7 +77,7 @@ def combined_grads_ref(model, X_l, y_l, X_cc, y_cc, X_uc, lambda_c, lambda_e):
         scale.append(np.full(n_c, lambda_c / n_c))
     if np.size(X_uc) and lambda_e != 0.0:
         rows.append(np.atleast_2d(X_uc))
-    y = _checked_labels(np.concatenate(y), model.C)
+    y = checked_labels(np.concatenate(y), model.C)
     scale = np.concatenate(scale)
     X = np.concatenate(rows)
     F = features_ref(model, X)

@@ -21,7 +21,6 @@ from activeadapt.classifier import (
     EpochSteps,
     NonFiniteGradientError,
     TrainConfig,
-    _row_blocks,
     augment,
     backward_and_step,
     combined_grads,
@@ -31,7 +30,7 @@ from activeadapt.classifier import (
     loss_supervised,
 )
 from activeadapt.harness import _train_epochs
-from activeadapt.numerics import logsumexp
+from activeadapt.numerics import blocks, logsumexp
 from oracles import forward_probs
 from step_reference import (
     augment_ref,
@@ -268,11 +267,11 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [0, 1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 200_000])
     def test_block_layout(self, n):
-        blocks = _row_blocks(n)
-        assert len(blocks) == max(1, -(-n // ROW_BLOCK))
-        assert blocks[0].start == 0 and blocks[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        sizes = [s.stop - s.start for s in blocks]
+        row_blocks = blocks(n, ROW_BLOCK)
+        assert len(row_blocks) == max(1, -(-n // ROW_BLOCK))
+        assert row_blocks[0].start == 0 and row_blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(row_blocks, row_blocks[1:]))
+        sizes = [s.stop - s.start for s in row_blocks]
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= ROW_BLOCK
         assert n == 1 or min(sizes) != 1
 
@@ -317,15 +316,16 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 2 * ROW_BLOCK + 1])
     def test_feature_blocks_are_the_row_blocks_in_order(self, pool_pass, n):
-        """feature_blocks yields each _row_blocks slice in order with the
-        features of its rows; an empty input gives one empty block."""
+        """feature_blocks yields each blocks(n, ROW_BLOCK) slice in order
+        with the features of its rows; an empty input gives one empty
+        block."""
         model, X, _ = pool_pass
-        blocks = list(model.feature_blocks(X[:n]))
-        assert [rows for rows, _ in blocks] == _row_blocks(n)
-        for rows, F in blocks:
+        got = list(model.feature_blocks(X[:n]))
+        assert [rows for rows, _ in got] == blocks(n, ROW_BLOCK)
+        for rows, F in got:
             np.testing.assert_array_equal(F, model.features(X[rows]))
         if n == 0:
-            assert blocks[0][1].shape == (0, model.d_feat)
+            assert got[0][1].shape == (0, model.d_feat)
 
 
 class TestOnePoolPass:

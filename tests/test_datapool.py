@@ -85,6 +85,42 @@ class TestGenerator:
         rot, _, _ = shift_transform(small_cfg(shift_magnitude=0.8))
         np.testing.assert_allclose(rot @ rot.T, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["rotation", "mixed"])
+    @pytest.mark.parametrize("m", [1e9, 1e18, 1e100, 1e300])
+    def test_a_rotation_the_generator_cannot_honour_is_refused(self, kind, m):
+        """Squaring the halved rotation h ~ log2 m times doubles its rounding
+        each time: at 1e18 R had entries of 1e13, at 1e100 it was the zero
+        matrix, and both pools still built. Now each is refused by name."""
+        cfg = small_cfg(d_in=8, shift_kind=kind, shift_magnitude=m)
+        with pytest.raises(ValueError, match=re.escape(f"shift_magnitude={m} is too large")):
+            generate_shifted_dataset(cfg)
+
+    @pytest.mark.parametrize("kind", ["rotation", "mixed"])
+    def test_a_rotation_within_its_tolerance_builds(self, kind):
+        rot, _, _ = shift_transform(small_cfg(d_in=8, shift_kind=kind, shift_magnitude=1e6))
+        assert np.abs(rot @ rot.T - np.eye(8)).max() <= 1e-8
+        generate_shifted_dataset(small_cfg(d_in=8, shift_kind=kind, shift_magnitude=1e6))
+
+    @pytest.mark.parametrize("kind, m", [
+        ("translation", 0.5), ("covariance_scale", 0.5), ("rotation", 0.0), ("mixed", 0.0),
+        ("translation", 1e300), ("covariance_scale", 1e300), ("rotation", 0.5), ("mixed", 0.5),
+    ])
+    def test_only_a_rotation_takes_the_skew_matrix_norm(self, kind, m, monkeypatch):
+        """The skew matrix's 2-norm is an SVD, once made for every pool; now
+        only a rotation at a magnitude above 0 takes it, and only a rotation
+        is checked, so translation and covariance-scale pools build at any
+        finite magnitude."""
+        norms = []
+        real = np.linalg.norm
+
+        def spy(x, *args, **kw):
+            norms.append(np.ndim(x))
+            return real(x, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        generate_shifted_dataset(small_cfg(shift_kind=kind, shift_magnitude=m))
+        assert norms.count(2) == (kind in ("rotation", "mixed") and m > 0)
+
     def test_simplex_means_equidistant(self):
         means = simplex_means(4, 6, separation=3.0)
         for i in range(4):
@@ -383,6 +419,12 @@ class TestArrayPool:
         X[2, 1] = X[3, 0] = value
         with pytest.raises(ValueError, match="sample 12: non-finite feature"):
             DataPool(2, [10, 11, 12, 13], X, [0, 1, 0, 1], [True, True, False, False])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_features_whose_sum_overflows_are_kept(self):
+        X = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
+        pool = DataPool(2, [0, 1], X, [0, 1], [True, True])
+        np.testing.assert_array_equal(pool.source_arrays()[0], X)
 
     def test_views_and_inputs_do_not_alias_storage(self):
         X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])

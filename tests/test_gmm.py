@@ -39,7 +39,7 @@ from activeadapt.gmm import (
     sketched,
 )
 from activeadapt.harness import RoundReport
-from activeadapt.numerics import EXP_FLOOR, logsumexp
+from activeadapt.numerics import EXP_FLOOR, blocks, logsumexp
 from em_reference import WholeArrayKernel, posteriors_ref
 
 PLANTED_MEANS = (0.0, 1.0, 3.0, 6.0)
@@ -791,7 +791,7 @@ class TestPosterior:
 
 # -- column blocks ------------------------------------------------------------
 
-N_MULTI = 2 * EM_BLOCK + 1  # two full blocks and a one-score tail
+N_MULTI = 2 * EM_BLOCK + 1  # three blocks of 10,923 scores
 
 
 def _bits(x):
@@ -825,14 +825,19 @@ def multi_block_trainset(rng, n_u=N_MULTI, outliers=(), alpha=None):
 
 
 class TestColumnBlocks:
-    """The per-score passes run EM_BLOCK columns at a time; every result
-    matches the whole-array forms of tests/em_reference.py bit for bit."""
+    """The per-score passes run blocks(n, EM_BLOCK) columns at a time; every
+    result matches the whole-array forms of tests/em_reference.py bit for
+    bit."""
 
     def test_block_layout(self):
-        assert gmm._column_blocks(0) == []
-        assert gmm._column_blocks(1) == [slice(0, EM_BLOCK)]
-        assert gmm._column_blocks(N_MULTI) == [
-            slice(0, EM_BLOCK), slice(EM_BLOCK, 2 * EM_BLOCK), slice(2 * EM_BLOCK, 3 * EM_BLOCK)
+        """The mixture's column blocks are numerics.blocks at EM_BLOCK:
+        near-equal, so N_MULTI's three blocks differ by at most one score."""
+        assert blocks(0, EM_BLOCK) == [slice(0, 0)]
+        assert blocks(1, EM_BLOCK) == [slice(0, 1)]
+        assert blocks(EM_BLOCK, EM_BLOCK) == [slice(0, EM_BLOCK)]
+        third = N_MULTI // 3
+        assert blocks(N_MULTI, EM_BLOCK) == [
+            slice(0, third), slice(third, 2 * third), slice(2 * third, N_MULTI)
         ]
 
     @pytest.mark.parametrize("alpha", [None, 0.0, 0.5, 1.0])

@@ -151,9 +151,9 @@ def imported_modules(tree: ast.Module):
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_no_module_imports_scipy_at_module_level(path):
-    """Nor anywhere else: a package module imports numpy, the standard
-    library and its own modules, nothing more."""
+def test_no_module_imports_beyond_numpy_and_the_standard_library(path):
+    """At any depth, a package module imports numpy, the standard library
+    and its own modules, nothing more."""
     allowed = {"numpy", *sys.stdlib_module_names}
     for line, name in imported_modules(ast.parse(path.read_text(), filename=str(path))):
         assert name in allowed, f"{path.name}:{line} imports {name}"

@@ -1,6 +1,8 @@
 """Every public module-level name of the package, and every public method
 and property of a public class, has a caller outside the tests: no public
 function, class, constant or method exists only so that tests can call it.
+And no package module imports or reads another package module's private
+(`_`-prefixed) names: what two modules share is public, in numerics.
 
 A name counts as used when it appears outside its own definition in the
 other package modules, in the rest of its own module, or in the code that
@@ -152,3 +154,109 @@ def test_names_used_by_another_module_or_a_caller():
                "b": ast.parse("from a import f\n")}
     assert unused_public_names(modules, set()) == ["a.g"]
     assert unused_public_names(modules, {"g"}) == []
+
+
+# -- private names stay in their module ----------------------------------------
+
+
+def _private(name: str) -> bool:
+    return len(name) > 1 and name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The private names a module defines anywhere: functions, classes,
+    methods, assigned names and assigned attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {n for n in names if _private(n)}
+
+
+def foreign_private_uses(modules: dict[str, ast.Module]) -> list[str]:
+    """`module:line name` for each private name a module imports from
+    another package module (a relative import), and for each private
+    attribute it reads that only other package modules define."""
+    defined = {stem: private_definitions(tree) for stem, tree in modules.items()}
+    found = []
+    for stem, tree in modules.items():
+        others = set().union(*(d for s, d in defined.items() if s != stem)) - defined[stem]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [a.name for a in node.names if _private(a.name)]
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                names = [node.attr] if node.attr in others else []
+            else:
+                continue
+            found += [f"{stem}:{node.lineno} {name}" for name in names]
+    return found
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, relatively or by the package's
+    name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "activeadapt"):
+            if node.module in (None, "activeadapt"):
+                found.update(a.name for a in node.names)
+            else:
+                found.add(node.module.removeprefix("activeadapt.").split(".")[0])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            paths = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            found.update(p.split(".")[1] for p in paths if p.startswith("activeadapt."))
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert foreign_private_uses(modules) == []
+
+
+@pytest.mark.parametrize("stem", ["gmm", "numerics"])
+def test_the_mixture_and_the_shared_primitives_import_only_numerics(stem):
+    assert package_imports(_parse(PACKAGE / f"{stem}.py")) <= {"numerics"}
+
+
+@pytest.mark.parametrize(
+    "sources, expected",
+    [
+        ({"a": "def _f():\n    pass\n", "b": "from .a import _f\n"}, ["b:1 _f"]),
+        ({"a": "X = 1\n", "b": "from .a import X, _Y\n"}, ["b:1 _Y"]),
+        ({"a": "class A:\n    def _g(self):\n        pass\n",
+          "b": "def h(x):\n    return x._g()\n"}, ["b:2 _g"]),
+        ({"a": "class A:\n    def __init__(self):\n        self._n = 1\n",
+          "b": "def h(x):\n    return x._n\n"}, ["b:2 _n"]),
+        # a module's own private names, a name both modules define, dunders
+        # and private names outside the package are no finding
+        ({"a": "def _f():\n    pass\n\n_f()\n", "b": "from . import a\n"}, []),
+        ({"a": "class A:\n    def _g(self):\n        pass\n",
+          "b": "class B:\n    def _g(self):\n        pass\n\ndef h(x):\n    return x._g()\n"}, []),
+        ({"a": "class A:\n    def __len__(self):\n        return 0\n",
+          "b": "def h(x):\n    return x.__len__()\n"}, []),
+        ({"a": "def _f():\n    pass\n", "b": "from numpy.linalg import _umath_linalg\n"}, []),
+    ],
+)
+def test_foreign_private_uses_of_planted_modules(sources, expected):
+    modules = {stem: ast.parse(source) for stem, source in sources.items()}
+    assert foreign_private_uses(modules) == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from .numerics import logsumexp\nimport numpy as np\n", {"numerics"}),
+        ("from . import gmm, numerics\n", {"gmm", "numerics"}),
+        ("from .classifier import Classifier\nfrom math import isfinite\n", {"classifier"}),
+        ("def f():\n    from .scoring import scores_at\n", {"scoring"}),
+        ("import activeadapt.sampler\nfrom activeadapt.harness import evaluate\n",
+         {"sampler", "harness"}),
+        ("from activeadapt import cli\n", {"cli"}),
+    ],
+)
+def test_package_imports_of_planted_modules(source, expected):
+    assert package_imports(ast.parse(source)) == expected

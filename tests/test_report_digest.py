@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,7 +61,7 @@ def test_repeated_run_has_the_same_digest():
 
 def _keep_blas_env(monkeypatch):
     """main() pins BLAS threads in os.environ; restore them afterwards."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in report_digest.BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "1")
 
 
@@ -177,3 +180,67 @@ def test_dump_writes_each_runs_reports(monkeypatch, capsys, tmp_path):
     for name in ("desk", "desk-sfda"):
         want = [[rep.to_dict() for rep in reports] for reports in _fake_runs(name, 2)]
         assert json.loads((dump / f"{name}-2.json").read_text()) == want
+
+
+def test_workload_names_are_perfbenchs():
+    """Read from workloads.py's source, they are the tuple it defines."""
+    _, workloads = report_digest._engine()
+    assert report_digest.workload_names() == workloads.NAMES
+
+
+@pytest.mark.parametrize("extra, threads", [([], "1"), (["--blas-threads", "2"], "2"),
+                                            (["--blas-threads", "4"], "4")])
+def test_blas_threads_set_every_thread_variable(extra, threads, monkeypatch, capsys):
+    """Each run sees the three thread variables at N, 1 by default, and the
+    printed lines do not change."""
+    _keep_blas_env(monkeypatch)
+    for var in report_digest.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "7")
+    seen = []
+
+    def runs(name, seed):
+        seen.append([os.environ[var] for var in report_digest.BLAS_THREAD_VARS])
+        return _fake_runs(name, seed)
+
+    monkeypatch.setattr(report_digest, "workload_runs", runs)
+    assert report_digest.main(["--workload", "desk", "--seed", "1"] + extra) == 0
+    assert seen == [[threads] * 3]
+    assert capsys.readouterr().out == f"desk 1 {report_digest.digest(_fake_runs('desk', 1))}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_a_bad_thread_count_is_an_error(value, monkeypatch, capsys):
+    _keep_blas_env(monkeypatch)
+    monkeypatch.setattr(report_digest, "workload_runs", lambda name, seed: [])
+    with pytest.raises(SystemExit) as err:
+        report_digest.main(["--workload", "desk", "--seed", "1", "--blas-threads", value])
+    assert err.value.code == 2
+    assert "--blas-threads" in capsys.readouterr().err
+
+
+# In a fresh interpreter: load the tool, run main with a fake workload_runs
+# that records whether numpy was imported before the first run, then run it
+# with an unknown workload name.
+_FRESH = f"""
+import importlib.util, os, sys
+spec = importlib.util.spec_from_file_location("report_digest", {str(_PATH)!r})
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+seen = []
+tool.workload_runs = lambda name, seed: seen.append(
+    ("numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"])) or []
+assert tool.main(["--workload", "desk", "--seed", "1", "--blas-threads", "2"]) == 0
+try:
+    tool.main(["--workload", "nope", "--seed", "1"])
+except SystemExit as exc:
+    seen.append(exc.code)
+print(seen, "numpy" in sys.modules)
+"""
+
+
+def test_thread_variables_are_set_before_numpy_is_imported():
+    """Argument parsing and the workload-name check import no numpy, so the
+    thread variables are set before BLAS starts."""
+    proc = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[(False, '2'), 2] False"

@@ -389,7 +389,7 @@ class TestRowIndependence:
     three-block pool, in random order, gets the whole pool's outputs for
     its rows, bit for bit. This pins what the row blocking must keep. At
     other class counts a block's head product can move the last ulps (see
-    classifier._row_blocks), and a one-row pool goes down BLAS's
+    classifier.ROW_BLOCK), and a one-row pool goes down BLAS's
     matrix-vector path, so subsets start at two rows."""
 
     N = 3 * ROW_BLOCK

@@ -6,6 +6,7 @@ from the root of a checkout:
     python3 tools/report_digest.py --workload all --seed 1
     python3 tools/report_digest.py --workload desk --seed 11 --seed 12 --accuracy
     python3 tools/report_digest.py --workload all --seed 1 --dump runs/reports
+    python3 tools/report_digest.py --workload all --seed 1 --blas-threads 2
 
 prints one line `<workload> <seed> <sha256>` per (workload, seed); with
 --accuracy the line goes on with each run's final accuracy, in run order,
@@ -21,8 +22,12 @@ to_dict(). tools/report_diff.py compares two such directories.
 
 The runs are built by perfbench's own workload builders (perfbench/
 workloads.py, imported, never modified) from this checkout's sources, with
-BLAS on one thread as in the benchmark. The pool-200k feature dump is
-written to a temporary directory that is removed afterwards.
+BLAS on one thread as in the benchmark, or on N threads with
+--blas-threads N: the tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to N after parsing its arguments and before anything imports
+numpy, so two runs at different N show whether the reports depend on the
+thread count. The pool-200k feature dump is written to a temporary directory
+that is removed afterwards.
 
 Every job runs with the loss report turned on (LoopConfig.loss_report,
 set with dataclasses.replace; perfbench leaves it off), so the digests and
@@ -37,6 +42,7 @@ desk-least_confidence (the baseline strategies). `all` covers them too.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -47,6 +53,7 @@ from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
 VARIANTS = ("desk-sfda", "desk-random", "desk-entropy", "desk-least_confidence")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def digest(runs) -> str:
@@ -58,6 +65,17 @@ def digest(runs) -> str:
             h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
             h.update(b"\n")
     return h.hexdigest()
+
+
+def workload_names() -> tuple[str, ...]:
+    """The NAMES tuple of perfbench/workloads.py, read without importing the
+    module, which imports numpy."""
+    path = CHECKOUT / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "NAMES" for target in node.targets):
+            return tuple(ast.literal_eval(node.value))
+    raise SystemExit(f"{path} has no NAMES tuple")
 
 
 def _engine():
@@ -99,10 +117,7 @@ def workload_runs(name: str, seed: int) -> list:
 
 
 def main(argv=None) -> int:
-    # before numpy is first imported, as perfbench/run.py does
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    names = _engine()[1].NAMES + VARIANTS
+    names = workload_names() + VARIANTS
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--workload", action="append", required=True, choices=names + ("all",),
@@ -117,7 +132,16 @@ def main(argv=None) -> int:
         "--dump", type=Path, metavar="DIR",
         help="also write each (workload, seed)'s round reports to DIR as JSON",
     )
+    ap.add_argument(
+        "--blas-threads", type=int, default=1, metavar="N",
+        help="BLAS threads of the runs (default 1, as in the benchmark)",
+    )
     args = ap.parse_args(argv)
+    if args.blas_threads < 1:
+        ap.error(f"argument --blas-threads: must be at least 1, got {args.blas_threads}")
+    # before numpy is first imported, as perfbench/run.py does
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = str(args.blas_threads)
     if args.dump is not None:
         args.dump.mkdir(parents=True, exist_ok=True)
     if "all" not in args.workload:
