@@ -86,7 +86,7 @@ class TestGenerator:
         np.testing.assert_allclose(rot @ rot.T, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["rotation", "mixed"])
-    @pytest.mark.parametrize("m", [1e9, 1e18, 1e100, 1e300])
+    @pytest.mark.parametrize("m", [1e9, 1e18, 1e100, 1e300, 1.7e308])
     def test_a_rotation_the_generator_cannot_honour_is_refused(self, kind, m):
         """Squaring the halved rotation h ~ log2 m times doubles its rounding
         each time: at 1e18 R had entries of 1e13, at 1e100 it was the zero
