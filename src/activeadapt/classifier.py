@@ -49,7 +49,7 @@ class TrainConfig:
     def __post_init__(self):
         check_fields(
             self,
-            finite=("learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma"),
+            finite=("learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma", "aug_dropout_p"),
             integers={"epochs_per_round": 0, "batch_size": 1, "seed": 0},
         )
         if self.learning_rate < 0:

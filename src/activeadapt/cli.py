@@ -13,7 +13,6 @@ import numpy as np
 from .classifier import TrainConfig
 from .datapool import ShiftConfig, generate_shifted_dataset, load_pool
 from .harness import (
-    AGGREGATE_FIELDS,
     LoopConfig,
     Strategy,
     aggregate_rows,
@@ -155,12 +154,9 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = compare_strategies(shift, loop, strategies, args.seeds)
-    write_aggregate_csv(out / "aggregate.csv", rows)
+    sys.stdout.write(write_aggregate_csv(out / "aggregate.csv", rows))
 
     final_round = max(r["round"] for r in rows)
-    print(",".join(AGGREGATE_FIELDS))
-    for row in rows:
-        print(",".join(str(row[f]) for f in AGGREGATE_FIELDS))
     for strat in strategies:
         finals = [
             r["accuracy"]

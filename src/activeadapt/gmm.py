@@ -46,7 +46,8 @@ class GmmParams:
                 raise ValueError(f"{name} must have shape ({N_COMPONENTS},)")
             if not all_finite(value):
                 raise ValueError(f"{name} must be finite, got {value.tolist()}")
-        if abs(self.pi.sum() - 1.0) > 1e-9 or (self.pi < -1e-12).any():
+        # the range test first: weights in [-1e-12, 2] cannot overflow their sum
+        if ((self.pi < -1e-12) | (self.pi > 2)).any() or abs(self.pi.sum() - 1.0) > 1e-9:
             raise ValueError("mixture weights must be a probability vector")
         if (self.sigma2 < VARIANCE_FLOOR * (1 - 1e-9)).any():
             raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")

@@ -13,8 +13,10 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import io
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -86,7 +88,7 @@ class LoopConfig:
             self.strategy = Strategy(self.strategy)
         if not isinstance(self.loss_report, bool):
             raise ValueError(f"loss_report={self.loss_report!r} must be true or false")
-        check_fields(self, integers={
+        check_fields(self, finite=("tau",), integers={
             "budget": 0, "rounds": 1, "k": 1, "d_feat": 1, "pretrain_epochs": 0, "seed": 0,
         })
         if self.budget > 0 and self.budget % self.rounds != 0:
@@ -299,6 +301,16 @@ def _score_pool(model, cfg: LoopConfig, X_lab, y_lab, u_ids, u_X):
     return _Scored(u_ids, model.theta.copy(), centroids, scores, sim), pred
 
 
+def _labeled_set(pool, cfg: LoopConfig):
+    """A round's labeled rows: the source rows unless the run is
+    source-free, then the annotated rows. Returns (X, y, covered), covered
+    being whether y holds every class, as a mixture fit needs. With source
+    rows it always does (a pool invariant), so only a source-free diana
+    round can bootstrap."""
+    X, y = pool.labeled_arrays(include_source=cfg.sfda is None)
+    return X, y, len(np.unique(y)) == pool.C
+
+
 def _select_diana(model, pool, cfg: LoopConfig, b: int, scored=None) -> _Selection:
     """Score, fit, select the top b and partition the rest of the pool. The
     scores are scored's when it still holds for this model and pool (the
@@ -311,10 +323,8 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int, scored=None) -> _Selecti
     one copy of the unlabeled rows."""
     u_ids, u_X = pool.unlabeled_arrays()
     k = cfg.resolved_k()
-    X_lab, y_lab = pool.labeled_arrays(include_source=cfg.sfda is None)
-    # with source rows the labeled set covers every class (a pool
-    # invariant), so only a source-free round can bootstrap
-    if len(np.unique(y_lab)) < pool.C:
+    X_lab, y_lab, covered = _labeled_set(pool, cfg)
+    if not covered:
         return _Selection(sfda_bootstrap(model, u_ids, u_X, cfg.sfda, b, k).active_ids)
     if scored is None or not scored.holds(model, u_ids):
         scored, _ = _score_pool(model, cfg, X_lab, y_lab, u_ids, u_X)
@@ -366,7 +376,7 @@ def _round(cfg: LoopConfig, model, pool, r: int, scored=None):
     # annotation order is canonical so downstream training does not
     # depend on how the strategy happened to order its picks
     pool.annotate_batch(sorted(sel.ids))
-    X_l, y_l = pool.labeled_arrays(include_source=cfg.sfda is None)
+    X_l, y_l, covered = _labeled_set(pool, cfg)
     err_rate = None
     if sel.ids:
         # the batch is the last rows annotated, with its oracle labels
@@ -384,7 +394,7 @@ def _round(cfg: LoopConfig, model, pool, r: int, scored=None):
         )
     sel.cc = sel.uc = None  # the training pools end before the pass below
     nxt = pred = None
-    if cfg.strategy is Strategy.DIANA and r < cfg.rounds and len(np.unique(y_l)) == pool.C:
+    if cfg.strategy is Strategy.DIANA and r < cfg.rounds and covered:
         nxt, pred = _score_pool(model, cfg, X_l, y_l, *pool.unlabeled_arrays())
     report = RoundReport(
         r, evaluate(model, pool, pred), sel.sizes, sel.gmm, sel.ids, sel.posteriors,
@@ -497,11 +507,15 @@ def compare_strategies(shift_cfg, loop_cfg: LoopConfig, strategies, n_seeds: int
     return rows
 
 
-def write_aggregate_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=AGGREGATE_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+def write_aggregate_csv(path, rows) -> str:
+    """Write rows (AGGREGATE_FIELDS) to path as CSV, a None as an empty
+    field and every line ended by CRLF; returns the text written."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=AGGREGATE_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
+    Path(path).write_text(buf.getvalue(), newline="")
+    return buf.getvalue()
 
 
 def consistency_diagnostic(

@@ -1,12 +1,13 @@
 """The package's shared primitives: the one stable log-sum-exp, through
 which the classifier's log-softmax head and the mixture E step share one
 formula and one rounding; the one block splitter, of the classifier's row
-blocks and the mixture's column blocks; the one finite check of inputs; the
+blocks and the mixture's column blocks; the one finiteness test; the
 config-field, whole-number and label checks; and the label gather.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,9 +28,7 @@ def logsumexp(a: np.ndarray, softmax_out=None):
     """
     a = np.asarray(a, dtype=float)
     m = a.max(axis=0, keepdims=True)
-    # a finite sum means every maximum is finite; one that overflows only
-    # costs the per-element test
-    if not math.isfinite(m.sum()):
+    if not np.isfinite(m).all():
         m = np.where(np.isfinite(m), m, 0.0)
     e = np.subtract(a, m, out=softmax_out)
     # the mask doubles as the branch test: the EM E step takes the floor
@@ -65,25 +64,29 @@ def blocks(n: int, size: int) -> list[slice]:
 
 
 def all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite. A finite sum proves it in one
-    reduction; only a sum that is not finite (a NaN or inf entry, or finite
-    entries that overflow) pays the per-element test. np.add.reduce is
-    ndarray.sum without its Python-level wrapper."""
-    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+    """Whether every entry of a is finite: the package's one finiteness test."""
+    return bool(np.isfinite(a).all())
 
 
 def check_fields(cfg, finite=(), integers=None) -> None:
-    """Reject a config whose named fields are out of range, naming the field.
-    Each field in finite must be finite. Each field in integers, a mapping
+    """Reject a config dataclass whose named fields are out of range, naming
+    the field. Each field in finite must be a finite int or float, numpy
+    scalars included, not a bool. Each field in integers, a mapping
     name -> least value, must be an int or np.integer (not a bool) and at
-    least that value. A field that is None is left unchecked."""
+    least that value. A field may be None only where its default is None,
+    and is then left unchecked."""
+    optional = {f.name for f in dataclasses.fields(cfg) if f.default is None}
     for name in finite:
         value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name}={value!r} must be a number")
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     for name, least in (integers or {}).items():
         value = getattr(cfg, name)
-        if value is None:
+        if value is None and name in optional:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name}={value!r} must be an integer")

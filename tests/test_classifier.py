@@ -8,6 +8,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,7 +117,7 @@ class TestForward:
         assert p[0] == pytest.approx(e0 / (e0 + e1), abs=1e-12)
         assert p[1] == pytest.approx(e1 / (e0 + e1), abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["features", "log_proba", "predict_proba", "predict"])
     def test_dimension_and_finiteness_errors(self, method):
         model = two_class_model()
@@ -125,9 +126,9 @@ class TestForward:
         with pytest.raises(ValueError):
             getattr(model, method)(np.array([[0.0], [np.nan]]))
         with pytest.raises(ValueError):
-            getattr(model, method)([[np.inf], [-np.inf]])  # the sum is NaN
+            getattr(model, method)([[np.inf], [-np.inf]])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_lists_rows_and_overflowing_sums_accepted(self):
         """A list, a 1-D row and finite inputs whose sum overflows all pass
         the input check and give the 2-D array's features."""
@@ -135,7 +136,8 @@ class TestForward:
         np.testing.assert_array_equal(model.features([[0.5], [2.0]]),
                                       model.features(np.array([[0.5], [2.0]])))
         np.testing.assert_array_equal(model.features(np.array([0.5])), model.features([[0.5]]))
-        assert np.isfinite(model.features([[1.5e308], [1.5e308]])).all()
+        with np.errstate(over="raise", invalid="raise"):
+            assert np.isfinite(model.features([[1.5e308], [1.5e308]])).all()
 
 
 class TestParameters:
@@ -850,19 +852,19 @@ class TestStepMatchesReference:
             b_out=np.array([-3.0, 3.0]),
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_finite_entries_whose_sum_overflows_still_step(self):
         """Two finite inputs of 1.5e308 sum to inf, and so do four finite
-        W_hidden gradients of 7.5e307: both pass the per-element test that
-        the overflowing sum falls back to, and the step matches the
-        reference."""
+        W_hidden gradients of 7.5e307: both pass the finiteness test, and
+        the step matches the reference."""
         model = self._overflow_model(-0.25)
         ref = _clone(model)
         X, y = np.full((2, 1), 1.5e308), np.array([0, 0])
         empty = (np.zeros((0, 1)), np.zeros(0, dtype=int))
         g = combined_grads_ref(model, X, y, *empty, np.zeros((0, 1)), 0.5, 0.1)
         flat = np.concatenate([v.ravel() for v in g.values()])
-        assert np.isfinite(flat).all() and not np.isfinite(flat.sum())
+        with np.errstate(over="ignore"):
+            assert np.isfinite(flat).all() and not np.isfinite(flat.sum())
         cfg = TrainConfig(learning_rate=1e-310)
         take_step(model, (X, y), empty, np.zeros((0, 1)), cfg)
         backward_and_step_ref(ref, (X, y), empty, np.zeros((0, 1)), cfg)
@@ -900,13 +902,35 @@ class TestStepMatchesReference:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("field", ["learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma"])
+    @pytest.mark.parametrize(
+        "field", ["learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma", "aug_dropout_p"]
+    )
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected_at_construction(self, field, value):
         """A NaN learning rate used to surface only as a
         NonFiniteGradientError in the first training step."""
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", "0.1"),
+        ("learning_rate", True),
+        ("lambda_c", None),
+        ("lambda_e", None),
+        ("aug_dropout_p", "0.1"),
+        ("batch_size", None),
+    ])
+    def test_non_number_names_its_field(self, field, value):
+        """A string used to fail in math.isfinite without the field's name, a
+        bool ran as 1.0, and a None lambda failed only in round 1."""
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r} must be a")):
+            TrainConfig(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = TrainConfig(
+            learning_rate=np.float32(0.25), lambda_c=np.int64(1), batch_size=np.int64(8)
+        )
+        assert cfg.learning_rate == 0.25 and cfg.lambda_c == 1
 
     @pytest.mark.parametrize("field, value, message", [
         ("batch_size", 8.0, "must be an integer"),

@@ -94,6 +94,24 @@ def test_compare_csv(tmp_path, tiny_config):
         assert 0.0 <= float(r["accuracy"]) <= 1.0
 
 
+def test_compare_prints_the_csv_it_writes(tmp_path, tiny_config, capsysbinary):
+    """A budget-0 row has no selected_error_rate: stdout and the file hold
+    the same bytes, an empty field and not the word None."""
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"]["budget"] = 0
+    path = tmp_path / "b0.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "cmp"
+    args = ["compare", "--strategies", "diana", "--seeds", "1", "--config", str(path)]
+    assert main([*args, "--output", str(out)]) == 0
+    printed = capsysbinary.readouterr().out
+    written = (out / "aggregate.csv").read_bytes()
+    assert printed.startswith(written) and b"None" not in printed
+    header, row = written.decode().split("\r\n")[:2]
+    assert header == "strategy,seed,round,accuracy,selected_error_rate"
+    assert row.startswith("diana,0,0,") and row.endswith(",")
+
+
 def test_diagnose_consistency(tmp_path, tiny_config, capsys):
     out = tmp_path / "diag"
     code = main(
@@ -152,6 +170,26 @@ def test_nan_sfda_step_rejected_when_the_config_is_read(tmp_path, tiny_config, c
     out = tmp_path / "n"
     assert main(["run", "--config", str(path), "--output", str(out)]) == 1
     assert "t_v_step must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("train", "lambda_c", None),
+    ("train", "lambda_e", None),
+    ("train", "learning_rate", "0.1"),
+    (None, "tau", "0.9"),
+])
+def test_non_number_rejected_before_pretraining(tmp_path, tiny_config, capsys, section, field, value):
+    """A null lambda used to pass the config, pretrain the model and fail in
+    round 1 on None / int; a string failed without the field's name."""
+    cfg = json.loads(tiny_config.read_text())
+    loop = cfg["loop"].setdefault(section, {}) if section else cfg["loop"]
+    loop[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "b"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 1
+    assert f"error: {field}={value!r} must be a number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -146,6 +146,13 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("shift_magnitude", None), ("class_std", "1.0"), ("class_separation", True), ("C", None),
+    ])
+    def test_non_number_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r} must be a")):
+            small_cfg(**{field: value})
+
     @pytest.mark.parametrize("field, value, message", [
         ("C", 3.0, "must be an integer"),
         ("n_target", 300.0, "must be an integer"),
@@ -420,10 +427,11 @@ class TestArrayPool:
         with pytest.raises(ValueError, match="sample 12: non-finite feature"):
             DataPool(2, [10, 11, 12, 13], X, [0, 1, 0, 1], [True, True, False, False])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_finite_features_whose_sum_overflows_are_kept(self):
         X = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
-        pool = DataPool(2, [0, 1], X, [0, 1], [True, True])
+        with np.errstate(over="raise", invalid="raise"):
+            pool = DataPool(2, [0, 1], X, [0, 1], [True, True])
         np.testing.assert_array_equal(pool.source_arrays()[0], X)
 
     def test_views_and_inputs_do_not_alias_storage(self):

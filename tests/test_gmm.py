@@ -297,11 +297,12 @@ class TestTrainSet:
         with pytest.raises(ValueError, match=re.escape(message)):
             GmmTrainSet(labeled, [1, 2, 3, 4], unlabeled)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_finite_scores_whose_sum_overflows_build(self):
-        """The one-sum finiteness test falls back to a per-score test when
-        the sum overflows: finite scores build, a NaN among them is found."""
-        GmmTrainSet([1e308, 1e308, 0.3, 0.4], [1, 2, 3, 4], [1e308, 1e308])
+        """Finite scores whose sum overflows build, and a NaN among them is
+        found."""
+        with np.errstate(over="raise", invalid="raise"):
+            GmmTrainSet([1e308, 1e308, 0.3, 0.4], [1, 2, 3, 4], [1e308, 1e308])
         with pytest.raises(ValueError, match=re.escape("unlabeled score 2 is not finite (nan)")):
             GmmTrainSet([1e308, 1e308, 0.3, 0.4], [1, 2, 3, 4], [1e308, 1e308, np.nan])
 
@@ -316,10 +317,15 @@ class TestParams:
         ([0.5, 0.6, 0.0, 0.0], [0, 1, 2, 3], [1, 1, 1, 1], "probability vector"),
         ([1.1, -0.1, 0.0, 0.0], [0, 1, 2, 3], [1, 1, 1, 1], "probability vector"),
         ([0.25] * 4, [0, 1, 2, 3], [1, 1, 1, 0.0], "variances must be >="),
+        # finite weights whose sum overflows: refused by range, never summed
+        ([1e308] * 4, [0, 1, 2, 3], [1, 1, 1, 1], "probability vector"),
+        ([-1e308, -1e308, 1.0, 1.0], [0, 1, 2, 3], [1, 1, 1, 1], "probability vector"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_rejected(self, pi, mu, sigma2, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            GmmParams(pi=pi, mu=mu, sigma2=sigma2)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                GmmParams(pi=pi, mu=mu, sigma2=sigma2)
 
     @pytest.mark.parametrize("pi, mu, sigma2, message", [
         ([np.nan, 0.3, 0.3, 0.4], [0, 1, 2, np.inf], [np.nan, 1, 1, 1], "pi must be finite"),

@@ -96,6 +96,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fast_loop(tau=1.0)
 
+    @pytest.mark.parametrize("value, message", [
+        ("0.9", "tau='0.9' must be a number"),
+        (None, "tau=None must be a number"),
+        (True, "tau=True must be a number"),
+        (float("nan"), "tau must be finite"),
+    ])
+    def test_tau_must_be_a_finite_number(self, value, message):
+        """A string tau used to fail at its range test without the field's
+        name."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fast_loop(tau=value)
+
+    def test_none_only_where_the_default_is_none(self):
+        assert fast_loop(k=None).resolved_k() == 2
+        with pytest.raises(ValueError, match=re.escape("budget=None must be an integer")):
+            fast_loop(budget=None)
+
     def test_default_k_is_feature_dim_over_8(self):
         assert fast_loop(d_feat=64).resolved_k() == 8
         assert fast_loop(d_feat=16).resolved_k() == 2

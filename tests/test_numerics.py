@@ -1,12 +1,12 @@
 """The package's log-sum-exp against direct evaluation and, bit for bit,
-against its plain reference form; and the class-major log-softmax head
-against the row-major form it replaced."""
+against its plain reference form; the class-major log-softmax head against
+the row-major form it replaced; and the one finiteness test."""
 
 import numpy as np
 import pytest
 
 from activeadapt.classifier import _log_softmax
-from activeadapt.numerics import EXP_FLOOR, logsumexp, whole_numbers
+from activeadapt.numerics import EXP_FLOOR, all_finite, logsumexp, whole_numbers
 from step_reference import logsumexp_ref
 
 
@@ -71,7 +71,7 @@ LSE_CASES = {
     "nan": np.array([[0.0, np.nan, 1.0], [2.0, 3.0, -1.0]]),
     "plus_inf": np.array([[np.inf, 0.0, -1.0], [1.0, np.inf, np.inf]]),
     "below_floor": np.array([[0.0, -701.0, -3.0], [5.0, -1e4, 4.0]]),
-    # finite maxima whose sum overflows: only the per-element test may run
+    # finite maxima whose sum overflows
     "maxima_near_1e308": np.array([[1e308, 0.0, -1.0], [1.5e308, 1.7e308, 3.0]]),
     "empty_rows": np.zeros((0, 4)),
 }
@@ -111,13 +111,25 @@ def test_softmax_out_aliasing_its_input_matches_reference(name):
     assert _bits(got) == _bits(want)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_maxima_sum_overflow_keeps_finite_result():
-    """m.sum() overflows to inf here (numpy warns) although every maximum is
-    finite; the result is still the plain formula's."""
+    """m.sum() overflows to inf here although every maximum is finite; the
+    result is still the plain formula's, with no warning or trap."""
     a = LSE_CASES["maxima_near_1e308"].T.copy()
-    assert not np.isfinite(np.max(a, axis=0).sum())
-    np.testing.assert_array_equal(logsumexp(a), [1e308, 1.7e308])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.max(a, axis=0).sum())
+    with np.errstate(over="raise", invalid="raise"):
+        np.testing.assert_array_equal(logsumexp(a), [1e308, 1.7e308])
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_finite_never_sums():
+    """Finite entries whose sum overflows are finite, and inf beside -inf is
+    not, with no warning or trap."""
+    with np.errstate(over="raise", invalid="raise"):
+        assert all_finite(np.array([1.5e308, 1.5e308]))
+        assert not all_finite(np.array([np.inf, -np.inf]))
+        assert not all_finite(np.array([1.0, np.nan]))
 
 
 def _random_logits(rng, n, C):

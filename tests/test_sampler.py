@@ -1,6 +1,7 @@
 """Selection, partitioning, the source-free bootstrap, and the consistency
 diagnostic, against loop-based oracles."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -450,6 +451,16 @@ class TestSfdaRowBlocks:
 
 
 class TestSfdaConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("t_v_init", None), ("t_v_step", "0.1"), ("t_c_step", True), ("t_c_init", "0.5"),
+    ])
+    def test_non_number_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r} must be a number")):
+            SfdaConfig(**{field: value})
+
+    def test_t_c_init_may_be_unset(self):
+        assert SfdaConfig(t_c_init=None).t_c_init is None
+        assert SfdaConfig(t_c_init=np.float64(0.5)).t_c_init == 0.5
     @pytest.mark.parametrize("field, value", [
         ("t_v_step", 1e-17),
         ("t_c_step", 1e-18),
