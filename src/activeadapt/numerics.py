@@ -82,7 +82,11 @@ def check_fields(cfg, finite=(), integers=None) -> None:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name}={value!r} must be a number")
-        if not math.isfinite(value):
+        try:
+            in_range = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            in_range = False
+        if not in_range:
             raise ValueError(f"{name} must be finite, got {value}")
     for name, least in (integers or {}).items():
         value = getattr(cfg, name)

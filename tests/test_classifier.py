@@ -905,10 +905,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "field", ["learning_rate", "lambda_c", "lambda_e", "aug_noise_sigma", "aug_dropout_p"]
     )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
     def test_non_finite_value_rejected_at_construction(self, field, value):
         """A NaN learning rate used to surface only as a
-        NonFiniteGradientError in the first training step."""
+        NonFiniteGradientError in the first training step, and an int too
+        large for a float as an OverflowError naming no field."""
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
 
