@@ -80,14 +80,17 @@ class DataPool:
     them to T, which also records the order they were annotated in. An id
     is found by a searchsorted on the ids, so b ids cost O(b log n).
 
-    Invariants: ids and labels are whole numbers, ids are unique, every
-    label lies in [0, C), every class appears among the source rows, and
+    Invariants: C is an int or np.integer of at least 1, not a bool, ids
+    and labels are whole numbers, ids are unique, every label lies in
+    [0, C), every class appears among the source rows, and
     the T rows are exactly the annotated ones. The constructor copies its
     inputs and checks them; it also checks once that there is at least one
     feature and that every feature is finite, since X never changes.
     """
 
     def __init__(self, C: int, ids, X, labels, source):
+        if isinstance(C, bool) or not isinstance(C, (int, np.integer)):
+            raise ValueError(f"C={C!r} must be an integer")
         if C < 1:
             raise ValueError(f"need at least one class, got C={C}")
         self.C = int(C)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import all_finite, blocks, checked_labels, logsumexp
+from .numerics import all_finite, checked_labels, logsumexp
 
 N_COMPONENTS = 4
 VARIANCE_FLOOR = 1e-6
@@ -101,15 +101,6 @@ class GmmTrainSet:
 #
 # Everything per score is component-major: row k of a (4, n) array holds
 # component k, so each reduction over scores runs along contiguous memory.
-#
-# The elementwise passes run over the near-equal column blocks of
-# blocks(n, EM_BLOCK), at most EM_BLOCK columns each. A (4, EM_BLOCK) float64
-# block is 512 KB and stays in a core's L2 cache across the dozen passes an E
-# step makes over it, where a whole (4, 200k) array (6.4 MB) streams from
-# memory on every pass. Each of those passes works on one column at a time,
-# so the block size changes no bit; every reduction over the scores (a sum,
-# a matrix product) stays one call on the whole array.
-EM_BLOCK = 16384
 
 # Above SKETCH_ROWS unlabeled scores the mixture is fitted on a weighted
 # sketch of them (sketched), as in EM for grouped data (McLachlan and
@@ -135,10 +126,8 @@ def sketched(ts: GmmTrainSet) -> GmmTrainSet:
 
 def _squared_residuals(scores: np.ndarray, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(s_j - mu_k)^2 at [k, j], written into out."""
-    for cols in blocks(scores.size, EM_BLOCK):
-        block = np.subtract(scores[cols], mu[:, None], out=out[:, cols])
-        np.square(block, out=block)
-    return out
+    np.subtract(scores, mu[:, None], out=out)
+    return np.square(out, out=out)
 
 
 def _log_weight_terms(params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
@@ -158,17 +147,13 @@ def _to_log_weights(sq: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.
     return sq
 
 
-def _posteriors_in_place(sq, scale, shift, log_mix: np.ndarray) -> np.ndarray:
+def _posteriors_in_place(sq, scale, shift) -> np.ndarray:
     """The E pass under the mixture whose _log_weight_terms are (scale,
-    shift). In place, column block by column block: the (4, n) squared
-    residuals about its means become the posteriors Pr(z=k | s_j), and
-    log_mix[j] receives the log mixture density
+    shift). In place, the (4, n) squared residuals about its means become
+    the posteriors Pr(z=k | s_j); returned are the log mixture densities
     log sum_k pi_k N(s_j; mu_k, sigma2_k). Scaling all four weighted
     densities of a score by a common constant cancels."""
-    for cols in blocks(sq.shape[1], EM_BLOCK):
-        lw = _to_log_weights(sq[:, cols], scale, shift)
-        log_mix[cols] = logsumexp(lw, softmax_out=lw)
-    return sq
+    return logsumexp(_to_log_weights(sq, scale, shift), softmax_out=sq)
 
 
 def component_posteriors(scores, params: GmmParams) -> np.ndarray:
@@ -176,7 +161,8 @@ def component_posteriors(scores, params: GmmParams) -> np.ndarray:
     to 1."""
     scores = np.asarray(scores, dtype=float).ravel()
     sq = _squared_residuals(scores, params.mu, np.empty((N_COMPONENTS, scores.size)))
-    return _posteriors_in_place(sq, *_log_weight_terms(params), np.empty(scores.size)).T
+    _posteriors_in_place(sq, *_log_weight_terms(params))
+    return sq.T
 
 
 def component_posterior(score: float, params: GmmParams) -> np.ndarray:
@@ -226,8 +212,7 @@ class _EmKernel:
     responsibilities the next M step needs.
 
     Unlabeled responsibilities and squared residuals live in two reused
-    (4, n_u) buffers that swap roles every pass; a third, (n_u,), holds the
-    unlabeled scores' log mixture densities of the last pass. The labeled side's
+    (4, n_u) buffers that swap roles every pass. The labeled side's
     responsibilities (one-hot at the observation labels), its mass and its
     score sums are fixed for the fit and computed once here.
     """
@@ -244,7 +229,6 @@ class _EmKernel:
         self.sq_l = np.empty((N_COMPONENTS, n_l))
         self.resp = np.empty((N_COMPONENTS, n_u))
         self.sq = np.empty((N_COMPONENTS, n_u))
-        self.log_mix = np.empty(n_u)
 
     def residuals(self, mu: np.ndarray) -> None:
         _squared_residuals(self.ls, mu, out=self.sq_l)
@@ -262,9 +246,9 @@ class _EmKernel:
         if self.a > 0:
             lw_l = _to_log_weights(self.sq_l, scale, shift)
             total += self.a * lw_l[self.picks].sum()
-        _posteriors_in_place(self.sq, scale, shift, self.log_mix)
+        log_mix = _posteriors_in_place(self.sq, scale, shift)
         if self.b > 0:
-            total += self.b * self.log_mix.sum()
+            total += self.b * log_mix.sum()
         self.resp, self.sq = self.sq, self.resp
         return float(total)
 

@@ -43,7 +43,6 @@ from .sampler import (
 )
 from .scoring import (
     Category,
-    CentroidSet,
     compute_centroids,
     info_scores_labeled,
     info_scores_unlabeled,
@@ -276,13 +275,12 @@ class _Selection:
 @dataclass
 class _Scored:
     """A scoring pass over the unlabeled pool: the ids it scored (in id
-    order), the theta it scored with, and the centroids, scores and
-    similarity labels a diana round selects from. Per-row vectors only, so
-    carrying one from a round's end into the next costs three values a row."""
+    order), the theta it scored with, and the scores and similarity labels
+    a diana round selects from. Per-row vectors only, so carrying one from
+    a round's end into the next costs three values a row."""
 
     ids: np.ndarray
     theta: np.ndarray
-    centroids: CentroidSet
     scores: np.ndarray
     sim: np.ndarray
 
@@ -298,7 +296,7 @@ def _score_pool(model, cfg: LoopConfig, X_lab, y_lab, u_ids, u_X):
     centroids = compute_centroids(model, X_lab, y_lab)
     pred = np.empty(u_ids.size, dtype=np.intp)
     scores, sim = info_scores_unlabeled(model, centroids, u_X, cfg.resolved_k(), pred)
-    return _Scored(u_ids, model.theta.copy(), centroids, scores, sim), pred
+    return _Scored(u_ids, model.theta.copy(), scores, sim), pred
 
 
 def _labeled_set(pool, cfg: LoopConfig):
@@ -317,8 +315,8 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int, scored=None) -> _Selecti
     previous round's end-of-round pass), else a fresh _score_pool. A large
     pool's mixture is fitted on a sketch of its scores (gmm.sketched);
     selection and the partition score every row. The partition runs before
-    annotation: the model and centroids it needs are the ones the batch was
-    selected with. It reads only the remaining pool's scores, and the CC/UC
+    annotation, on the scores the batch was selected from: it reads only
+    the remaining pool's scores, not its rows or the centroids. The CC/UC
     rows are taken from the whole pool's rows by index, so the round holds
     one copy of the unlabeled rows."""
     u_ids, u_X = pool.unlabeled_arrays()
@@ -328,7 +326,7 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int, scored=None) -> _Selecti
         return _Selection(sfda_bootstrap(model, u_ids, u_X, cfg.sfda, b, k).active_ids)
     if scored is None or not scored.holds(model, u_ids):
         scored, _ = _score_pool(model, cfg, X_lab, y_lab, u_ids, u_X)
-    centroids, scores, sim = scored.centroids, scored.scores, scored.sim
+    scores, sim = scored.scores, scored.sim
     l_scores = info_scores_labeled(model, X_lab, y_lab)
     l_obs = observation_labels(model, X_lab, y_lab, cfg.tau)
     fit = run_em(sketched(GmmTrainSet(l_scores, l_obs, scores)))
@@ -338,7 +336,7 @@ def _select_diana(model, pool, cfg: LoopConfig, b: int, scored=None) -> _Selecti
     ui_post = component_posteriors(scores[rows], fit.params)[:, Category.UI - 1]
     rest = np.delete(np.arange(u_ids.size), rows)
     part = partition_unlabeled(
-        u_ids[rest], None, model, centroids, fit.params, k, scores=scores[rest]
+        u_ids[rest], None, model, None, fit.params, k, scores=scores[rest]
     )
     cc, uc = rest[part.cats == Category.CC], rest[part.cats == Category.UC]
     return _Selection(ids, ui_post.tolist(), fit, part.sizes, (u_X[cc], sim[cc]), u_X[uc])

@@ -1,7 +1,7 @@
 """The package's shared primitives: the one stable log-sum-exp, through
 which the classifier's log-softmax head and the mixture E step share one
 formula and one rounding; the one block splitter, of the classifier's row
-blocks and the mixture's column blocks; the one finiteness test; the
+blocks and the partition's column blocks; the one finiteness test; the
 config-field, whole-number and label checks; and the label gather.
 """
 
@@ -23,16 +23,19 @@ def logsumexp(a: np.ndarray, softmax_out=None):
     reduced axis comes first: numpy reduces a short last axis row by row, so
     the max of (96, 5) logits took 6.2 us along axis 1, 1.3 us along axis 0
     of their transpose. A column of all -inf gives -inf; terms more than 700
-    below its maximum count as exactly 0. softmax_out, when given, receives
-    the softmax along axis 0 (the E step's responsibilities); it may be a.
+    below its maximum count as exactly 0, in every column alike: the flush
+    branch is taken for the whole array when any one column needs it, and
+    gives the other columns the bits of the plain branch. softmax_out, when
+    given, receives the softmax along axis 0 (the E step's
+    responsibilities, over all of a mixture's scores); it may be a.
     """
     a = np.asarray(a, dtype=float)
     m = a.max(axis=0, keepdims=True)
     if not np.isfinite(m).all():
         m = np.where(np.isfinite(m), m, 0.0)
     e = np.subtract(a, m, out=softmax_out)
-    # the mask doubles as the branch test: the EM E step takes the floor
-    # branch on large pools, where a separate e.min() test is one more pass
+    # the mask doubles as the branch test: an EM E step over a large pool
+    # takes the floor branch, where a separate e.min() test is one more pass
     keep = e >= EXP_FLOOR
     if keep.all():
         np.exp(e, out=e)

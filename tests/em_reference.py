@@ -2,8 +2,8 @@
 residuals, log weights and the E pass, each one numpy call over a whole
 (4, n) array.
 
-The engine runs these passes in column blocks of gmm.EM_BLOCK scores. Every
-operation in them works on one column at a time, so tests compare the
+The engine runs these passes on whole arrays too, through its own helpers.
+Every operation in them works on one column at a time, so tests compare the
 engine with these forms bit for bit. Nothing here is imported by the
 package.
 """

@@ -396,6 +396,23 @@ class TestArrayPool:
         pool.annotate_batch(np.array([3.0]))
         assert pool.sizes == (2, 1, 0)
 
+    @pytest.mark.parametrize("C", [2.5, np.float64(2.9), 2.0, True, "2", None])
+    def test_rejects_a_class_count_that_is_not_an_integer(self, C):
+        """A float, bool or string C is refused by name, not truncated to a
+        smaller class count or passed on to a TypeError."""
+        with pytest.raises(ValueError, match=r"C=.* must be an integer"):
+            DataPool(C, [0, 1], [[0.0], [1.0]], [0, 1], [True, True])
+
+    @pytest.mark.parametrize("C", [2, np.int64(2), np.uint8(2)])
+    def test_accepts_integer_class_counts(self, C):
+        pool = DataPool(C, [0, 1], [[0.0], [1.0]], [0, 1], [True, True])
+        assert type(pool.C) is int and pool.C == 2
+
+    @pytest.mark.parametrize("C", [0, -1, np.int64(0)])
+    def test_rejects_fewer_than_one_class(self, C):
+        with pytest.raises(ValueError, match=f"need at least one class, got C={C}"):
+            DataPool(C, [0, 1], [[0.0], [1.0]], [0, 1], [True, True])
+
     def test_rejects_zero_features(self):
         with pytest.raises(ValueError, match="at least one feature"):
             DataPool(2, [0, 1], np.zeros((2, 0)), [0, 1], [True, True])

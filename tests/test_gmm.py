@@ -8,10 +8,7 @@ given parameters, and its M step from responsibilities the test sets.
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +20,6 @@ from scipy.stats import norm
 
 from activeadapt import gmm
 from activeadapt.gmm import (
-    EM_BLOCK,
     SKETCH_ROWS,
     EmFit,
     GmmParams,
@@ -39,7 +35,8 @@ from activeadapt.gmm import (
     sketched,
 )
 from activeadapt.harness import RoundReport
-from activeadapt.numerics import EXP_FLOOR, blocks, logsumexp
+from activeadapt.numerics import EXP_FLOOR, logsumexp
+from blas_threads import last_words_by_thread_count
 from em_reference import WholeArrayKernel, posteriors_ref
 
 PLANTED_MEANS = (0.0, 1.0, 3.0, 6.0)
@@ -795,9 +792,9 @@ class TestPosterior:
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
 
 
-# -- column blocks ------------------------------------------------------------
+# -- whole-array passes -------------------------------------------------------
 
-N_MULTI = 2 * EM_BLOCK + 1  # three blocks of 10,923 scores
+N_WIDE = 32_769  # unlabeled scores in the whole-array tests
 
 
 def _bits(x):
@@ -818,7 +815,7 @@ def assert_same_fit(got: EmFit, want: EmFit):
     assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
 
 
-def multi_block_trainset(rng, n_u=N_MULTI, outliers=(), alpha=None):
+def wide_trainset(rng, n_u=N_WIDE, outliers=(), alpha=None):
     """Planted close components (sigma 0.2): no log weight of an inlier falls
     EXP_FLOOR below its column's maximum. Scores at the outlier positions
     are replaced by 40.0, far enough out to flush every narrow component."""
@@ -831,24 +828,13 @@ def multi_block_trainset(rng, n_u=N_MULTI, outliers=(), alpha=None):
 
 
 class TestColumnBlocks:
-    """The per-score passes run blocks(n, EM_BLOCK) columns at a time; every
-    result matches the whole-array forms of tests/em_reference.py bit for
-    bit."""
-
-    def test_block_layout(self):
-        """The mixture's column blocks are numerics.blocks at EM_BLOCK:
-        near-equal, so N_MULTI's three blocks differ by at most one score."""
-        assert blocks(0, EM_BLOCK) == [slice(0, 0)]
-        assert blocks(1, EM_BLOCK) == [slice(0, 1)]
-        assert blocks(EM_BLOCK, EM_BLOCK) == [slice(0, EM_BLOCK)]
-        third = N_MULTI // 3
-        assert blocks(N_MULTI, EM_BLOCK) == [
-            slice(0, third), slice(third, 2 * third), slice(2 * third, N_MULTI)
-        ]
+    """The per-score passes run on each whole (4, n) array, as one block of
+    n columns; every result matches the whole-array forms of
+    tests/em_reference.py bit for bit."""
 
     @pytest.mark.parametrize("alpha", [None, 0.0, 0.5, 1.0])
     def test_run_em_matches_whole_array_passes(self, alpha, monkeypatch):
-        ts = multi_block_trainset(np.random.default_rng(41), alpha=alpha)
+        ts = wide_trainset(np.random.default_rng(41), alpha=alpha)
         fit = run_em(ts)
         assert fit.n_iter > (0 if alpha == 1.0 else 2)
         assert_same_fit(fit, whole_array_fit(ts, monkeypatch))
@@ -856,14 +842,15 @@ class TestColumnBlocks:
     def test_component_posteriors_match_whole_array_pass(self):
         rng = np.random.default_rng(42)
         p = params_for(rng.dirichlet(np.ones(4)), rng.uniform(0, 5, 4), rng.uniform(0.01, 1, 4))
-        scores = rng.uniform(-2, 8, N_MULTI)
-        scores[EM_BLOCK + 7] = 60.0  # one column in the middle block flushes
+        scores = rng.uniform(-2, 8, N_WIDE)
+        scores[16_391] = 60.0  # one column flushes
         assert _bits(component_posteriors(scores, p)) == _bits(posteriors_ref(scores, p))
 
     def test_blocks_with_and_without_flushed_terms(self, monkeypatch):
-        """Outliers in the middle block only: in every E pass that block
-        takes log-sum-exp's flush branch and the other two do not."""
-        ts = multi_block_trainset(np.random.default_rng(43), outliers=range(EM_BLOCK, EM_BLOCK + 50))
+        """50 outliers among inliers: every E pass takes log-sum-exp's flush
+        branch for the whole array, and the fit is the reference's, whose
+        inlier columns take that branch too."""
+        ts = wide_trainset(np.random.default_rng(43), outliers=range(16_384, 16_434))
         flushed = []
 
         def spy(a, softmax_out):
@@ -873,21 +860,18 @@ class TestColumnBlocks:
         with monkeypatch.context() as m:
             m.setattr(gmm, "logsumexp", spy)
             fit = run_em(ts)
-        n_passes = len(fit.objective_trace)
-        assert len(flushed) >= 3 * n_passes
-        assert flushed[: 3 * n_passes : 3] == [False] * n_passes
-        assert flushed[1 : 3 * n_passes : 3] == [True] * n_passes
-        assert flushed[2 : 3 * n_passes : 3] == [False] * n_passes
+        assert len(flushed) >= len(fit.objective_trace)
+        assert all(flushed)
         assert_same_fit(fit, whole_array_fit(ts, monkeypatch))
 
     def test_dead_component_weight_stays_exactly_zero(self, monkeypatch):
-        """As TestRunEmAgainstOracle.test_dead_component, over three blocks:
+        """As TestRunEmAgainstOracle.test_dead_component, over N_WIDE scores:
         flushed terms are exact zeros, so component 4's responsibilities
         sum to 0.0 and so does its weight."""
         rng = np.random.default_rng(44)
         labeled = np.array([0.5, 0.7, 2.0, 2.3, 4.1, 3.8, 500.0, 500.1])
         comps = np.array([1, 1, 2, 2, 3, 3, 4, 4])
-        ts = GmmTrainSet(labeled, comps, rng.uniform(0.0, 5.0, N_MULTI), alpha=0.0)
+        ts = GmmTrainSet(labeled, comps, rng.uniform(0.0, 5.0, N_WIDE), alpha=0.0)
         start = init_from_labeled(labeled, comps)
         fit = run_em(ts, max_iter=12, tol=0.0)
         assert fit.params.pi[3] == 0.0
@@ -896,13 +880,13 @@ class TestColumnBlocks:
         assert_same_fit(fit, whole_array_fit(ts, monkeypatch, max_iter=12, tol=0.0))
 
     def test_e_pass_memory_is_the_kernel_buffers_and_one_block(self):
-        """Peak traced memory of a 3-block fit: the kernel's two (4, n_u)
-        buffers, its (n_u,) log mixture densities, and at most one (4,
-        EM_BLOCK) block's worth of temporaries. Whole-array temporaries of
-        the log-sum-exp (maxima, sums and flush mask over all n_u columns,
-        2.5 vectors) would exceed it."""
-        n_u = 3 * EM_BLOCK
-        ts = multi_block_trainset(np.random.default_rng(45), n_u=n_u)
+        """Peak traced memory of a fit: the kernel's two (4, n_u) buffers and
+        one block, the whole array, of log-sum-exp temporaries: its maxima,
+        flush mask and sums, which become the log mixture densities, about
+        2.5 (n_u,) vectors (measured 2.53). Under three vectors, so one more
+        (4, n_u) temporary in any pass would exceed it."""
+        n_u = 49_152
+        ts = wide_trainset(np.random.default_rng(45), n_u=n_u)
         tracemalloc.start()
         try:
             run_em(ts, max_iter=3)
@@ -910,8 +894,8 @@ class TestColumnBlocks:
         finally:
             tracemalloc.stop()
         f8 = np.dtype(float).itemsize
-        kernel_buffers = 2 * N_COMPONENTS * n_u * f8 + n_u * f8
-        assert peak <= kernel_buffers + N_COMPONENTS * EM_BLOCK * f8
+        kernel_buffers = 2 * N_COMPONENTS * n_u * f8
+        assert peak <= kernel_buffers + 3 * n_u * f8
 
 
 def weight_ratio(ts: GmmTrainSet) -> float:
@@ -1004,16 +988,7 @@ def test_em_fit_does_not_depend_on_the_blas_thread_count():
     the order of its partial sums. Every reduction over the scores must
     therefore give the same bits at 1 and 2 threads (never more threads
     than this process may run on)."""
-    nproc = len(os.sched_getaffinity(0))
-    if nproc < 2:
-        pytest.skip("one CPU: BLAS cannot split a reduction across threads")
     src = str(Path(__file__).resolve().parent.parent / "src")
-    hashes = {}
-    for threads in (1, 2):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
-        proc = subprocess.run([sys.executable, "-c", _THREADED_FIT.format(src=src)],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        hashes[threads] = proc.stdout.split()[-1]
+    hashes = last_words_by_thread_count(
+        _THREADED_FIT.format(src=src), "one CPU: BLAS cannot split a reduction across threads")
     assert hashes[1] == hashes[2], hashes

@@ -483,7 +483,8 @@ class TestRemainingPoolLabels:
         similarity labels and scores sliced to the rows left once the batch is
         out. The partition runs before annotation, so a spy takes the
         unlabeled pool minus the selected batch; rescoring it with the same
-        model and centroids finds the same ids, scores and labels, and the
+        model and the labeled rows' centroids finds the same ids, scores and
+        labels (the partition is handed neither rows nor centroids), and the
         training step gets its CC rows."""
         pool = generate_shifted_dataset(
             ShiftConfig(C=5, d_in=8, n_source=500, n_target=2000,
@@ -505,8 +506,9 @@ class TestRemainingPoolLabels:
             assert rest.sum() == u_ids.size - len(batches[-1])
             rem_ids, rem_X = u_ids[rest], u_X[rest]
             np.testing.assert_array_equal(ids, rem_ids)
-            assert X is None  # the partition reads the scores, not the rows
-            fresh_scores, fresh = info_scores_unlabeled(model, centroids, rem_X, k)
+            assert X is None and centroids is None  # it reads the scores alone
+            fresh_scores, fresh = info_scores_unlabeled(
+                model, compute_centroids(model, *pool.labeled_arrays()), rem_X, k)
             np.testing.assert_array_equal(scores, fresh_scores)
             out = real_partition(ids, X, model, centroids, params, k, scores=scores)
             cc = np.array([out.category[int(i)] == Category.CC for i in rem_ids])

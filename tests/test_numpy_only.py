@@ -10,7 +10,6 @@ scipy's expm stays the rotation's reference.
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ import pytest
 from scipy.linalg import expm
 
 from activeadapt.datapool import ShiftConfig, shift_transform
+from blas_threads import last_words_by_thread_count
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "activeadapt"
@@ -122,21 +122,8 @@ print(h.hexdigest())
 def test_rotation_does_not_depend_on_the_blas_thread_count():
     """The two interpreters run side by side; a hash does not depend on
     timing, only on how BLAS splits the products."""
-    nproc = len(os.sched_getaffinity(0))
-    if nproc < 2:
-        pytest.skip("one CPU: BLAS cannot split a product across threads")
-    procs = {}
-    for threads in (1, 2):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
-        procs[threads] = subprocess.Popen(
-            [sys.executable, "-c", PRELUDE + _THREADED_ROTATIONS], env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    hashes = {}
-    for threads, proc in procs.items():
-        out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err
-        hashes[threads] = out.split()[-1]
+    hashes = last_words_by_thread_count(
+        PRELUDE + _THREADED_ROTATIONS, "one CPU: BLAS cannot split a product across threads")
     assert hashes[1] == hashes[2], hashes
 
 

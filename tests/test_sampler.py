@@ -10,10 +10,11 @@ import pytest
 import oracles
 from activeadapt.classifier import ROW_BLOCK, Classifier
 from activeadapt.datapool import DataPool
-from activeadapt.gmm import EM_BLOCK, GmmParams, component_posteriors
+from activeadapt.gmm import GmmParams, component_posteriors
 from activeadapt.harness import consistency_diagnostic
 from activeadapt.sampler import (
     MAX_RELAXATIONS,
+    PARTITION_BLOCK,
     SfdaConfig,
     loss_quantile_split,
     partition_unlabeled,
@@ -220,17 +221,17 @@ class TestPartition:
             partition_unlabeled(ids, np.eye(3), model, cs, WELL_SEPARATED, 1, scores=scores)
 
     def test_blocked_categories_match_the_whole_matrix_argmax(self):
-        """Over three EM column blocks, NaN scores included, every category
+        """Over three partition blocks, NaN scores included, every category
         is the first maximum of the row's whole-pool posteriors."""
-        n = 2 * EM_BLOCK + 7
+        n = 2 * PARTITION_BLOCK + 7
         rng = np.random.default_rng(8)
         scores = rng.uniform(-1.0, 6.5, n)
-        scores[[0, EM_BLOCK, n - 1]] = np.nan
+        scores[[0, PARTITION_BLOCK, n - 1]] = np.nan
         scores[5:9] = WELL_SEPARATED.mu  # rows at each component's mean
         got = partition_unlabeled(np.arange(n), None, None, None, WELL_SEPARATED, 1, scores=scores)
         want = np.argmax(component_posteriors(scores, WELL_SEPARATED), axis=1) + 1
         np.testing.assert_array_equal(got.cats, want)
-        assert got.cats[[0, EM_BLOCK, n - 1]].tolist() == [Category.CC] * 3
+        assert got.cats[[0, PARTITION_BLOCK, n - 1]].tolist() == [Category.CC] * 3
         assert got.cats.dtype == np.intp
 
     def test_peak_memory_is_one_category_vector_and_a_block(self):
@@ -238,7 +239,7 @@ class TestPartition:
         block's posteriors at a time: on a four-block pool it peaks within
         the vector plus twelve block-length float64 rows, where the whole
         (n, 4) posterior matrix and its argmax took 36."""
-        n = 4 * EM_BLOCK + 3
+        n = 4 * PARTITION_BLOCK + 3
         scores = np.random.default_rng(9).uniform(0.0, 6.0, n)
         ids = np.arange(n)
         tracemalloc.start()
@@ -248,7 +249,7 @@ class TestPartition:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n + 12 * 8 * EM_BLOCK, peak
+        assert peak <= 8 * n + 12 * 8 * PARTITION_BLOCK, peak
 
     @pytest.mark.parametrize("n_rows", [2, 4])
     def test_rows_one_per_id(self, n_rows):
