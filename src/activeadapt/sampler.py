@@ -52,8 +52,8 @@ class PartitionAssignment:
         return {c.name: int(counts[c]) for c in Category}
 
 
-# partition_unlabeled's most scores a block: their (4, 16384) posteriors, 512
-# KB, stay in L2 cache across the passes made over them.
+# The most scores partition_unlabeled takes at a time: a block's (4, 16384)
+# posteriors, 512 KB, stay in L2 cache across the passes made over them.
 PARTITION_BLOCK = 16384
 
 # The most relaxations a bootstrap threshold may take to reach the end of its
@@ -140,9 +140,9 @@ def partition_unlabeled(
     (ids, X): the partition runs before that batch is annotated.
 
     scores, when given, are the informativeness scores of the rows of X
-    under this model and these centroids, and save scoring them again; X is
-    then not read and may be None. Given or computed, there must be one
-    score per id (ValueError).
+    under this model and these centroids, and save scoring them again; X,
+    model and centroids are then not read and may be None. Given or
+    computed, there must be one score per id (ValueError).
 
     The posteriors are computed in blocks of at most PARTITION_BLOCK scores,
     and only the categories are kept: the first largest posterior of each row,

@@ -16,25 +16,24 @@ import pytest
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def last_words_by_thread_count(script: str, skip_reason: str, counts=(1, 2),
-                               timeout: float = 120) -> dict[int, str]:
-    """{count: the last word script prints} from one interpreter per thread
-    count in counts, each run with every variable of THREAD_VARIABLES set to
-    that count. Skips the calling test with skip_reason when this process
-    may run on fewer CPUs than the largest count; fails it when a run exits
-    with an error. Every interpreter is ended before this returns."""
-    if len(os.sched_getaffinity(0)) < max(counts):
+def last_words_by_thread_count(script: str, skip_reason: str) -> dict[int, str]:
+    """{n: the last word script prints} for n = 1 and 2, from one
+    interpreter each, run with every variable of THREAD_VARIABLES set to n.
+    Skips the calling test with skip_reason when this process may run on
+    one CPU only; fails it when a run exits with an error or takes over
+    120 s. Every interpreter is ended before this returns."""
+    if len(os.sched_getaffinity(0)) < 2:
         pytest.skip(skip_reason)
     procs = {}
     try:
-        for n in counts:
+        for n in (1, 2):
             env = {**os.environ, **dict.fromkeys(THREAD_VARIABLES, str(n))}
             procs[n] = subprocess.Popen([sys.executable, "-c", script], env=env,
                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                         text=True)
         words = {}
         for n, proc in procs.items():
-            out, err = proc.communicate(timeout=timeout)
+            out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
             words[n] = out.split()[-1]
         return words

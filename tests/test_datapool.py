@@ -408,11 +408,6 @@ class TestArrayPool:
         pool = DataPool(C, [0, 1], [[0.0], [1.0]], [0, 1], [True, True])
         assert type(pool.C) is int and pool.C == 2
 
-    @pytest.mark.parametrize("C", [0, -1, np.int64(0)])
-    def test_rejects_fewer_than_one_class(self, C):
-        with pytest.raises(ValueError, match=f"need at least one class, got C={C}"):
-            DataPool(C, [0, 1], [[0.0], [1.0]], [0, 1], [True, True])
-
     def test_rejects_zero_features(self):
         with pytest.raises(ValueError, match="at least one feature"):
             DataPool(2, [0, 1], np.zeros((2, 0)), [0, 1], [True, True])
