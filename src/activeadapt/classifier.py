@@ -16,9 +16,10 @@ from .numerics import all_finite, blocks, check_fields, checked_labels, log_prob
 
 # Rows per block of a pool-sized pass: a (ROW_BLOCK, d_feat) feature block
 # is 4 MB at d_feat 64, where a whole 200k-row pool would be 102 MB. With
-# OpenBLAS at C = 5 a block's rows equal the whole-matrix products' bit for
-# bit. At other C a block's head product can fall under the small-matrix
-# size (about 1e6 multiply-adds) and move a subset's scores by a few ulps.
+# OpenBLAS, reports at C = 4, 5 and 7 do not depend on the block size. At
+# C = 2 and 3, and at C = 10 with 2-row blocks, a block's head product moves
+# a subset's log-probabilities by a few ulps, and diana and source-free
+# reports with them (tests/test_invariance.py, ROADMAP item 14).
 ROW_BLOCK = 8192
 
 

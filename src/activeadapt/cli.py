@@ -110,6 +110,7 @@ def cmd_run(args) -> int:
     cfg = _read_config(args.config)
     loop = _loop_config(cfg["loop"])
     pool = _build_pool(cfg["data"])
+    loop.check_budget(pool.sizes[2])
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -150,6 +151,7 @@ def cmd_compare(args) -> int:
     names = _list_arg(args.strategies, lambda s: Strategy(s.replace("-", "_")).value,
                       "--strategies", "one of " + ", ".join(s.value for s in Strategy))
     strategies = [Strategy(s) for s in names]
+    loop.check_budget(shift.n_target)  # every seed's pool holds n_target unlabeled rows
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 

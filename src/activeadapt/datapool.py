@@ -2,8 +2,10 @@
 
 Three pools are tracked: labeled source data, labeled target data (grows as
 the oracle annotates), and unlabeled target data. Ground-truth labels of
-target samples are hidden; the simulated oracle is the only sanctioned way
-to read them during a run.
+target samples are hidden. The simulated oracle reveals them:
+annotate_batch labels a batch, which is how the adaptation loop labels, and
+oracle_label reads one id. The evaluation_* views read them for metrics
+only.
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ class DataPool:
         """True labels for the given target ids.
 
         Metric computation only (target-domain accuracy, the consistency
-        diagnostic); adaptation code must go through oracle_label.
+        diagnostic); adaptation code labels through the oracle,
+        annotate_batch for a batch or oracle_label for one id.
         """
         ids, rows, known = self._find(ids)
         if not known.all():

@@ -109,6 +109,11 @@ class LoopConfig:
     def resolved_k(self) -> int:
         return self.k if self.k is not None else max(1, self.d_feat // 8)
 
+    def check_budget(self, n_unlabeled: int) -> None:
+        """Refuse a budget larger than an unlabeled pool of n_unlabeled samples."""
+        if self.budget > n_unlabeled:
+            raise ValueError(f"budget {self.budget} exceeds unlabeled pool size {n_unlabeled}")
+
 
 @dataclass
 class RoundReport:
@@ -408,8 +413,7 @@ def _run_rounds(cfg: LoopConfig, model, pool, on_round_end=None) -> list[RoundRe
     (model, pool, report) after every report. Each round hands the next one
     its end-of-round scoring pass, which the next round uses only while the
     model and the unlabeled pool are as the pass left them."""
-    if cfg.budget > pool.sizes[2]:
-        raise ValueError(f"budget {cfg.budget} exceeds unlabeled pool size {pool.sizes[2]}")
+    cfg.check_budget(pool.sizes[2])
     pool.check_invariants()
     reports, scored = [], None
     for r in range(1, cfg.rounds + 1) if cfg.budget else [0]:

@@ -148,6 +148,23 @@ def test_budget_mismatch_nonzero_exit(tmp_path, tiny_config):
     assert main(["run", "--config", str(path), "--output", str(tmp_path / "y")]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_budget_beyond_the_pool_is_refused_before_pretraining(
+    tmp_path, tiny_config, capsys, monkeypatch, command
+):
+    """A budget of 62 over 60 target rows is refused before any seed is
+    pretrained and before the output directory is made."""
+    cfg = json.loads(tiny_config.read_text())
+    cfg["loop"]["budget"] = 62
+    path = tmp_path / "big_budget.json"
+    path.write_text(json.dumps(cfg))
+    seeds = pretrain_spy(monkeypatch)
+    out = tmp_path / "b"
+    assert main([command, "--config", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: budget 62 exceeds unlabeled pool size 60\n"
+    assert seeds == [] and not out.exists()
+
+
 def test_bad_k_exits_before_any_round(tmp_path, tiny_config, capsys):
     cfg = json.loads(tiny_config.read_text())
     cfg["loop"]["k"] = 0

@@ -10,7 +10,6 @@ import json
 import math
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ from activeadapt.gmm import (
 )
 from activeadapt.harness import RoundReport
 from activeadapt.numerics import EXP_FLOOR, logsumexp
-from blas_threads import last_words_by_thread_count
 from em_reference import WholeArrayKernel, posteriors_ref
 
 PLANTED_MEANS = (0.0, 1.0, 3.0, 6.0)
@@ -827,10 +825,9 @@ def wide_trainset(rng, n_u=N_WIDE, outliers=(), alpha=None):
     return GmmTrainSet(labeled, comps, unlabeled, alpha=alpha)
 
 
-class TestColumnBlocks:
-    """The per-score passes run on each whole (4, n) array, as one block of
-    n columns; every result matches the whole-array forms of
-    tests/em_reference.py bit for bit."""
+class TestWholeArrayPasses:
+    """The per-score passes run on each whole (4, n) array; every result
+    matches the whole-array forms of tests/em_reference.py bit for bit."""
 
     @pytest.mark.parametrize("alpha", [None, 0.0, 0.5, 1.0])
     def test_run_em_matches_whole_array_passes(self, alpha, monkeypatch):
@@ -846,7 +843,7 @@ class TestColumnBlocks:
         scores[16_391] = 60.0  # one column flushes
         assert _bits(component_posteriors(scores, p)) == _bits(posteriors_ref(scores, p))
 
-    def test_blocks_with_and_without_flushed_terms(self, monkeypatch):
+    def test_outliers_flush_every_e_pass(self, monkeypatch):
         """50 outliers among inliers: every E pass takes log-sum-exp's flush
         branch for the whole array, and the fit is the reference's, whose
         inlier columns take that branch too."""
@@ -879,11 +876,11 @@ class TestColumnBlocks:
         assert fit.params.sigma2[3] == start.sigma2[3]
         assert_same_fit(fit, whole_array_fit(ts, monkeypatch, max_iter=12, tol=0.0))
 
-    def test_e_pass_memory_is_the_kernel_buffers_and_one_block(self):
+    def test_fit_memory_is_the_kernel_buffers_and_one_logsumexp(self):
         """Peak traced memory of a fit: the kernel's two (4, n_u) buffers and
-        one block, the whole array, of log-sum-exp temporaries: its maxima,
-        flush mask and sums, which become the log mixture densities, about
-        2.5 (n_u,) vectors (measured 2.53). Under three vectors, so one more
+        one whole-array log-sum-exp's temporaries: its maxima, flush mask
+        and sums, which become the log mixture densities, about 2.5 (n_u,)
+        vectors (measured 2.53). Under three vectors, so one more
         (4, n_u) temporary in any pass would exceed it."""
         n_u = 49_152
         ts = wide_trainset(np.random.default_rng(45), n_u=n_u)
@@ -958,37 +955,3 @@ class TestSketch:
         full, sk = run_em(ts), run_em(sketched(ts))
         assert full.converged and sk.converged
         assert sk.params.max_abs_diff(full.params) <= 0.01
-
-
-# A bimodal set of SKETCH_ROWS unlabeled scores, fitted in a fresh
-# interpreter whose BLAS runs on the given number of threads (set before
-# numpy is first imported); prints a hash of the fitted parameters and the
-# objective trace.
-_THREADED_FIT = """
-import hashlib, sys
-sys.path.insert(0, {src!r})
-import numpy as np
-from activeadapt.gmm import SKETCH_ROWS, GmmTrainSet, run_em
-
-rng = np.random.default_rng(61)
-side = rng.integers(0, 2, SKETCH_ROWS)
-scores = np.where(side, 2.5, 0.3) + np.where(side, 0.6, 0.2) * rng.standard_normal(SKETCH_ROWS)
-comps = np.repeat(np.arange(1, 5), 20)
-labeled = np.array([0.1, 0.6, 2.0, 3.5])[comps - 1] + 0.3 * rng.standard_normal(comps.size)
-fit = run_em(GmmTrainSet(labeled, comps, scores))
-h = hashlib.sha256()
-for a in (*fit.params.as_tuple(), np.array(fit.objective_trace)):
-    h.update(a.tobytes())
-print(h.hexdigest())
-"""
-
-
-def test_em_fit_does_not_depend_on_the_blas_thread_count():
-    """OpenBLAS splits a long reduction across its threads, which changes
-    the order of its partial sums. Every reduction over the scores must
-    therefore give the same bits at 1 and 2 threads (never more threads
-    than this process may run on)."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    hashes = last_words_by_thread_count(
-        _THREADED_FIT.format(src=src), "one CPU: BLAS cannot split a reduction across threads")
-    assert hashes[1] == hashes[2], hashes

@@ -4,7 +4,6 @@ determinism, and the clean-ablation property."""
 import copy
 import dataclasses
 import importlib.util
-import json
 import math
 import re
 import tracemalloc
@@ -16,7 +15,7 @@ import pytest
 
 from activeadapt import gmm
 from activeadapt.classifier import ROW_BLOCK, Classifier, TrainConfig, combined_loss
-from activeadapt.datapool import DataPool, ShiftConfig, generate_shifted_dataset, load_pool
+from activeadapt.datapool import DataPool, ShiftConfig, generate_shifted_dataset
 import activeadapt.harness as harness
 from activeadapt.harness import (
     LoopConfig,
@@ -43,6 +42,7 @@ from activeadapt.scoring import (
 from step_reference import train_epochs_ref, windows_ref
 from test_classifier import _bits, _clone, block_sizes
 from test_gmm import weight_ratio
+from test_invariance import pool_rows
 
 
 def step_batches(epoch, step):
@@ -180,7 +180,7 @@ class TestEvaluate:
         annotated out of id order, accuracy is the share of the target rows
         that target_arrays lists whose prediction equals their
         evaluation_labels."""
-        ids, X, y, source = TestRowOrder.rows()
+        ids, X, y, source = pool_rows()
         perm = np.random.default_rng(1).permutation(ids.size)
         pool = DataPool(5, ids[perm], X[perm], y[perm], source[perm])
         pool.annotate_batch(ids[~source][[40, 3, 17]].tolist())
@@ -615,7 +615,7 @@ class TestEndOfRoundPass:
         """A generated pool at C classes given in a permuted row order, with
         six target rows annotated whose ids interleave the unlabeled ones,
         and a model pretrained on its source rows."""
-        ids, X, y, source = TestRowOrder.rows(C, n_target, d_in=16)
+        ids, X, y, source = pool_rows(C, n_target, d_in=16)
         perm = np.random.default_rng(4).permutation(ids.size)
         pool = DataPool(C, ids[perm], X[perm], y[perm], source[perm])
         pool.annotate_batch(ids[~source][[150, 3, 77, 17, 199, 40]].tolist())
@@ -777,54 +777,6 @@ class TestBaselines:
     def test_baselines_report_no_gmm_or_partition(self):
         reports = run_active_loop(fast_loop(strategy=Strategy.RANDOM), small_pool())
         assert all(r.gmm is None and r.partition_sizes == {} for r in reports)
-
-
-class TestRowOrder:
-    """A run depends on which samples the pool holds, not on the order its
-    rows are given in: one small desk-shaped pool built in id order, in a
-    seeded row permutation and from a file written in shuffled line order
-    gives byte-identical reports under every strategy and source-free."""
-
-    @staticmethod
-    def rows(C=5, n_target=200, d_in=8):
-        """A generated desk-shaped pool's ids, X, labels and source flags,
-        in id order (generated source rows hold ids 0..n_source-1)."""
-        pool = generate_shifted_dataset(
-            ShiftConfig(C=C, d_in=d_in, n_source=60, n_target=n_target, seed=3)
-        )
-        X_s, y_s = pool.source_arrays()
-        t_ids, X_t = pool.target_arrays()
-        ids = np.concatenate([np.arange(len(y_s)), t_ids])
-        y = np.concatenate([y_s, pool.evaluation_labels(t_ids)])
-        return ids, np.vstack([X_s, X_t]), y, ids < len(y_s)
-
-    @pytest.mark.parametrize("cfg", [
-        fast_loop(),
-        fast_loop(strategy=Strategy.RANDOM),
-        fast_loop(strategy=Strategy.ENTROPY),
-        fast_loop(strategy=Strategy.LEAST_CONFIDENCE),
-        fast_loop(sfda=SfdaConfig()),
-    ], ids=["diana", "random", "entropy", "least_confidence", "sfda"])
-    def test_reports_do_not_depend_on_row_order(self, tmp_path, cfg):
-        ids, X, y, source = self.rows()
-        perm = np.random.default_rng(0).permutation(ids.size)
-        lines = [
-            ",".join([str(i), "S" if s else "T", str(c), *map(repr, x.tolist())])
-            for i, x, c, s in zip(ids[perm], X[perm], y[perm], source[perm])
-        ]
-        path = tmp_path / "shuffled.csv"
-        path.write_text("\n".join([f"{X.shape[1]},5", *lines]) + "\n")
-        pools = [
-            DataPool(5, ids, X, y, source),
-            DataPool(5, ids[perm], X[perm], y[perm], source[perm]),
-            load_pool(path),
-        ]
-        runs = [
-            [json.dumps(r.to_dict(), sort_keys=True) for r in run_active_loop(cfg, pool)]
-            for pool in pools
-        ]
-        assert runs[1] == runs[0]
-        assert runs[2] == runs[0]
 
 
 class TestCleanAblation:
