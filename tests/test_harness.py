@@ -42,7 +42,7 @@ from activeadapt.scoring import (
 from step_reference import train_epochs_ref, windows_ref
 from test_classifier import _bits, _clone, block_sizes
 from test_gmm import weight_ratio
-from test_invariance import pool_rows
+from test_invariance import pool_rows, shuffled_rows
 
 
 def step_batches(epoch, step):
@@ -180,9 +180,8 @@ class TestEvaluate:
         annotated out of id order, accuracy is the share of the target rows
         that target_arrays lists whose prediction equals their
         evaluation_labels."""
-        ids, X, y, source = pool_rows()
-        perm = np.random.default_rng(1).permutation(ids.size)
-        pool = DataPool(5, ids[perm], X[perm], y[perm], source[perm])
+        ids, X, y, source = rows = pool_rows()
+        pool = DataPool(5, *shuffled_rows(rows, seed=1))
         pool.annotate_batch(ids[~source][[40, 3, 17]].tolist())
         model = Classifier.initialize(8, 16, 5, np.random.default_rng(2))
         t_ids, X_t = pool.target_arrays()
@@ -615,9 +614,8 @@ class TestEndOfRoundPass:
         """A generated pool at C classes given in a permuted row order, with
         six target rows annotated whose ids interleave the unlabeled ones,
         and a model pretrained on its source rows."""
-        ids, X, y, source = pool_rows(C, n_target, d_in=16)
-        perm = np.random.default_rng(4).permutation(ids.size)
-        pool = DataPool(C, ids[perm], X[perm], y[perm], source[perm])
+        ids, X, y, source = rows = pool_rows(C, n_target, d_in=16)
+        pool = DataPool(C, *shuffled_rows(rows, seed=4))
         pool.annotate_batch(ids[~source][[150, 3, 77, 17, 199, 40]].tolist())
         model = Classifier.initialize(16, 64, C, np.random.default_rng(2))
         pretrain_source(model, pool, fast_train(), epochs=3)

@@ -68,6 +68,12 @@ def pool_rows(C=5, n_target=200, d_in=8, shift_kind="rotation"):
     return ids, np.vstack([X_s, X_t]), y, ids < len(y_s)
 
 
+def shuffled_rows(rows, seed):
+    """pool_rows' arrays in one seeded row permutation."""
+    perm = np.random.default_rng(seed).permutation(rows[0].size)
+    return tuple(a[perm] for a in rows)
+
+
 @functools.cache
 def case_rows(C, n_target=N_TARGET):
     return pool_rows(C, n_target, d_in=max(8, C), shift_kind="mixed")
@@ -103,13 +109,11 @@ def plain_reports(strategy, C) -> list[str]:
 # (the transformed pool, the map from its ids back to the rows' ids)
 
 def shuffled(C, rows, tmp_path, monkeypatch):
-    perm = np.random.default_rng(0).permutation(rows[0].size)
-    return DataPool(C, *(a[perm] for a in rows)), same_id
+    return DataPool(C, *shuffled_rows(rows, seed=0)), same_id
 
 
 def from_shuffled_file(C, rows, tmp_path, monkeypatch):
-    perm = np.random.default_rng(1).permutation(rows[0].size)
-    ids, X, y, source = (a[perm] for a in rows)
+    ids, X, y, source = shuffled_rows(rows, seed=1)
     lines = [f"{X.shape[1]},{C}"] + [
         ",".join([str(i), "S" if s else "T", str(c), *map(repr, x.tolist())])
         for i, x, c, s in zip(ids, X, y, source)
