@@ -48,7 +48,8 @@ N_TARGET = 300
 # (ROW_BLOCK, PARTITION_BLOCK): {strategy: the class counts whose reports
 # drift}. ROW_BLOCK alone moves them: a block's head product moves a few
 # log-probabilities by ulps at these C (ROADMAP item 14). Measured with
-# OpenBLAS on x86-64.
+# numpy 2.4's OpenBLAS 0.3.31 on an x86-64 Xeon; its kernels are picked by
+# CPU at run time, so another CPU may drift at other cases.
 BLOCK_SIZES = {
     (97, 50): {"diana": (2, 3), "sfda": (3,)},
     (151, 7): {"diana": (2, 3), "sfda": (3,)},
