@@ -14,14 +14,6 @@ import numpy as np
 
 from .numerics import all_finite, blocks, check_fields, checked_labels, log_proba_at, logsumexp
 
-# Rows per block of a pool-sized pass: a (ROW_BLOCK, d_feat) feature block
-# is 4 MB at d_feat 64, where a whole 200k-row pool would be 102 MB. With
-# OpenBLAS, reports at C = 4, 5 and 7 do not depend on the block size. At
-# C = 2 and 3, and at C = 10 with 2-row blocks, a block's head product moves
-# a subset's log-probabilities by a few ulps, and diana and source-free
-# reports with them (tests/test_invariance.py, ROADMAP item 14).
-ROW_BLOCK = 8192
-
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     """Logits to log-probabilities, in place: the package's one log-softmax.
@@ -142,11 +134,11 @@ class Classifier:
         return np.tanh(F, out=F)
 
     def feature_blocks(self, X: np.ndarray):
-        """(rows, F) for each blocks(n, ROW_BLOCK) slice of X's n rows, in
-        order, with F = features(X[rows]): the one place a pool pass is cut
-        into row blocks, so no whole-input feature matrix is ever built."""
+        """(rows, F) for each blocks(n) slice of X's n rows, in order, with
+        F = features(X[rows]): the one place a pool pass is cut into row
+        blocks, so no whole-input feature matrix is ever built."""
         X = np.atleast_2d(X)
-        for rows in blocks(X.shape[0], ROW_BLOCK):
+        for rows in blocks(X.shape[0]):
             yield rows, self.features(X[rows])
 
     def logits(self, X: np.ndarray) -> np.ndarray:

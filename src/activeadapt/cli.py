@@ -109,9 +109,12 @@ def _build_pool(data_cfg: dict):
 def cmd_run(args) -> int:
     cfg = _read_config(args.config)
     loop = _loop_config(cfg["loop"])
+    out = Path(args.output)
+    earlier = sorted(out.glob("round_*.json"))
+    if earlier:
+        raise ValueError(f"{earlier[0]} is an earlier run's report; give an --output without one")
     pool = _build_pool(cfg["data"])
     loop.check_budget(pool.sizes[2])
-    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
     def emit(rep):

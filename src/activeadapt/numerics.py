@@ -1,8 +1,8 @@
 """The package's shared primitives: the one stable log-sum-exp, through
 which the classifier's log-softmax head and the mixture E step share one
-formula and one rounding; the one block splitter, of the classifier's row
-blocks and the partition's column blocks; the one finiteness test; the
-config-field, whole-number and label checks; and the label gather.
+formula and one rounding; the one block size and splitter of every pool
+pass, scoring's rows and the partition's scores alike; the one finiteness
+test; the config-field, whole-number and label checks; and the label gather.
 """
 
 from __future__ import annotations
@@ -16,6 +16,15 @@ import numpy as np
 # and slow to compute, since numpy's vectorized exp leaves its fast path for
 # results near underflow. Such terms are flushed to exactly 0.
 EXP_FLOOR = -700.0
+
+# Rows per block of a pool-sized pass, the partition's scores included: a
+# (ROW_BLOCK, d_feat) feature block is 4 MB at d_feat 64, where a whole
+# 200k-row pool would be 102 MB. With OpenBLAS, reports at C = 4, 5 and 7 do
+# not depend on the block size. At C = 2 and 3, and at C = 10 with 2-row
+# blocks, a block's head product moves a subset's log-probabilities by a few
+# ulps, and diana and source-free reports with them (tests/test_invariance.py,
+# ROADMAP item 14).
+ROW_BLOCK = 8192
 
 
 def logsumexp(a: np.ndarray, softmax_out=None):
@@ -51,8 +60,8 @@ def logsumexp(a: np.ndarray, softmax_out=None):
     return out[0]
 
 
-def blocks(n: int, size: int) -> list[slice]:
-    """Slices covering range(n) in ceil(n / size) contiguous blocks whose
+def blocks(n: int) -> list[slice]:
+    """Slices covering range(n) in ceil(n / ROW_BLOCK) contiguous blocks whose
     sizes differ by at most one (a single empty block when n is 0).
 
     Near-equal sizes leave no lone row, which BLAS would send down its
@@ -61,7 +70,7 @@ def blocks(n: int, size: int) -> list[slice]:
     reduce over the full per-row outputs, never over per-block partial sums,
     so every reduction keeps its rounding.
     """
-    count = max(1, -(-n // size))
+    count = max(1, -(-n // ROW_BLOCK))
     bounds = [i * n // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 

@@ -52,10 +52,6 @@ class PartitionAssignment:
         return {c.name: int(counts[c]) for c in Category}
 
 
-# The most scores partition_unlabeled takes at a time: a block's (4, 16384)
-# posteriors, 512 KB, stay in L2 cache across the passes made over them.
-PARTITION_BLOCK = 16384
-
 # The most relaxations a bootstrap threshold may take to reach the end of its
 # schedule (t_v at or below 0, t_c at or above 1); SfdaConfig rejects more.
 MAX_RELAXATIONS = 10_000
@@ -141,12 +137,12 @@ def partition_unlabeled(
 
     scores, when given, are the informativeness scores of the rows of X
     under this model and these centroids, and save scoring them again; X,
-    model and centroids are then not read and may be None. Given or
-    computed, there must be one score per id (ValueError).
+    model, centroids and k are then not read, and the first three may be
+    None. Given or computed, there must be one score per id (ValueError).
 
-    The posteriors are computed in blocks of at most PARTITION_BLOCK scores,
-    and only the categories are kept: the first largest posterior of each row,
-    so a NaN row gets the first component, as a whole-matrix argmax would."""
+    The posteriors are computed in blocks (numerics.blocks), and only the
+    categories are kept: the first largest posterior of each row, so a NaN
+    row gets the first component, as a whole-matrix argmax would."""
     ids = np.asarray(ids, dtype=int)
     if scores is None:
         scores, _ = info_scores_unlabeled(model, centroids, X, k)
@@ -154,7 +150,7 @@ def partition_unlabeled(
     if scores.size != ids.size:
         raise ValueError(f"{scores.size} scores for {ids.size} ids: need one score per id")
     cats = np.empty(ids.size, dtype=np.intp)
-    for cols in blocks(ids.size, PARTITION_BLOCK):
+    for cols in blocks(ids.size):
         cats[cols] = np.argmax(component_posteriors(scores[cols], params), axis=1)
     cats += 1
     return PartitionAssignment(ids, cats)

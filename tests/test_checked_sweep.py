@@ -1,10 +1,11 @@
 """A seeded sweep of small DiaNA runs with source labels, every round
-checked by the benchmark's own checker (perfbench/checks.py, loaded
-read-only): the annotation count and rows, the partition sums, the EM fit,
-the accuracy, and from round 2 on the top b of the UI posterior, which the
-checker recomputes with its own forward pass, row-major log-softmax and
-top-k labels. Round 1's batch is not checked, since the checker never sees
-the pretrained model.
+checked by the benchmark's own checker (perfbench/checks.py, imported
+read-only) against the record perfbench's workloads.reference_from_pool
+makes of the fresh pool: the annotation count and rows, the partition sums,
+the EM fit, the accuracy, and from round 2 on the top b of the UI
+posterior, which the checker recomputes with its own forward pass,
+row-major log-softmax and top-k labels. Round 1's batch is not checked,
+since the checker never sees the pretrained model.
 
 The configs cover C from 2 to 10 (the head's class-major log-sum-exp sums
 in another order than the checker's row sum from 8 classes on), d_in from
@@ -23,6 +24,8 @@ Its 120 runs, each made twice, took 0.65-0.75 s on the same host.
 """
 
 import dataclasses
+import importlib
+from pathlib import Path
 
 import numpy as np
 
@@ -30,20 +33,18 @@ from activeadapt.classifier import TrainConfig
 from activeadapt.datapool import ShiftConfig, ShiftKind, generate_shifted_dataset
 from activeadapt.harness import LoopConfig, Strategy, run_active_loop
 from activeadapt.sampler import SfdaConfig
-from test_harness import _perfbench
 
 N_RUNS = 100
 N_OTHER_RUNS = 120
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def reference(checks, pool):
-    """The checker's record of a freshly built pool, as perfbench's
-    workloads.reference_from_pool makes it."""
-    source_X, source_y = pool.labeled_arrays(include_source=True)
-    ids, X = pool.target_arrays()
-    order = np.argsort(ids)
-    ids, X = ids[order], X[order]
-    return checks.Reference(source_X, source_y, ids, X, pool.evaluation_labels(ids))
+def perfbench_modules(monkeypatch):
+    """perfbench's checks and workloads modules, imported read-only.
+    workloads imports checks by name, so perfbench/ goes on the import
+    path for the test, as perfbench/run.py has it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("checks"), importlib.import_module("workloads")
 
 
 def draw_run(rng):
@@ -75,16 +76,16 @@ def draw_run(rng):
     return shift, loop
 
 
-def test_small_diana_runs_pass_the_benchmark_checker():
-    checks = _perfbench("checks")
+def test_small_diana_runs_pass_the_benchmark_checker(monkeypatch):
+    checks, workloads = perfbench_modules(monkeypatch)
     rng = np.random.default_rng(2023)
     classes = set()
     for _ in range(N_RUNS):
         shift, loop = draw_run(rng)
         classes.add(shift.C)
         pool = generate_shifted_dataset(shift)
-        checker = checks.RunChecker(reference(checks, pool), loop.per_round, loop.budget,
-                                    loop.resolved_k())
+        checker = checks.RunChecker(workloads.reference_from_pool(pool), loop.per_round,
+                                    loop.budget, loop.resolved_k())
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
             reports = run_active_loop(loop, pool, on_round_end=checker)
         assert len(reports) == checker.rounds == loop.rounds, (shift, loop)

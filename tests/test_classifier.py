@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activeadapt.classifier import (
-    ROW_BLOCK,
     Classifier,
     EpochSteps,
     NonFiniteGradientError,
@@ -31,7 +30,7 @@ from activeadapt.classifier import (
     loss_supervised,
 )
 from activeadapt.harness import _train_epochs
-from activeadapt.numerics import blocks, logsumexp
+from activeadapt.numerics import ROW_BLOCK, blocks, logsumexp
 from oracles import forward_probs
 from step_reference import (
     augment_ref,
@@ -269,7 +268,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [0, 1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 200_000])
     def test_block_layout(self, n):
-        row_blocks = blocks(n, ROW_BLOCK)
+        row_blocks = blocks(n)
         assert len(row_blocks) == max(1, -(-n // ROW_BLOCK))
         assert row_blocks[0].start == 0 and row_blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(row_blocks, row_blocks[1:]))
@@ -318,12 +317,11 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 2 * ROW_BLOCK + 1])
     def test_feature_blocks_are_the_row_blocks_in_order(self, pool_pass, n):
-        """feature_blocks yields each blocks(n, ROW_BLOCK) slice in order
-        with the features of its rows; an empty input gives one empty
-        block."""
+        """feature_blocks yields each blocks(n) slice in order with the
+        features of its rows; an empty input gives one empty block."""
         model, X, _ = pool_pass
         got = list(model.feature_blocks(X[:n]))
-        assert [rows for rows, _ in got] == blocks(n, ROW_BLOCK)
+        assert [rows for rows, _ in got] == blocks(n)
         for rows, F in got:
             np.testing.assert_array_equal(F, model.features(X[rows]))
         if n == 0:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from activeadapt import cli
 from activeadapt.cli import main
 
 
@@ -421,6 +422,26 @@ def pretrain_spy(monkeypatch):
 
     monkeypatch.setattr(harness, "pretrain_source", spy)
     return seeds
+
+
+def test_run_refuses_an_output_that_holds_an_earlier_run(tmp_path, tiny_config, capsys, monkeypatch):
+    """A second run into a used directory would leave the first run's later
+    rounds beside its own. It is refused, naming the first round report,
+    before the pool is built or any seed pretrained, and the first run's
+    files are left as they were."""
+    out = tmp_path / "out"
+    args = ["run", "--config", str(tiny_config), "--output", str(out)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    seeds, built = pretrain_spy(monkeypatch), []
+    monkeypatch.setattr(cli, "generate_shifted_dataset", built.append)
+    assert main(args) == 1
+    report = out / "round_001.json"
+    assert capsys.readouterr().err == (
+        f"error: {report} is an earlier run's report; give an --output without one\n")
+    assert seeds == [] and built == []
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_compare_refuses_a_strategy_before_pretraining(tmp_path, tiny_config, capsys, monkeypatch):

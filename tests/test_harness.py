@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from activeadapt import gmm
-from activeadapt.classifier import ROW_BLOCK, Classifier, TrainConfig, combined_loss
+from activeadapt.classifier import Classifier, TrainConfig, combined_loss
 from activeadapt.datapool import DataPool, ShiftConfig, generate_shifted_dataset
 import activeadapt.harness as harness
 from activeadapt.harness import (
@@ -30,6 +30,7 @@ from activeadapt.harness import (
     write_aggregate_csv,
     AGGREGATE_FIELDS,
 )
+from activeadapt.numerics import ROW_BLOCK
 from activeadapt.sampler import SfdaConfig, sfda_bootstrap
 from activeadapt.scoring import (
     LOG_PROB_FLOOR,

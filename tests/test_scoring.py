@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from activeadapt.classifier import ROW_BLOCK, Classifier
+from activeadapt.classifier import Classifier
+from activeadapt.numerics import ROW_BLOCK
 from activeadapt.scoring import (
     Category,
     _topk_mask,
@@ -389,7 +390,7 @@ class TestRowIndependence:
     three-block pool, in random order, gets the whole pool's outputs for
     its rows, bit for bit. This pins what the row blocking must keep. At
     other class counts a block's head product can move the last ulps (see
-    classifier.ROW_BLOCK), and a one-row pool goes down BLAS's
+    numerics.ROW_BLOCK), and a one-row pool goes down BLAS's
     matrix-vector path, so subsets start at two rows."""
 
     N = 3 * ROW_BLOCK
