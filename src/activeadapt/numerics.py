@@ -61,8 +61,8 @@ def logsumexp(a: np.ndarray, softmax_out=None):
 
 
 def blocks(n: int) -> list[slice]:
-    """Slices covering range(n) in ceil(n / ROW_BLOCK) contiguous blocks whose
-    sizes differ by at most one (a single empty block when n is 0).
+    """Slices covering range(n) in ceil(n / ROW_BLOCK) contiguous blocks
+    whose sizes differ by at most one (a single empty block when n is 0).
 
     Near-equal sizes leave no lone row, which BLAS would send down its
     matrix-vector path, and no tiny tail block, whose products a

@@ -39,14 +39,6 @@ N_OTHER_RUNS = 120
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def perfbench_modules(monkeypatch):
-    """perfbench's checks and workloads modules, imported read-only.
-    workloads imports checks by name, so perfbench/ goes on the import
-    path for the test, as perfbench/run.py has it."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    return importlib.import_module("checks"), importlib.import_module("workloads")
-
-
 def draw_run(rng):
     """One run's ShiftConfig and LoopConfig."""
     C = int(rng.integers(2, 11))
@@ -77,7 +69,8 @@ def draw_run(rng):
 
 
 def test_small_diana_runs_pass_the_benchmark_checker(monkeypatch):
-    checks, workloads = perfbench_modules(monkeypatch)
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports checks by name
+    checks, workloads = importlib.import_module("checks"), importlib.import_module("workloads")
     rng = np.random.default_rng(2023)
     classes = set()
     for _ in range(N_RUNS):

@@ -49,9 +49,9 @@ N_TARGET = 300
 # A block's head product moves a few log-probabilities by ulps at these C
 # (ROADMAP item 14). Measured with numpy 2.4's OpenBLAS 0.3.31 on an x86-64
 # Xeon; its kernels are picked by CPU at run time, so another CPU may drift
-# at other cases. The names keep the partition block size the cases once
-# also set (the second number), so that their test ids stay as tracked;
-# the partition now cuts by ROW_BLOCK like every pool pass.
+# at other cases. The names keep the ids these cases had when they also
+# set a partition block size (the second number); the partition now cuts
+# by ROW_BLOCK like every pool pass.
 BLOCK_SIZES = {
     "blocks97x50": (97, {"diana": (2, 3), "sfda": (3,)}),
     "blocks151x7": (151, {"diana": (2, 3), "sfda": (3,)}),
