@@ -53,41 +53,46 @@ class TrainConfig:
             raise ValueError("aug_noise_sigma must be nonnegative")
 
 
-# The parameters in the order theta lays them out.
-_PARAMETERS = ("W_hidden", "b_hidden", "W_out", "b_out")
+# The parameters in the order theta lays them out, each with its shape.
+_PARAMETERS = {
+    "W_hidden": ("d_in", "d_feat"),
+    "b_hidden": ("d_feat",),
+    "W_out": ("d_feat", "C"),
+    "b_out": ("C",),
+}
 
 
 class Classifier:
     """Feature extractor (one tanh layer) plus linear softmax head.
 
-    The four parameters are views of one flat float64 vector theta, laid out
-    as W_hidden (d_in, d_feat), b_hidden (d_feat,), W_out (d_feat, C),
-    b_out (C,), so an SGD step updates theta in one operation. The
-    constructor copies its arrays into theta, and assigning a parameter
-    writes into theta, so the views stay views.
+    The four parameters are read-only views of one flat float64 vector
+    theta, laid out as W_hidden (d_in, d_feat), b_hidden (d_feat,), W_out
+    (d_feat, C), b_out (C,), so an SGD step updates theta in one operation.
+    The constructor copies its arrays into theta, and refuses arrays whose
+    shapes do not chain so. A model changes only in place: through theta or
+    by writing into a view; rebinding a parameter raises AttributeError.
     """
 
     def __init__(self, W_hidden, b_hidden, W_out, b_out):
         parts = [np.asarray(p, dtype=float) for p in (W_hidden, b_hidden, W_out, b_out)]
+        dims = {}  # each axis size is set by the first parameter that has it
+        for (name, axes), p in zip(_PARAMETERS.items(), parts):
+            if p.ndim != len(axes) or any(dims.setdefault(a, n) != n for a, n in zip(axes, p.shape)):
+                need = ", ".join(f"{a}={dims[a]}" if a in dims else a for a in axes)
+                raise ValueError(f"{name} must have shape ({need}), got {p.shape}")
         self._shapes = [p.shape for p in parts]
         self.theta = np.concatenate([p.ravel() for p in parts])
-        for name, view in self.unflatten(self.theta).items():
-            object.__setattr__(self, name, view)
+        self._views = self.unflatten(self.theta)
 
-    def __setattr__(self, name, value):
-        if name in _PARAMETERS:
-            view = getattr(self, name)
-            value = np.asarray(value, dtype=float)
-            if value.shape != view.shape:
-                raise ValueError(f"{name} must have shape {view.shape}")
-            view[...] = value
-        else:
-            object.__setattr__(self, name, value)
+    W_hidden = property(lambda self: self._views["W_hidden"])
+    b_hidden = property(lambda self: self._views["b_hidden"])
+    W_out = property(lambda self: self._views["W_out"])
+    b_out = property(lambda self: self._views["b_out"])
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the constructor, so the
         # copy's parameters are views of its own theta
-        return Classifier, tuple(self.params().values())
+        return Classifier, tuple(self._views.values())
 
     def unflatten(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """The parameter-shaped views of a flat vector laid out as theta."""
@@ -101,10 +106,6 @@ class Classifier:
     @property
     def d_in(self) -> int:
         return self.W_hidden.shape[0]
-
-    @property
-    def d_feat(self) -> int:
-        return self.W_hidden.shape[1]
 
     @property
     def C(self) -> int:
@@ -187,7 +188,7 @@ class Classifier:
 
     def params(self) -> dict[str, np.ndarray]:
         """The four parameter arrays by name: views of theta."""
-        return {name: getattr(self, name) for name in _PARAMETERS}
+        return dict(self._views)
 
 
 # -- perturbation ------------------------------------------------------------

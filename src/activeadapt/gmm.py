@@ -130,30 +130,17 @@ def _squared_residuals(scores: np.ndarray, mu: np.ndarray, out: np.ndarray) -> n
     return np.square(out, out=out)
 
 
-def _log_weight_terms(params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
-    """(scale, shift), columns with log(pi_k * N(s; mu_k, sigma2_k)) =
-    scale_k * (s - mu_k)^2 + shift_k."""
+def _to_log_weights(sq: np.ndarray, params: GmmParams) -> np.ndarray:
+    """In place: the (4, n) squared residuals about params.mu become the log
+    weighted densities log(pi_k N(s_j; mu_k, sigma2_k)). Their log-sum-exp
+    over k is the log mixture density, and their softmax the posteriors
+    Pr(z=k | s_j): scaling all four weighted densities of a score by a
+    common constant cancels."""
     with np.errstate(divide="ignore"):
         log_pi = np.log(params.pi)
-    scale = (-0.5 / params.sigma2)[:, None]
-    shift = (log_pi - 0.5 * np.log(2 * np.pi * params.sigma2))[:, None]
-    return scale, shift
-
-
-def _to_log_weights(sq: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """In place: squared residuals about mu become log weights."""
-    sq *= scale
-    sq += shift
+    sq *= (-0.5 / params.sigma2)[:, None]
+    sq += (log_pi - 0.5 * np.log(2 * np.pi * params.sigma2))[:, None]
     return sq
-
-
-def _posteriors_in_place(sq, scale, shift) -> np.ndarray:
-    """The E pass under the mixture whose _log_weight_terms are (scale,
-    shift). In place, the (4, n) squared residuals about its means become
-    the posteriors Pr(z=k | s_j); returned are the log mixture densities
-    log sum_k pi_k N(s_j; mu_k, sigma2_k). Scaling all four weighted
-    densities of a score by a common constant cancels."""
-    return logsumexp(_to_log_weights(sq, scale, shift), softmax_out=sq)
 
 
 def component_posteriors(scores, params: GmmParams) -> np.ndarray:
@@ -161,7 +148,7 @@ def component_posteriors(scores, params: GmmParams) -> np.ndarray:
     to 1."""
     scores = np.asarray(scores, dtype=float).ravel()
     sq = _squared_residuals(scores, params.mu, np.empty((N_COMPONENTS, scores.size)))
-    _posteriors_in_place(sq, *_log_weight_terms(params))
+    logsumexp(_to_log_weights(sq, params), softmax_out=sq)
     return sq.T
 
 
@@ -242,11 +229,9 @@ class _EmKernel:
         scores plus (1 - alpha) times the mixture log-likelihood of the
         unlabeled scores."""
         total = 0.0
-        scale, shift = _log_weight_terms(params)
         if self.a > 0:
-            lw_l = _to_log_weights(self.sq_l, scale, shift)
-            total += self.a * lw_l[self.picks].sum()
-        log_mix = _posteriors_in_place(self.sq, scale, shift)
+            total += self.a * _to_log_weights(self.sq_l, params)[self.picks].sum()
+        log_mix = logsumexp(_to_log_weights(self.sq, params), softmax_out=self.sq)
         if self.b > 0:
             total += self.b * log_mix.sum()
         self.resp, self.sq = self.sq, self.resp

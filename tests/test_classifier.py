@@ -141,9 +141,9 @@ class TestForward:
 
 class TestParameters:
     def test_params_are_views_of_one_theta(self):
-        """The four parameters are views of theta, laid out in params()
-        order: a change to theta changes them, and assigning a parameter
-        writes into theta."""
+        """The four parameters are read-only views of theta, laid out in
+        params() order: a change to theta changes them, an in-place write
+        to one reaches theta, and rebinding one raises."""
         model = random_model(np.random.default_rng(12))
         params = model.params()
         assert list(params) == ["W_hidden", "b_hidden", "W_out", "b_out"]
@@ -152,10 +152,32 @@ class TestParameters:
         for name, v in params.items():
             assert np.shares_memory(v, model.theta) and v is getattr(model, name)
         np.testing.assert_array_equal(flat_params(model), model.theta)
-        model.W_out = np.zeros((4, 3))
-        assert params["W_out"].sum() == 0.0 and np.shares_memory(model.W_out, model.theta)
-        with pytest.raises(ValueError, match="must have shape"):
-            model.b_out = np.zeros(4)
+        model.W_out[:] = 0.0  # theta holds W_hidden (3, 4) and b_hidden (4,) first
+        assert not model.theta[16:28].any()
+        before = model.theta.copy()
+        for name, v in params.items():
+            with pytest.raises(AttributeError):
+                setattr(model, name, np.zeros_like(v))
+            assert getattr(model, name) is v
+        np.testing.assert_array_equal(model.theta, before)
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            ([(3, 4), (1,), (4, 2), (2,)], r"b_hidden must have shape \(d_feat=4\), got \(1,\)"),
+            ([(3, 4), (4,), (4, 2), (1,)], r"b_out must have shape \(C=2\), got \(1,\)"),
+            ([(3, 4), (4,), (5, 2), (2,)], r"W_out must have shape \(d_feat=4, C\), got \(5, 2\)"),
+            ([(3, 4), (4,), (4,), (2,)], r"W_out must have shape \(d_feat=4, C\), got \(4,\)"),
+            ([(12,), (4,), (4, 2), (2,)], r"W_hidden must have shape \(d_in, d_feat\), got \(12,\)"),
+            ([(3, 4), (4, 1), (4, 2), (2,)], r"b_hidden must have shape \(d_feat=4\), got \(4, 1\)"),
+        ],
+        ids=["b_hidden", "b_out", "W_out-rows", "W_out-1d", "W_hidden-1d", "b_hidden-2d"],
+    )
+    def test_constructor_refuses_shapes_that_do_not_chain(self, shapes, message):
+        """The parameters must chain as (d_in, d_feat), (d_feat,),
+        (d_feat, C), (C,): a bias that would broadcast is refused by name."""
+        with pytest.raises(ValueError, match=message):
+            Classifier(*(np.ones(shape) for shape in shapes))
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
                                         lambda m: pickle.loads(pickle.dumps(m))])
@@ -325,7 +347,7 @@ class TestRowBlocks:
         for rows, F in got:
             np.testing.assert_array_equal(F, model.features(X[rows]))
         if n == 0:
-            assert got[0][1].shape == (0, model.d_feat)
+            assert got[0][1].shape == (0, model.W_hidden.shape[1])
 
 
 class TestOnePoolPass:
@@ -366,7 +388,7 @@ class TestOnePoolPass:
         d_feat) blocks: one feature block, its logits and the (n, C)
         output, never a whole-input feature matrix (three blocks)."""
         X = np.random.default_rng(6).standard_normal((3 * ROW_BLOCK, 8))
-        block = ROW_BLOCK * model.d_feat * 8
+        block = ROW_BLOCK * model.W_hidden.shape[1] * 8
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()

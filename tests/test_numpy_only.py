@@ -55,7 +55,7 @@ from activeadapt import cli
 
 tmp = Path({str(tmp_path)!r})
 workloads.write_dump(tmp / "pool.csv", workloads.draw_pool(3, 3, 4, 40, 60), 3)
-pool = activeadapt.load_pool(tmp / "pool.csv")
+pool = activeadapt.datapool.load_pool(tmp / "pool.csv")
 train = activeadapt.TrainConfig(epochs_per_round=2, batch_size=16, seed=1)
 loop = activeadapt.LoopConfig(budget=6, rounds=2, d_feat=16, pretrain_epochs=5,
                               train=train, seed=1)

@@ -1,16 +1,18 @@
 """Every public module-level name of the package, and every public method
 and property of a public class, has a caller outside the tests: no public
 function, class, constant or method exists only so that tests can call it.
-And no package module imports or reads another package module's private
-(`_`-prefixed) names: what two modules share is public, in numerics.
+The same holds for the package's top level: `__init__.py` re-exports only
+names a caller imports from there. And no package module imports or reads
+another package module's private (`_`-prefixed) names: what two modules
+share is public, in numerics.
 
 A name counts as used when it appears outside its own definition in the
 other package modules, in the rest of its own module, or in the code that
 runs the engine from outside: the demos, perfbench, tools/, and the
 acceptance gate (tests/test_acceptance.py with tests/oracles.py).
-`__init__.py` is no caller, because it re-exports every name. A method is
-matched by its name alone, whatever object it is read from; dunder and
-private methods are exempt.
+`__init__.py` is no caller: what it re-exports is checked on its own. A
+method is matched by its name alone, whatever object it is read from;
+dunder and private methods are exempt.
 """
 
 import ast
@@ -22,13 +24,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "activeadapt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-CALLERS = [
-    *sorted((ROOT / "demos").glob("*.py")),
-    *sorted((ROOT / "perfbench").glob("*.py")),
-    *sorted((ROOT / "tools").glob("*.py")),
-    ROOT / "tests" / "test_acceptance.py",
-    ROOT / "tests" / "oracles.py",
-]
+
+
+def caller_paths(root: Path) -> list[Path]:
+    """The files under a checkout's root that run the engine from outside."""
+    return [
+        *sorted((root / "demos").glob("*.py")),
+        *sorted((root / "perfbench").glob("*.py")),
+        *sorted((root / "tools").glob("*.py")),
+        root / "tests" / "test_acceptance.py",
+        root / "tests" / "oracles.py",
+    ]
+
+
+CALLERS = caller_paths(ROOT)
 # perfbench patches engine names it spells as strings, e.g. "gmm.run_em"
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -154,6 +163,103 @@ def test_names_used_by_another_module_or_a_caller():
                "b": ast.parse("from a import f\n")}
     assert unused_public_names(modules, set()) == ["a.g"]
     assert unused_public_names(modules, {"g"}) == []
+
+
+# -- the top level re-exports only what callers import from it -----------------
+
+
+def reexports(init: ast.Module) -> list[str]:
+    """The names `__init__.py` imports from the package's modules."""
+    return [
+        alias.asname or alias.name for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level for alias in node.names
+    ]
+
+
+def top_level_uses(callers) -> set[str]:
+    """The names the callers read from the package's top level: each
+    `from activeadapt import name`, and each `alias.name` where alias is
+    `activeadapt` or a name any caller binds the package to (`import
+    activeadapt as aa`; perfbench passes aa on to its other modules). A
+    string that spells `activeadapt.name` is no use."""
+    callers = list(callers)
+    aliases = {"activeadapt"} | {
+        alias.asname for tree in callers for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names
+        if alias.name == "activeadapt" and alias.asname
+    }
+    names = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "activeadapt" and not node.level:
+                names.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                names.add(node.attr)
+    return names
+
+
+def unused_reexports(init: ast.Module, callers) -> list[str]:
+    used = top_level_uses(callers)
+    return [name for name in reexports(init) if name not in used]
+
+
+def test_every_reexport_is_imported_from_the_top_level_by_a_caller():
+    init = _parse(PACKAGE / "__init__.py")
+    assert unused_reexports(init, (_parse(p) for p in CALLERS)) == []
+
+
+def test_the_reexport_check_sees_both_import_forms():
+    """The scan is not vacuous: the demos import from the top level, and
+    perfbench reads the package's attributes."""
+    assert "Classifier" in reexports(_parse(PACKAGE / "__init__.py"))
+    demos = top_level_uses(_parse(p) for p in CALLERS if p.parent.name == "demos")
+    perfbench = top_level_uses(_parse(p) for p in CALLERS if p.parent.name == "perfbench")
+    assert "compare_strategies" in demos and "DataPool" in perfbench
+
+
+INIT = "from .a import f, g\nfrom .b import h as k\n"
+
+
+@pytest.mark.parametrize(
+    "callers, expected",
+    [
+        (["from activeadapt import f, g, k\n"], []),
+        (["import activeadapt\nactiveadapt.f\n", "from activeadapt import g, k\n"], []),
+        (["import activeadapt as aa\n", "def make(aa):\n    return aa.f, aa.g(), aa.k\n"], []),
+        (["from activeadapt import f\nfrom activeadapt.a import g\n"], ["g", "k"]),
+        (["import activeadapt.a as a\na.g\n", "from activeadapt import f\n"], ["g", "k"]),
+        (["from activeadapt import f, k\nfrom . import g\n"], ["g"]),
+        (["from activeadapt import f, k\nSCRIPT = 'activeadapt.g(path)'\n"], ["g"]),
+        (["from activeadapt import f, k\nSPAN = 'g'\n"], ["g"]),
+        # a name another object happens to carry is no use of the package's
+        (["from activeadapt import f, k\nimport numpy as np\nnp.g\n"], ["g"]),
+    ],
+)
+def test_unused_reexports_of_planted_callers(callers, expected):
+    assert unused_reexports(ast.parse(INIT), [ast.parse(c) for c in callers]) == expected
+
+
+def test_a_name_only_a_test_imports_is_flagged(tmp_path):
+    """Of a planted checkout, only the demos, perfbench, tools/ and the
+    acceptance gate are callers: what another test imports from the top
+    level, or spells in a string, is unused."""
+    files = {
+        "demos/d.py": "from activeadapt import f\n",
+        "perfbench/p.py": "import activeadapt as aa\naa.k\n",
+        "tools/t.py": "",
+        "tests/test_acceptance.py": "",
+        "tests/oracles.py": "",
+        "tests/test_m.py": "from activeadapt import g\n",
+        "tests/test_n.py": "CODE = 'import activeadapt\\nactiveadapt.g(path)'\n",
+    }
+    for name, source in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(source)
+    callers = [_parse(p) for p in caller_paths(tmp_path)]
+    assert unused_reexports(ast.parse(INIT), callers) == ["g"]
+    everything = [_parse(tmp_path / name) for name in files]
+    assert unused_reexports(ast.parse(INIT), everything) == []
 
 
 # -- private names stay in their module ----------------------------------------

@@ -539,7 +539,7 @@ class TestConsistencyRate:
         output head routes feature 2 to class 0, so feature-2-dominant
         samples are inconsistent."""
         model = diag_model(3)
-        model.W_out = np.array([[2.0, 0, 0], [0, 2.0, 0], [2.0, 0, 0]])
+        model.W_out[:] = [[2.0, 0, 0], [0, 2.0, 0], [2.0, 0, 0]]
         low_X = np.vstack([2.0 * np.eye(3), [[2.0, 0.0, 0.0]]])
         assert model.predict(low_X).tolist() == [0, 1, 0, 0]
         high_X = np.tile([0.0, 2.0, 0.0], (4, 1))
